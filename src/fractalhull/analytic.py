@@ -147,6 +147,26 @@ def symmetry_center(sys: ComplexBaseSystem) -> np.ndarray:
     return np.array([w.real, w.imag])
 
 
+def _series_terms(pref: float, r: float, tol: float) -> int:
+    """Smallest J >= 1 whose geometric tail ``pref * r^-J / (r-1)`` is <= tol."""
+    if tol <= 0.0:
+        raise ValidationError("tol must be positive")
+    return max(1, math.ceil(math.log(pref / (tol * (r - 1.0))) / math.log(r)))
+
+
+def _abs_cos_series(pref: float, sys: ComplexBaseSystem, alpha, terms: int):
+    """``pref * sum_{j=1..terms} r^-j |cos(alpha + j phi)|`` for a scalar
+    angle (returns a float) or an array of angles."""
+    r, phi = sys.r, sys.phi
+    j = np.arange(1, terms + 1)
+    alpha_arr = np.asarray(alpha, dtype=float)
+    angles = alpha_arr[..., None] + j * phi
+    out = pref * np.sum(np.abs(np.cos(angles)) * r ** (-j), axis=-1)
+    if np.ndim(alpha) == 0:
+        return float(out)
+    return out
+
+
 def centered_width(sys: ComplexBaseSystem, alpha, tol: float = 1e-12):
     """Width around the symmetry center via the series
     ``(n-1)/2 * sum_{j>=1} r^-j |cos(alpha + j phi)|``.
@@ -154,18 +174,8 @@ def centered_width(sys: ComplexBaseSystem, alpha, tol: float = 1e-12):
     Truncated at J with tail ``(n-1)/2 * r^-J / (r-1) <= tol``.  Accepts a
     scalar angle or an array.
     """
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
-    r, phi, n = sys.r, sys.phi, sys.n
-    terms = max(1, math.ceil(math.log((n - 1) / (2.0 * tol * (r - 1.0)))
-                             / math.log(r)))
-    j = np.arange(1, terms + 1)
-    alpha_arr = np.asarray(alpha, dtype=float)
-    angles = alpha_arr[..., None] + j * phi
-    out = 0.5 * (n - 1) * np.sum(np.abs(np.cos(angles)) * r ** (-j), axis=-1)
-    if np.ndim(alpha) == 0:
-        return float(out)
-    return out
+    pref = 0.5 * (sys.n - 1)
+    return _abs_cos_series(pref, sys, alpha, _series_terms(pref, sys.r, tol))
 
 
 def rational_width(sys: ComplexBaseSystem, alpha):
@@ -174,15 +184,7 @@ def rational_width(sys: ComplexBaseSystem, alpha):
     if sys.rational_angle is None:
         raise ValidationError("rational_width needs a declared rational angle")
     _, k = sys.rational_angle
-    r, phi, n = sys.r, sys.phi, sys.n
-    j = np.arange(1, k + 1)
-    alpha_arr = np.asarray(alpha, dtype=float)
-    angles = alpha_arr[..., None] + j * phi
-    scale = (n - 1) / (2.0 * (1.0 - r ** (-k)))
-    out = scale * np.sum(np.abs(np.cos(angles)) * r ** (-j), axis=-1)
-    if np.ndim(alpha) == 0:
-        return float(out)
-    return out
+    return _abs_cos_series((sys.n - 1) / (2.0 * (1.0 - sys.r ** (-k))), sys, alpha, k)
 
 
 @dataclass(frozen=True)
@@ -206,82 +208,70 @@ def _abs_cos_derivative(angle: float) -> float:
     return -math.sin(angle) * (1.0 if c > 0.0 else -1.0)
 
 
-def _triangle_params_rational(sys: ComplexBaseSystem) -> list[TriangleParams]:
-    l, k = sys.rational_angle
-    r, phi, n = sys.r, sys.phi, sys.n
-    scale = (n - 1) / (1.0 - r ** (-k))
+def _edge_family(sys: ComplexBaseSystem, a_vals, inner: int,
+                 scale: float) -> list[TriangleParams]:
+    """Edges j = 1..len(a_vals) with normals ``pi/2 - j phi``.
+
+    ``a_vals`` holds the supporting distances.  Edge j has length
+    ``scale * r^-j``; its endpoint asymmetry b - c is ``scale`` times the
+    one-sided width derivative summed over the other families i = 1..inner.
+    """
+    r, phi = sys.r, sys.phi
     tris = []
-    for j in range(1, k + 1):
+    for j, a_j in enumerate(a_vals, start=1):
         ang = 0.5 * math.pi - j * phi
-        a_j = float(rational_width(sys, ang))
         bc_sum = scale * r ** (-j)
         s = 0.0
-        for i in range(1, k + 1):
+        for i in range(1, inner + 1):
             if i == j:
                 continue
             s += r ** (-i) * _abs_cos_derivative(ang + i * phi)
         bc_diff = scale * s
-        tris.append(TriangleParams(j, ang, a_j,
+        tris.append(TriangleParams(j, ang, float(a_j),
                                    0.5 * (bc_sum + bc_diff),
                                    0.5 * (bc_sum - bc_diff)))
     return tris
 
 
-def _merge_collinear_edges(edges, angle_tol: float = 1e-9):
-    """Merge edges sharing a support line (equal normal and distance).
+def _chain_edges(tris: list[TriangleParams], center, angle_tol: float,
+                 close_tol: float | None, merge_tol: float) -> np.ndarray:
+    """Chain an edge family and its antipodes into the polygon's vertices.
 
-    Members of one family carry identical endpoint asymmetry b - c (their
-    smooth derivative sums coincide) while their lengths add up, so the
-    merged edge keeps the shared asymmetry and sums the lengths.  Needed
-    whenever the infinite edge family is evaluated at a rational angle,
-    where infinitely many indices land on finitely many lines.
+    Edges sharing a support line (normals within ``angle_tol``) merge
+    first.  Members of one family carry identical endpoint asymmetry b - c
+    (their smooth derivative sums coincide) while their lengths add up, so
+    the merged edge keeps the shared asymmetry and sums the lengths.
+    Needed whenever the infinite edge family is evaluated at a rational
+    angle, where infinitely many indices land on finitely many lines.
+    The merged edges, ordered by normal angle, then chain end to end;
+    raises if a declared-exact chain (``close_tol`` given) fails to close.
     """
-    edges = sorted((theta % (2.0 * math.pi), a, b, c) for theta, a, b, c in edges)
+    def merge(prev, a, b, c):
+        total = (prev[2] + prev[3]) + (b + c)
+        diff = prev[2] - prev[3]
+        prev[1] = max(prev[1], a)
+        prev[2] = 0.5 * (total + diff)
+        prev[3] = 0.5 * (total - diff)
+
+    edges = sorted((theta % (2.0 * math.pi), t.a, t.b, t.c)
+                   for t in tris for theta in (t.angle, t.angle + math.pi))
     merged: list[list[float]] = []
     for theta, a, b, c in edges:
         if merged and theta - merged[-1][0] <= angle_tol:
-            prev = merged[-1]
-            total = (prev[2] + prev[3]) + (b + c)
-            diff = prev[2] - prev[3]
-            prev[1] = max(prev[1], a)
-            prev[2] = 0.5 * (total + diff)
-            prev[3] = 0.5 * (total - diff)
+            merge(merged[-1], a, b, c)
         else:
             merged.append([theta, a, b, c])
     if len(merged) > 1 and (merged[0][0] + 2.0 * math.pi - merged[-1][0]) <= angle_tol:
-        first = merged.pop(0)
-        prev = merged[-1]
-        total = (prev[2] + prev[3]) + (first[2] + first[3])
-        diff = prev[2] - prev[3]
-        prev[1] = max(prev[1], first[1])
-        prev[2] = 0.5 * (total + diff)
-        prev[3] = 0.5 * (total - diff)
-    return [tuple(e) for e in merged]
-
-
-def _chain_edges(edges, center, close_tol, merge_tol):
-    """Order edges by normal angle and chain their endpoints into a polygon.
-
-    ``edges`` holds (normal_angle, a, b, c) tuples with pairwise distinct
-    normals (merge collinear families first).  Returns the chained vertex
-    array; raises if a declared-exact chain fails to close.
-    """
-    decorated = sorted((theta % (2.0 * math.pi), a, b, c)
-                       for theta, a, b, c in edges)
+        merge(merged[-1], *merged.pop(0)[1:])
     points = []
-    gaps = []
-    prev_plus = None
-    for theta, a, b, c in decorated:
+    for theta, a, b, c in merged:
         u = np.array([math.cos(theta), math.sin(theta)])
         uperp = np.array([-u[1], u[0]])
-        p_minus = center + a * u - c * uperp
-        p_plus = center + a * u + b * uperp
-        if prev_plus is not None:
-            gaps.append(float(np.linalg.norm(p_minus - prev_plus)))
-        points.append(p_minus)
-        points.append(p_plus)
-        prev_plus = p_plus
-    gaps.append(float(np.linalg.norm(points[0] - prev_plus)))
+        points.append(center + a * u - c * uperp)
+        points.append(center + a * u + b * uperp)
+    # each edge's start against the previous edge's end, cyclically
+    gaps = [float(np.linalg.norm(points[i] - points[i - 1]))
+            for i in range(0, len(points), 2)]
     if close_tol is not None and max(gaps) > close_tol:
         raise FractalHullError(
             f"edge chain failed to close (worst gap {max(gaps):.3g} > {close_tol:.3g})"
@@ -295,27 +285,24 @@ def _chain_edges(edges, center, close_tol, merge_tol):
     return np.array(verts)
 
 
-def exact_polygon(sys: ComplexBaseSystem,
-                  j_cut: int | None = None) -> tuple[HullPolygon, list[TriangleParams]]:
+def exact_polygon(sys: ComplexBaseSystem) -> tuple[HullPolygon, list[TriangleParams]]:
     """Exact hull polygon for a rational-angle system.
 
     Emits the 2k edges with normals ``pi/2 - j phi`` (j = 1..k) and their
     antipodes; endpoints follow from the supporting distance and the
     one-sided width derivatives, and consecutive edges share endpoints by
-    construction (validated).  ``j_cut`` is accepted for interface
-    symmetry and ignored: k edge families always suffice.
+    construction (validated).  k edge families always suffice.  Also
+    returns the k edges in base-triangle form.
     """
     if sys.rational_angle is None:
         raise ValidationError("exact_polygon needs a declared rational angle")
-    tris = _triangle_params_rational(sys)
+    _, k = sys.rational_angle
+    r, phi, n = sys.r, sys.phi, sys.n
+    a_vals = [rational_width(sys, 0.5 * math.pi - j * phi) for j in range(1, k + 1)]
+    tris = _edge_family(sys, a_vals, k, (n - 1) / (1.0 - r ** (-k)))
     center = symmetry_center(sys)
-    edges = []
-    for t in tris:
-        edges.append((t.angle, t.a, t.b, t.c))
-        edges.append((t.angle + math.pi, t.a, t.b, t.c))
     scale = max(max(abs(t.a) for t in tris), max(t.b + t.c for t in tris))
-    edges = _merge_collinear_edges(edges, angle_tol=1e-12)
-    verts = _chain_edges(edges, center, close_tol=1e-9 * scale,
+    verts = _chain_edges(tris, center, angle_tol=1e-12, close_tol=1e-9 * scale,
                          merge_tol=1e-9 * scale)
     poly = HullPolygon(_readonly(verts), _readonly(center),
                        degenerate=verts.shape[0] < 3, method="exact",
@@ -332,34 +319,17 @@ def irrational_polygon(sys: ComplexBaseSystem, tol: float) -> HullPolygon:
     of the true width everywhere.  Rational systems are accepted too (their
     sub-edges chain along shared support lines).
     """
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
     r, phi, n = sys.r, sys.phi, sys.n
-    terms = max(1, math.ceil(math.log((n - 1) / (tol * (r - 1.0))) / math.log(r)))
+    terms = _series_terms(n - 1, r, tol)
     inner_tol = min(tol * 1e-3, 1e-14 * (n - 1) / (r - 1.0)) + 1e-300
-    inner = max(terms, math.ceil(math.log((n - 1) / (inner_tol * (r - 1.0)))
-                                 / math.log(r)))
-    js = np.arange(1, terms + 1)
-    angles = 0.5 * math.pi - js * phi
+    inner = max(terms, _series_terms(n - 1, r, inner_tol))
+    angles = 0.5 * math.pi - np.arange(1, terms + 1) * phi
     a_vals = centered_width(sys, angles, tol=min(tol * 1e-3, 1e-14))
     center = symmetry_center(sys)
-    edges = []
-    for idx, j in enumerate(js.tolist()):
-        ang = float(angles[idx])
-        bc_sum = (n - 1) * r ** (-j)
-        s = 0.0
-        for i in range(1, inner + 1):
-            if i == j:
-                continue
-            s += r ** (-i) * _abs_cos_derivative(ang + i * phi)
-        bc_diff = (n - 1) * s
-        b = 0.5 * (bc_sum + bc_diff)
-        c = 0.5 * (bc_sum - bc_diff)
-        edges.append((ang, float(a_vals[idx]), b, c))
-        edges.append((ang + math.pi, float(a_vals[idx]), b, c))
-    scale = max(max(abs(e[1]) for e in edges), 1e-300)
-    edges = _merge_collinear_edges(edges)
-    verts = _chain_edges(edges, center, close_tol=None, merge_tol=1e-9 * scale)
+    tris = _edge_family(sys, a_vals, inner, n - 1)
+    scale = max(max(abs(t.a) for t in tris), 1e-300)
+    verts = _chain_edges(tris, center, angle_tol=1e-9, close_tol=None,
+                         merge_tol=1e-9 * scale)
     # only strictly reflex points may go: collinear joints between short
     # sub-edges carry real support and must survive the cleanup
     verts = _monotone_chain(verts, eps_cross=0.0)
@@ -376,26 +346,26 @@ def hull_perimeter(sys: ComplexBaseSystem) -> float:
 def hull_area(sys: ComplexBaseSystem, tol: float = 1e-12) -> float:
     """Hull area ``(n-1)^2/(r^2-1) * sum_{v>0} |sin(v phi)| r^-v``,
     truncated with tail bound ``prefactor * r^-V / (r-1) <= tol``."""
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
     r, phi, n = sys.r, sys.phi, sys.n
     pref = (n - 1) ** 2 / (r * r - 1.0)
-    terms = max(1, math.ceil(math.log(pref / (tol * (r - 1.0))) / math.log(r)))
-    v = np.arange(1, terms + 1)
+    v = np.arange(1, _series_terms(pref, r, tol) + 1)
     return pref * float(np.sum(np.abs(np.sin(v * phi)) * r ** (-v.astype(float))))
 
 
-def isodiametric_gap(r: float, phi: float) -> float:
+def isodiametric_gap(r: float, phi):
     """Slack of the induced trigonometric inequality at (r, phi):
     ``(r+1)/(pi (r-1)) - sum_{j>0} |sin(j phi)| r^-j`` (machine-tail
-    truncation); isoperimetry puts it at >= 0."""
+    truncation); isoperimetry puts it at >= 0.  Accepts a scalar angle
+    (returns a float) or an array of angles."""
     if r <= 1.0:
         raise ValidationError("r must exceed 1")
     bound = (r + 1.0) / (math.pi * (r - 1.0))
     target = 1e-16 * max(1.0, 1.0 / (r - 1.0))
-    terms = max(1, math.ceil(math.log(1.0 / (target * (r - 1.0))) / math.log(r)))
-    j = np.arange(1, terms + 1)
-    return bound - float(np.sum(np.abs(np.sin(j * phi)) * r ** (-j.astype(float))))
+    j = np.arange(1, _series_terms(1.0, r, target) + 1)
+    gaps = bound - np.abs(np.sin(np.outer(phi, j))) @ (r ** (-j.astype(float)))
+    if np.ndim(phi) == 0:
+        return float(gaps[0])
+    return gaps
 
 
 def isodiametric_audit(r_count: int = 60, phi_count: int = 720):
@@ -405,10 +375,5 @@ def isodiametric_audit(r_count: int = 60, phi_count: int = 720):
     phis = np.arange(phi_count) * (2.0 * math.pi / phi_count)
     gaps = np.empty((r_count, phi_count))
     for i, r in enumerate(rs.tolist()):
-        bound = (r + 1.0) / (math.pi * (r - 1.0))
-        target = 1e-16 * max(1.0, 1.0 / (r - 1.0))
-        terms = max(1, math.ceil(math.log(1.0 / (target * (r - 1.0))) / math.log(r)))
-        j = np.arange(1, terms + 1)
-        sums = np.abs(np.sin(np.outer(phis, j))) @ (r ** (-j.astype(float)))
-        gaps[i] = bound - sums
+        gaps[i] = isodiametric_gap(r, phis)
     return rs, phis, gaps

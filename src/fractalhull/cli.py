@@ -197,9 +197,8 @@ def _cmd_exact(args) -> int:
                 val, err = centered_width(sys_, ang, tol), tol
             lines.append(f"width({ang:.6f}) = {val:.9f} +- {err:.3g}")
     if sys_.rational_angle is not None:
-        from .analytic import _triangle_params_rational
         lines.append("triangles (j, angle, a, b, c):")
-        for t in _triangle_params_rational(sys_):
+        for t in exact_polygon(sys_)[1]:
             lines.append(f"  {t.j}  {t.angle % (2 * math.pi):.6f}  "
                          f"{t.a:.9f}  {t.b:.9f}  {t.c:.9f}")
     else:

@@ -4,7 +4,8 @@ Matrices and vectors are plain float ndarrays.  An :class:`AffineMap` is one
 contraction ``x -> A x + t`` with its spectral norm cached; an :class:`IFS`
 is a validated family of such maps sharing a dimension.  The chaos game
 provides an independent sampling oracle for the attractor, used throughout
-the test suite to audit everything built on top.
+the test suite to audit everything built on top; one sampler, vectorised
+over parallel chains, serves every dimension.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import NotContractingError, ValidationError
 
 _NORM_RTOL = 1e-12
 _POWER_ITER_CAP = 100_000
+_MAX_CHAINS = 1024
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -91,8 +93,11 @@ class AffineMap:
 
 def affine_map(a, t) -> AffineMap:
     """Validate and build an :class:`AffineMap`, caching its operator norm."""
-    a = _readonly(np.array(a, dtype=float))
-    t = _readonly(np.array(t, dtype=float))
+    try:
+        a = _readonly(np.array(a, dtype=float))
+        t = _readonly(np.array(t, dtype=float))
+    except (TypeError, ValueError):
+        raise ValidationError("matrix and translation must be arrays of numbers") from None
     _check_square(a)
     if t.shape != (a.shape[0],):
         raise ValidationError(
@@ -179,54 +184,32 @@ class PointCloud:
 def chaos_game_sample(ifs: IFS, count: int, seed: int, burn_in: int = 64) -> PointCloud:
     """Random-iteration sampling of the attractor.
 
-    Starts at the fixed point of the first map (a point of the attractor),
-    repeatedly applies a uniformly chosen map, and records points once
-    ``burn_in`` iterations have passed.  Output is bit-for-bit reproducible
-    for identical ``(ifs, count, seed, burn_in)``.
+    Advances independent chains side by side, each started at the fixed
+    point of the first map (a point of the attractor) and moved by a
+    uniformly chosen map per step, and records every chain's points step by
+    step once ``burn_in`` steps have passed.  ``min(1024, count // burn_in)``
+    chains (at least 1) keep the burn-in work no larger than the recorded
+    work.  Output is bit-for-bit reproducible for identical
+    ``(ifs, count, seed, burn_in)``.
     """
     if count < 1:
         raise ValidationError("count must be at least 1")
     if burn_in < 0:
         raise ValidationError("burn_in must be nonnegative")
+    chains = max(1, min(_MAX_CHAINS, count // max(burn_in, 1)))
+    steps = burn_in + -(-count // chains)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(ifs.maps), size=burn_in + count)
-    start = map_fixed_point(ifs.maps[0])
-    if ifs.dim == 2:
-        pts = _chaos_2d(ifs.maps, idx, start, burn_in, count)
-    else:
-        pts = np.empty((count, ifs.dim))
-        x = start
-        k = 0
-        for j, i in enumerate(idx.tolist()):
-            m = ifs.maps[i]
-            x = m.a @ x + m.t
-            if j >= burn_in:
-                pts[k] = x
-                k += 1
-    return PointCloud(_readonly(pts), seed=int(seed), burn_in=int(burn_in))
-
-
-def _chaos_2d(maps, idx, start, burn_in, count):
-    # flat float tuples keep the hot loop free of ndarray overhead
-    coeff = [
-        (
-            float(m.a[0, 0]), float(m.a[0, 1]),
-            float(m.a[1, 0]), float(m.a[1, 1]),
-            float(m.t[0]), float(m.t[1]),
-        )
-        for m in maps
-    ]
-    x, y = float(start[0]), float(start[1])
-    out = np.empty((count, 2))
-    k = 0
-    for j, i in enumerate(idx.tolist()):
-        a11, a12, a21, a22, tx, ty = coeff[i]
-        x, y = a11 * x + a12 * y + tx, a21 * x + a22 * y + ty
-        if j >= burn_in:
-            out[k, 0] = x
-            out[k, 1] = y
-            k += 1
-    return out
+    idx = rng.integers(0, len(ifs.maps), size=(steps, chains))
+    a = np.stack([m.a for m in ifs.maps])
+    t = np.stack([m.t for m in ifs.maps])
+    x = np.tile(map_fixed_point(ifs.maps[0]), (chains, 1))
+    pts = np.empty((steps - burn_in, chains, ifs.dim))
+    for step, i in enumerate(idx):
+        x = np.einsum("cij,cj->ci", a[i], x) + t[i]
+        if step >= burn_in:
+            pts[step - burn_in] = x
+    return PointCloud(_readonly(pts.reshape(-1, ifs.dim)[:count]),
+                      seed=int(seed), burn_in=int(burn_in))
 
 
 def complex_base_ifs(z: complex, n: int) -> IFS:
@@ -258,6 +241,13 @@ class IFSDocument:
     complex_base: tuple[complex, int] | None = None
 
 
+def _json_int(value, what: str) -> int:
+    """An integral JSON number (2 or 2.0) as an int; anything else is rejected."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def parse_ifs_document(text: str) -> IFSDocument:
     """Parse the JSON IFS interchange format.
 
@@ -279,14 +269,17 @@ def parse_ifs_document(text: str) -> IFSDocument:
         try:
             re_, im_ = spec["z"]
             n = spec["n"]
-        except (KeyError, TypeError, ValueError):
+            z = complex(float(re_), float(im_))
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ValidationError(
-                'complex_base needs {"z": [re, im], "n": n}'
+                'complex_base needs {"z": [re, im], "n": n} with numbers re, im'
             ) from None
-        z = complex(float(re_), float(im_))
-        return IFSDocument(complex_base_ifs(z, int(n)), complex_base=(z, int(n)))
+        n = _json_int(n, "complex_base n")
+        return IFSDocument(complex_base_ifs(z, n), complex_base=(z, n))
     if "maps" not in doc:
         raise ValidationError('expected a "maps" or "complex_base" key')
+    if not isinstance(doc["maps"], list):
+        raise ValidationError('"maps" must be a list')
     pairs = []
     for entry in doc["maps"]:
         try:
@@ -294,7 +287,7 @@ def parse_ifs_document(text: str) -> IFSDocument:
         except (KeyError, TypeError):
             raise ValidationError('each map needs "A" and "t"') from None
     ifs = validate_ifs(pairs)
-    if "dim" in doc and int(doc["dim"]) != ifs.dim:
+    if "dim" in doc and _json_int(doc["dim"], "dim") != ifs.dim:
         raise ValidationError(
             f'declared dim {doc["dim"]} does not match maps of dimension {ifs.dim}'
         )

@@ -5,14 +5,15 @@ supporting half-plane in its own direction from the base point: cheap, and
 a failure certifies the point lies outside the hull (hence outside the
 attractor).  Passing it places the point in a superset of the hull whose
 Hausdorff excess over the attractor is bounded by a constant C0; pulling
-the point back through k levels of inverse maps shrinks that excess by the
-contraction factor per level, which yields two recursions:
+the point back through the inverse maps shrinks that excess by the
+contraction factor per level.  One pull-back walk serves both predicates;
+they differ only in the rule that stops it with a true answer:
 
-* ``near(x, k)``   -- true iff x survives k pull-back levels; a true answer
-  bounds dist(x, attractor) by C0 * c^k plus the width slack.
-* ``near1(x, l)``  -- distance-threshold form: recursion stops as soon as
-  the level budget ``l / (c_i1 ... c_im)`` reaches C0, so a true answer
-  certifies dist(x, attractor) <= l plus the width slack.
+* ``near(x, k)``   -- stop after k levels; a true answer bounds
+  dist(x, attractor) by C0 * c^k plus the width slack.
+* ``near1(x, l)``  -- distance-threshold form: stop as soon as the level
+  budget ``l / (c_i1 ... c_im)`` reaches C0, so a true answer certifies
+  dist(x, attractor) <= l plus the width slack.
 
 Singular maps cannot be inverted and are skipped, as the recursion demands;
 results then carry ``complete=False`` to flag that a false answer may be
@@ -44,7 +45,6 @@ class QueryContext:
     c0_bound: float      # upper bound on the quick-test set's excess over K
     c0_mode: str         # "paper" (R/sqrt(2)) or "safe" (2R)
     usable: tuple[int, ...]      # indices of nonsingular maps
-    inverses: tuple[np.ndarray | None, ...]
     complete: bool       # False when singular maps had to be skipped
     slack: float         # width uncertainty granted on the permissive side
 
@@ -95,24 +95,19 @@ def build_context(ifs: IFS, w: WidthSamples, x0=None,
     radius = circumradius(w0)
     c0 = radius / math.sqrt(2.0) if c0_mode == "paper" else 2.0 * radius
     usable = []
-    inverses: list[np.ndarray | None] = []
+    coeff = []
     for i, m in enumerate(ifs.maps):
         if _min_singular_value(m.a) <= _SINGULAR_RTOL * max(m.c, 1e-300):
-            inverses.append(None)
             continue
         usable.append(i)
-        inverses.append(np.linalg.inv(m.a))
-    coeff = []
-    for i in usable:
-        inv = inverses[i]
-        m = ifs.maps[i]
+        inv = np.linalg.inv(m.a)
         coeff.append((
             float(inv[0, 0]), float(inv[0, 1]), float(inv[1, 0]), float(inv[1, 1]),
             float(m.t[0]), float(m.t[1]), float(m.c),
         ))
     return QueryContext(
         ifs=ifs, width=w0, x0=x0, radius=radius, c0_bound=c0, c0_mode=c0_mode,
-        usable=tuple(usable), inverses=tuple(inverses),
+        usable=tuple(usable),
         complete=len(usable) == len(ifs.maps),
         slack=w0.iter_error + w0.interp_slack,
         _values=tuple(w0.values.tolist()),
@@ -146,37 +141,46 @@ def quick_reject(ctx: QueryContext, x) -> bool:
     return _quick_inside(ctx, float(x[0]), float(x[1]))
 
 
-def near(ctx: QueryContext, x, k: int) -> QueryResult:
-    """Does x survive k pull-back levels of the quick test?
-
-    A true answer means x lies in the k-fold image of the quick-test set
-    (within slack), hence within ``C0 * c^k`` of the attractor.  The
-    recursion tries maps in index order and short-circuits on the first
-    success; levels beyond k are never visited.
-    """
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
+def _walk(ctx: QueryContext, x, budget: float, levels: float) -> QueryResult:
+    """Depth-first pull-back walk: a point passing the quick test ends it
+    with true once ``depth >= levels`` or ``budget >= C0``; each level
+    divides the budget by the map's contraction factor."""
     x = np.asarray(x, dtype=float)
     coeff = ctx._coeff
+    c0 = ctx.c0_bound
     max_depth = 0
 
-    def walk(px: float, py: float, level: int, depth: int) -> bool:
+    def walk(px: float, py: float, budget: float, depth: int) -> bool:
         nonlocal max_depth
         if depth > max_depth:
             max_depth = depth
         if not _quick_inside(ctx, px, py):
             return False
-        if level == 0:
+        if depth >= levels or budget >= c0:
             return True
-        for i11, i12, i21, i22, tx, ty, _ in coeff:
+        for i11, i12, i21, i22, tx, ty, ci in coeff:
             qx = px - tx
             qy = py - ty
-            if walk(i11 * qx + i12 * qy, i21 * qx + i22 * qy, level - 1, depth + 1):
+            if walk(i11 * qx + i12 * qy, i21 * qx + i22 * qy, budget / ci, depth + 1):
                 return True
         return False
 
-    hit = walk(float(x[0]), float(x[1]), int(k), 0)
+    hit = walk(float(x[0]), float(x[1]), budget, 0)
     return QueryResult(hit, ctx.complete, max_depth)
+
+
+def near(ctx: QueryContext, x, k: int) -> QueryResult:
+    """Does x survive k pull-back levels of the quick test?
+
+    A true answer means x lies in the k-fold image of the quick-test set
+    (within slack), hence within ``C0 * c^k`` of the attractor.  The walk
+    tries maps in index order and short-circuits on the first success;
+    levels beyond k are never visited.
+    """
+    if k < 0:
+        raise ValidationError("k must be nonnegative")
+    # a budget of -inf never reaches C0, even a C0 of zero
+    return _walk(ctx, x, -math.inf, int(k))
 
 
 def near1(ctx: QueryContext, x, l: float) -> QueryResult:
@@ -191,25 +195,4 @@ def near1(ctx: QueryContext, x, l: float) -> QueryResult:
     """
     if l <= 0.0:
         raise ValidationError("distance threshold must be positive")
-    x = np.asarray(x, dtype=float)
-    coeff = ctx._coeff
-    c0 = ctx.c0_bound
-    max_depth = 0
-
-    def walk(px: float, py: float, budget: float, depth: int) -> bool:
-        nonlocal max_depth
-        if depth > max_depth:
-            max_depth = depth
-        if not _quick_inside(ctx, px, py):
-            return False
-        if budget >= c0:
-            return True
-        for i11, i12, i21, i22, tx, ty, ci in coeff:
-            qx = px - tx
-            qy = py - ty
-            if walk(i11 * qx + i12 * qy, i21 * qx + i22 * qy, budget / ci, depth + 1):
-                return True
-        return False
-
-    hit = walk(float(x[0]), float(x[1]), float(l), 0)
-    return QueryResult(hit, ctx.complete, max_depth)
+    return _walk(ctx, x, float(l), math.inf)

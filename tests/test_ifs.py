@@ -143,6 +143,19 @@ class TestChaosGame:
         assert cloud.points.shape == (500, 3)
         assert np.all(cloud.points >= -1e-9) and np.all(cloud.points <= 1 + 1e-9)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("count", [700, 1500])
+    def test_chain_count_remainder(self, dim, count):
+        # burn_in=0 gives min(1024, count) chains: 700 points fill one step
+        # of 700 chains, 1500 points leave a partial second step of 1024
+        ifs = fh.validate_ifs([
+            (0.5 * np.eye(dim), np.zeros(dim)),
+            (0.5 * np.eye(dim), np.full(dim, 0.5)),
+        ])
+        cloud = fh.chaos_game_sample(ifs, count, seed=4, burn_in=0)
+        assert cloud.points.shape == (count, dim)
+        assert np.all(cloud.points >= -1e-9) and np.all(cloud.points <= 1 + 1e-9)
+
     def test_count_validation(self, twindragon_ifs):
         with pytest.raises(fh.ValidationError):
             fh.chaos_game_sample(twindragon_ifs, 0, seed=1)
@@ -206,6 +219,18 @@ class TestIfsDocuments:
     def test_rejects_dim_mismatch(self):
         text = json.dumps(
             {"dim": 3, "maps": [{"A": [[0.5, 0.0], [0.0, 0.5]], "t": [0.0, 0.0]}]})
+        with pytest.raises(fh.ValidationError):
+            fh.parse_ifs_document(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": "x", "maps": [{"A": [[0.5, 0], [0, 0.5]], "t": [0, 0]}]}',
+        '{"dim": 2.5, "maps": [{"A": [[0.5, 0], [0, 0.5]], "t": [0, 0]}]}',
+        '{"complex_base": {"z": ["a", 1], "n": 2}}',
+        '{"complex_base": {"z": [1, 1], "n": 2.5}}',
+        '{"maps": [{"A": [[0.5, "x"], [0, 0.5]], "t": [0, 0]}]}',
+        '{"maps": 5}',
+    ])
+    def test_rejects_malformed_values(self, text):
         with pytest.raises(fh.ValidationError):
             fh.parse_ifs_document(text)
 
