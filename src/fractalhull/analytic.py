@@ -29,6 +29,7 @@ import numpy as np
 from .errors import FractalHullError, ValidationError
 from .hull import HullPolygon, _monotone_chain
 from .ifs import _readonly, operator_norm
+from .width import _check_tol
 
 _RATIONAL_ANGLE_TOL = 1e-12
 _MAX_DENOMINATOR = 64
@@ -110,8 +111,7 @@ def equal_maps_width(a, ts, d, tol: float = 1e-12) -> float:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 2 or ts.shape[1] != a.shape[0]:
         raise ValidationError("translations must be rows matching the matrix dimension")
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    _check_tol(tol)
     c = operator_norm(a)
     if c >= 1.0:
         raise ValidationError(f"matrix is not contracting, c={c:.6g}")
@@ -149,8 +149,7 @@ def symmetry_center(sys: ComplexBaseSystem) -> np.ndarray:
 
 def _series_terms(pref: float, r: float, tol: float) -> int:
     """Smallest J >= 1 whose geometric tail ``pref * r^-J / (r-1)`` is <= tol."""
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    _check_tol(tol)
     return max(1, math.ceil(math.log(pref / (tol * (r - 1.0))) / math.log(r)))
 
 

@@ -25,7 +25,7 @@ from .hull import extract_polygon, polygon_area, polygon_json, polygon_perimeter
 from .ifs import chaos_game_sample, load_ifs_file
 from .query import build_context, near, near1
 from .render import render_svg
-from .width import solve_width, width_csv
+from .width import _check_tol, solve_width, width_csv
 
 
 class _UsageError(Exception):
@@ -183,7 +183,7 @@ def _cmd_exact(args) -> int:
     if doc.complex_base is None:
         raise ValidationError("exact analytics need a complex_base input")
     sys_ = complex_base_system(*doc.complex_base)
-    tol = min(args.tol, 1e-9)  # closed forms are cheap; keep displays exact
+    tol = min(_check_tol(args.tol), 1e-9)  # closed forms are cheap; keep displays exact
     center = symmetry_center(sys_)
     lines = [f"center = ({center[0]:.6f}, {center[1]:.6f}) (exact)"]
     lines.append(f"perimeter = {hull_perimeter(sys_):.6f} (exact)")

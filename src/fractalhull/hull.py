@@ -170,15 +170,21 @@ def support_point(w: WidthSamples, angle: float,
 
 
 def _dedup_cyclic(points: np.ndarray, tol: float) -> np.ndarray:
+    """Drop each point within ``tol`` of the last kept one, cyclically."""
     if points.shape[0] == 0:
         return points
-    kept = [points[0]]
-    for p in points[1:]:
-        if np.linalg.norm(p - kept[-1]) > tol:
-            kept.append(p)
-    if len(kept) > 1 and np.linalg.norm(kept[0] - kept[-1]) <= tol:
-        kept.pop()
-    return np.array(kept)
+    xs = points[:, 0].tolist()
+    ys = points[:, 1].tolist()
+    keep = [0]
+    kx, ky = xs[0], ys[0]
+    for i in range(1, len(xs)):
+        x, y = xs[i], ys[i]
+        if math.hypot(x - kx, y - ky) > tol:
+            keep.append(i)
+            kx, ky = x, y
+    if len(keep) > 1 and math.hypot(xs[0] - kx, ys[0] - ky) <= tol:
+        keep.pop()
+    return points[keep]
 
 
 def _monotone_chain(points: np.ndarray, eps_cross: float) -> np.ndarray:
@@ -186,9 +192,10 @@ def _monotone_chain(points: np.ndarray, eps_cross: float) -> np.ndarray:
     pts = np.unique(points, axis=0)
     if pts.shape[0] <= 2:
         return pts
+    rows = pts.tolist()
 
     def build(seq):
-        out: list[np.ndarray] = []
+        out: list[list[float]] = []
         for p in seq:
             while len(out) >= 2:
                 o, a = out[-2], out[-1]
@@ -199,8 +206,8 @@ def _monotone_chain(points: np.ndarray, eps_cross: float) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = build(pts)
-    upper = build(pts[::-1])
+    lower = build(rows)
+    upper = build(rows[::-1])
     hull = lower[:-1] + upper[:-1]
     return np.array(hull) if len(hull) >= 2 else pts[:1]
 

@@ -15,6 +15,13 @@ Directions are discretized on a uniform angle grid with periodic linear
 interpolation in between; the interpolation error is covered separately by
 a Lipschitz bound (any support function around a base inside B(base, R) is
 R-Lipschitz in the angle), reported as ``interp_slack``.
+
+Only the sample values change from one sweep to the next.  Everything else
+in the operator (for each map and grid direction: the grid cell of
+``dir(A_i^T d)`` with its two interpolation weights, ``|A_i^T d|`` and
+``t_i^T d``) is an :class:`_OperatorPlan`, built once per (IFS, grid);
+``solve_width`` reuses one plan for every sweep and ``selfsim_operator``
+builds one and applies it once.
 """
 
 from __future__ import annotations
@@ -29,6 +36,13 @@ from .ifs import IFS, _readonly
 
 TWO_PI = 2.0 * math.pi
 _ITERATION_CAP = 1_000_000
+
+
+def _check_tol(tol: float) -> float:
+    """Return ``tol`` if it is a positive finite number, else raise."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError("tol must be a positive finite number")
+    return tol
 
 
 class DirectionGrid:
@@ -96,12 +110,18 @@ class RadiusValue:
     support_angle: float
 
 
+def _grid_cell(n: int, angles):
+    """Cell of each angle on an n-point grid: left node ``g0`` in [0, n) and
+    the fraction ``frac`` of the way to node ``(g0 + 1) % n``."""
+    pos = np.mod(np.multiply(angles, n / TWO_PI), n)
+    floor = np.floor(pos)
+    return floor.astype(np.intp) % n, pos - floor
+
+
 def _interp_periodic(values: np.ndarray, angles):
     """Linear interpolation of grid samples, periodic in the angle."""
     n = values.shape[0]
-    pos = np.mod(np.multiply(angles, n / TWO_PI), n)
-    g0 = np.floor(pos).astype(int) % n
-    frac = pos - np.floor(pos)
+    g0, frac = _grid_cell(n, angles)
     g1 = (g0 + 1) % n
     return (1.0 - frac) * values[g0] + frac * values[g1]
 
@@ -126,17 +146,43 @@ def make_width_samples(grid: DirectionGrid, base, values,
                         float(interp_slack), int(iterations))
 
 
-def _apply_operator(ifs: IFS, grid: DirectionGrid, values: np.ndarray) -> np.ndarray:
-    dirs = grid.directions
-    best = None
-    for m in ifs.maps:
-        v = dirs @ m.a  # row g holds (A^T d_g)^T
-        norms = np.hypot(v[:, 0], v[:, 1])
-        ang = np.arctan2(v[:, 1], v[:, 0])
-        # norms == 0 makes the h-term vanish, leaving t^T d: the correct limit
-        term = norms * _interp_periodic(values, ang) + dirs @ m.t
-        best = term if best is None else np.maximum(best, term)
-    return best
+class _OperatorPlan:
+    """The value-independent part of the self-similarity operator on a grid.
+
+    For each map and grid direction d it holds the image cell ``g0`` and
+    weights ``w0 = 1 - frac``, ``w1 = frac`` of ``dir(A^T d)``, the factor
+    ``|A^T d|`` and the shift ``t^T d``, so one application is two gathers,
+    a multiply-add and a running max, with no trigonometry.
+    """
+
+    __slots__ = ("_maps",)
+
+    def __init__(self, ifs: IFS, grid: DirectionGrid):
+        dirs = grid.directions
+        self._maps = []
+        for m in ifs.maps:
+            v = dirs @ m.a  # row g holds (A^T d_g)^T
+            g0, frac = _grid_cell(grid.n, np.arctan2(v[:, 1], v[:, 0]))
+            # norms == 0 makes the h-term vanish, leaving t^T d: the correct limit
+            self._maps.append((g0, 1.0 - frac, frac,
+                               np.hypot(v[:, 0], v[:, 1]), dirs @ m.t))
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        ext = np.append(values, values[0])  # ext[g0 + 1] is values[(g0 + 1) % n]
+        nxt = ext[1:]
+        best = None
+        for g0, w0, w1, norms, shift in self._maps:
+            # the operation order of norms * _interp_periodic(...) + shift,
+            # so the bits match it
+            term = w0 * ext[g0]
+            term += w1 * nxt[g0]
+            term *= norms
+            term += shift
+            if best is None:
+                best = term
+            else:
+                np.maximum(best, term, out=best)
+        return best
 
 
 def selfsim_operator(ifs: IFS, w: WidthSamples) -> WidthSamples:
@@ -151,7 +197,7 @@ def selfsim_operator(ifs: IFS, w: WidthSamples) -> WidthSamples:
         raise ValidationError("the width solver is two-dimensional only")
     if not np.allclose(w.base, 0.0, atol=1e-15):
         raise ValidationError("the operator is defined for widths around the origin")
-    out = _apply_operator(ifs, w.grid, w.values)
+    out = _OperatorPlan(ifs, w.grid).apply(w.values)
     return replace(w, values=_readonly(out))
 
 
@@ -166,7 +212,7 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
         Number of grid angles (even, >= 64).
     tol : float
         Target for the a-posteriori bound: iteration stops once
-        ``step * c / (1 - c) <= tol``.
+        ``step * c / (1 - c) <= tol``.  Must be positive and finite.
 
     Returns
     -------
@@ -175,20 +221,21 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
         ``interp_slack = R * pi / n_grid`` where R bounds the circumradius.
 
     The start function is the constant ``R0 = max_i |t_i| / (1 - c)``, the
-    width of a ball certain to contain the attractor.
+    width of a ball certain to contain the attractor.  The operator plan
+    is built once per solve and reused by every sweep.
     """
     if ifs.dim != 2:
         raise ValidationError("the width solver is two-dimensional only")
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    _check_tol(tol)
     grid = DirectionGrid(n_grid)
+    plan = _OperatorPlan(ifs, grid)
     c = ifs.c
     r0 = max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c)
     values = np.full(grid.n, r0)
     delta = math.inf
     iterations = 0
     while iterations < _ITERATION_CAP:
-        new = _apply_operator(ifs, grid, values)
+        new = plan.apply(values)
         delta = float(np.max(np.abs(new - values)))
         values = new
         iterations += 1

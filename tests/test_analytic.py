@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fractalhull as fh
+from fractalhull.analytic import _series_terms
 
 SQRT2 = math.sqrt(2.0)
 DENSE = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
@@ -83,6 +84,11 @@ class TestEqualMapsWidth:
         with pytest.raises(fh.ValidationError):
             fh.equal_maps_width(np.eye(2), [(1.0, 0.0)], (1.0, 0.0))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(fh.ValidationError, match="positive finite"):
+            fh.equal_maps_width(0.5 * np.eye(2), [(1.0, 0.0)], (1.0, 0.0), tol)
+
 
 class TestSymmetryCenter:
     def test_twindragon(self, twindragon_sys):
@@ -127,6 +133,11 @@ class TestWidthSeries:
         sys_ = fh.complex_base_system(1 + 1j, 2, rational_angle=None)
         with pytest.raises(fh.ValidationError):
             fh.rational_width(sys_, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_series_terms_rejects_non_finite_tol(self, tol):
+        with pytest.raises(fh.ValidationError, match="positive finite"):
+            _series_terms(0.5, math.sqrt(2.0), tol)
 
 
 class TestExactPolygon:

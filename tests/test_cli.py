@@ -49,6 +49,12 @@ class TestSolve:
         assert values[round(math.pi, 9)] == pytest.approx(0.0, abs=1e-6)
         assert "iterations=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, twindragon_file, capsys, tol):
+        assert main(["solve", "--input", twindragon_file, "--grid", "64",
+                     "--tol", tol]) == 1
+        assert "error: tol must be a positive finite number" in capsys.readouterr().err
+
     def test_deterministic_bytes(self, twindragon_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -148,6 +154,11 @@ class TestExact:
         path = tmp_path / "square.json"
         path.write_text(SQUARE_DOC)
         assert main(["exact", "--input", str(path)]) == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, twindragon_file, capsys, tol):
+        assert main(["exact", "--input", twindragon_file, "--tol", tol]) == 1
+        assert "error: tol must be a positive finite number" in capsys.readouterr().err
 
 
 class TestAudit:

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fractalhull as fh
 from conftest import disk_width
+from fractalhull.hull import _dedup_cyclic, _monotone_chain
 
 SQRT2 = math.sqrt(2.0)
 
@@ -192,3 +194,88 @@ class TestPolygonMeasures:
         doc = json.loads(text)
         assert doc["base"] == [0.5, 0.25]
         assert doc["vertices"] == [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]
+
+
+def reference_dedup(points, tol):
+    """Cyclic de-duplication with one numpy norm per point, as an oracle."""
+    if points.shape[0] == 0:
+        return points
+    kept = [points[0]]
+    for p in points[1:]:
+        if np.linalg.norm(p - kept[-1]) > tol:
+            kept.append(p)
+    if len(kept) > 1 and np.linalg.norm(kept[0] - kept[-1]) <= tol:
+        kept.pop()
+    return np.array(kept)
+
+
+def reference_chain(points, eps_cross):
+    """Andrew's monotone chain over numpy rows, as an oracle."""
+    pts = np.unique(points, axis=0)
+    if pts.shape[0] <= 2:
+        return pts
+
+    def build(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= eps_cross:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = build(pts)
+    upper = build(pts[::-1])
+    hull = lower[:-1] + upper[:-1]
+    return np.array(hull) if len(hull) >= 2 else pts[:1]
+
+
+@st.composite
+def lattice_walks(draw):
+    """A walk on the lattice (Z/8)^2 with steps of at most 2/8 per axis,
+    optionally closed by a point next to its start.
+
+    Steps shorter than the tolerance make runs in which the last kept point
+    lies several points back; the closing point exercises the wrap-around
+    test; zero steps give duplicates.  Squared lattice distances are
+    multiples of 1/64 and the tolerances odd multiples of 1/16, so no
+    distance is within rounding of the tolerance.
+    """
+    start = draw(st.tuples(st.integers(-8, 8), st.integers(-8, 8)))
+    steps = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          max_size=40))
+    pts = np.array([start] + steps, dtype=float).cumsum(axis=0)
+    if draw(st.booleans()):
+        near = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+        pts = np.vstack([pts, pts[0] + near])
+    return pts / 8.0
+
+
+class TestExtractionHelpers:
+    @settings(max_examples=200, deadline=None)
+    @given(points=lattice_walks(), odd=st.integers(0, 5))
+    @example(points=np.array([[0.0, 0.0], [0.125, 0.0], [0.25, 0.0], [0.375, 0.0]]),
+             odd=2)
+    @example(points=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.125, 0.0]]),
+             odd=2)
+    @example(points=np.empty((0, 2)), odd=0)
+    def test_dedup_matches_reference(self, points, odd):
+        tol = (2 * odd + 1) / 16.0
+        got = _dedup_cyclic(points, tol)
+        assert np.array_equal(got, reference_dedup(points, tol))
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattice=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            max_size=30),
+           free=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                         max_size=10),
+           eps_cross=st.sampled_from([0.0, 1e-12, 0.25, 1.0]))
+    @example(lattice=[(0, 0), (1, 1), (2, 2), (3, 3), (1, 1)], free=[], eps_cross=0.0)
+    def test_monotone_chain_matches_reference(self, lattice, free, eps_cross):
+        # small lattices are full of collinear triples and repeated points
+        points = np.array(lattice + free, dtype=float).reshape(-1, 2)
+        got = _monotone_chain(points, eps_cross)
+        assert np.array_equal(got, reference_chain(points, eps_cross))

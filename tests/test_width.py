@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fractalhull as fh
 from conftest import disk_width
@@ -101,6 +102,59 @@ class TestSelfsimOperator:
         assert np.all(lo <= hi + 1e-12)
 
 
+def reference_operator(ifs, grid, values):
+    """The per-map operator formula, trigonometry on every call, as an oracle."""
+    n = grid.n
+    dirs = grid.directions
+    best = None
+    for m in ifs.maps:
+        v = dirs @ m.a
+        norms = np.hypot(v[:, 0], v[:, 1])
+        ang = np.arctan2(v[:, 1], v[:, 0])
+        pos = np.mod(np.multiply(ang, n / TWO_PI), n)
+        g0 = np.floor(pos).astype(int) % n
+        frac = pos - np.floor(pos)
+        g1 = (g0 + 1) % n
+        interp = (1.0 - frac) * values[g0] + frac * values[g1]
+        term = norms * interp + dirs @ m.t
+        best = term if best is None else np.maximum(best, term)
+    return best
+
+
+@st.composite
+def operator_maps(draw):
+    """1-4 planar maps: general, rank one (``|A^T d|`` vanishes on a line)
+    or the zero matrix (it vanishes everywhere)."""
+    maps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["general", "rank-one", "zero"]))
+        c = draw(st.floats(0.05, 0.95))
+        if kind == "zero":
+            a = np.zeros((2, 2))
+        elif kind == "rank-one":
+            th, ph = draw(st.floats(0.0, TWO_PI)), draw(st.floats(0.0, TWO_PI))
+            a = c * np.outer([math.cos(th), math.sin(th)], [math.cos(ph), math.sin(ph)])
+        else:
+            a = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(2)]
+                          for _ in range(2)])
+            norm = fh.operator_norm(a)
+            a = c * a / norm if norm > 0.0 else a
+        maps.append((a, (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))))
+    return fh.validate_ifs(maps)
+
+
+class TestOperatorPlanProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(ifs=operator_maps(), half=st.integers(32, 2048),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_map_formula_bitwise(self, ifs, half, seed):
+        grid = fh.DirectionGrid(2 * half)
+        values = np.random.default_rng(seed).uniform(-1.0, 2.0, grid.n)
+        w = fh.make_width_samples(grid, (0.0, 0.0), values, 0.0, 0.0)
+        got = fh.selfsim_operator(ifs, w).values
+        assert np.array_equal(got, reference_operator(ifs, grid, values))
+
+
 class TestSolveWidth:
     def test_point_attractor(self):
         ifs = fh.validate_ifs([(0.5 * np.eye(2), (0.0, 0.0))])
@@ -146,6 +200,11 @@ class TestSolveWidth:
     def test_rejects_bad_tol(self, twindragon_ifs):
         with pytest.raises(fh.ValidationError):
             fh.solve_width(twindragon_ifs, 64, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tol(self, twindragon_ifs, tol):
+        with pytest.raises(fh.ValidationError, match="positive finite"):
+            fh.solve_width(twindragon_ifs, 64, tol)
 
 
 class TestRebaseEval:
