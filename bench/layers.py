@@ -17,8 +17,8 @@ slow contraction) and one random 4-map affine system, each at grid sizes
 time, so one file can hold columns for two versions of the package; a
 version without an operator plan reports ``null`` for the plan layers.
 
-    python bench/layers.py --label change --out BENCH_3.json
-    python bench/layers.py --label parent --src ../parent/src --out BENCH_3.json
+    python bench/layers.py --label change --out layers.json
+    python bench/layers.py --label parent --src ../parent/src --out layers.json
 
 Each run replaces its own column in ``--out`` and keeps the others.  Set
 one BLAS thread (``OPENBLAS_NUM_THREADS=1``) for figures comparable with
