@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FractalHullError, ValidationError
-from .hull import HullPolygon, _monotone_chain
+from .hull import HullPolygon, _dedup_cyclic, _monotone_chain
 from .ifs import _readonly, operator_norm
 from .width import _check_tol
 
@@ -275,13 +275,7 @@ def _chain_edges(tris: list[TriangleParams], center, angle_tol: float,
         raise FractalHullError(
             f"edge chain failed to close (worst gap {max(gaps):.3g} > {close_tol:.3g})"
         )
-    verts = []
-    for p in points:
-        if not verts or np.linalg.norm(p - verts[-1]) > merge_tol:
-            verts.append(p)
-    if len(verts) > 1 and np.linalg.norm(verts[0] - verts[-1]) <= merge_tol:
-        verts.pop()
-    return np.array(verts)
+    return _dedup_cyclic(np.array(points), merge_tol)
 
 
 def exact_polygon(sys: ComplexBaseSystem) -> tuple[HullPolygon, list[TriangleParams]]:

@@ -1,5 +1,15 @@
 """Command-line surface: solve, hull, render, query, exact, audit, verify.
 
+Each subcommand accepts only the flags it reads; any other flag is a usage
+error:
+
+  solve, hull  --input --grid --tol --out
+  render       --input --grid --tol --seed --points --out
+  query        --input --grid --tol --point (--k | --dist) --c0
+  exact        --input --tol --angles --out
+  audit        --r-steps --phi-steps --out
+  verify       (no flags)
+
 Exit codes: 0 success, 1 parse/validation error, 2 verification failure.
 All file outputs are deterministic for identical inputs.
 """
@@ -42,72 +52,64 @@ def _build_parser() -> _Parser:
                 description="Convex hulls of IFS attractors from width functions")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("--input", required=True, help="IFS JSON file")
-        sp.add_argument("--grid", type=int, default=4096, help="direction grid size")
-        sp.add_argument("--tol", type=float, default=1e-6, help="solver/series tolerance")
-        sp.add_argument("--seed", type=int, default=0, help="chaos-game RNG seed")
-        sp.add_argument("--points", type=int, default=20000, help="chaos-game sample count")
-        sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        sp.add_argument("--format", default=None, choices=("csv", "json", "svg"),
-                        help="output format (validated against the subcommand)")
+    inp = argparse.ArgumentParser(add_help=False)
+    inp.add_argument("--input", required=True, help="IFS JSON file")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=int, default=4096, help="direction grid size")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-6, help="solver/series tolerance")
+    cloud = argparse.ArgumentParser(add_help=False)
+    cloud.add_argument("--seed", type=int, default=0, help="chaos-game RNG seed")
+    cloud.add_argument("--points", type=int, default=20000, help="chaos-game sample count")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    sp = sub.add_parser("solve", help="solve the width function, write CSV")
-    common(sp)
-    sp.set_defaults(func=_cmd_solve, fmt="csv")
+    sp = sub.add_parser("solve", parents=[inp, grid, tol, out],
+                        help="solve the width function, write CSV")
+    sp.set_defaults(func=_cmd_solve)
 
-    sp = sub.add_parser("hull", help="extract the hull polygon, write JSON")
-    common(sp)
-    sp.set_defaults(func=_cmd_hull, fmt="json")
+    sp = sub.add_parser("hull", parents=[inp, grid, tol, out],
+                        help="extract the hull polygon, write JSON")
+    sp.set_defaults(func=_cmd_hull)
 
-    sp = sub.add_parser("render", help="render hull + samples as SVG")
-    common(sp)
-    sp.set_defaults(func=_cmd_render, fmt="svg")
+    sp = sub.add_parser("render", parents=[inp, grid, tol, cloud, out],
+                        help="render hull + samples as SVG")
+    sp.set_defaults(func=_cmd_render)
 
-    sp = sub.add_parser("query", help="proximity predicates near/near1")
-    common(sp)
+    sp = sub.add_parser("query", parents=[inp, grid, tol],
+                        help="proximity predicates near/near1")
     sp.add_argument("--point", required=True,
                     help="query point as x,y (use --point=x,y if x is negative)")
     sp.add_argument("--k", type=int, default=None, help="pull-back levels for near")
     sp.add_argument("--dist", type=float, default=None, help="distance threshold for near1")
     sp.add_argument("--c0", default="paper", choices=("paper", "safe"),
                     help="excess-constant mode")
-    sp.set_defaults(func=_cmd_query, fmt=None)
+    sp.set_defaults(func=_cmd_query)
 
-    sp = sub.add_parser("exact", help="closed-form complex-base analytics")
-    common(sp)
+    sp = sub.add_parser("exact", parents=[inp, tol, out],
+                        help="closed-form complex-base analytics")
     sp.add_argument("--angles", default="", help="comma-separated angles (radians)")
-    sp.set_defaults(func=_cmd_exact, fmt=None)
+    sp.set_defaults(func=_cmd_exact)
 
-    sp = sub.add_parser("audit", help="nonnegativity audit of the area/perimeter gap")
-    common(sp, needs_input=False)
+    sp = sub.add_parser("audit", parents=[out],
+                        help="nonnegativity audit of the area/perimeter gap")
     sp.add_argument("--r-steps", type=int, default=60)
     sp.add_argument("--phi-steps", type=int, default=720)
-    sp.set_defaults(func=_cmd_audit, fmt="csv")
+    sp.set_defaults(func=_cmd_audit)
 
     sp = sub.add_parser("verify", help="run the full acceptance suite")
-    common(sp, needs_input=False)
-    sp.set_defaults(func=_cmd_verify, fmt=None)
+    sp.set_defaults(func=_cmd_verify)
 
     return p
 
 
-def _check_format(args) -> None:
-    if args.format is not None and args.fmt is not None and args.format != args.fmt:
-        raise ValidationError(
-            f"subcommand {args.command} writes {args.fmt}, not {args.format}"
-        )
-
-
-def _write_out(args, text: str) -> bool:
-    """Write to --out if given (returns True), else to stdout (returns False)."""
+def _write_out(args, text: str) -> None:
+    """Write to --out if given, else to stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        return True
-    sys.stdout.write(text)
-    return False
+    else:
+        sys.stdout.write(text)
 
 
 def _info(args, line: str) -> None:
@@ -117,7 +119,6 @@ def _info(args, line: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    _check_format(args)
     doc = load_ifs_file(args.input)
     w = solve_width(doc.ifs, args.grid, args.tol)
     _write_out(args, width_csv(w))
@@ -138,7 +139,6 @@ def _polygon_for(doc, args):
 
 
 def _cmd_hull(args) -> int:
-    _check_format(args)
     doc = load_ifs_file(args.input)
     poly, slack = _polygon_for(doc, args)
     _write_out(args, polygon_json(poly) + "\n")
@@ -150,7 +150,6 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    _check_format(args)
     doc = load_ifs_file(args.input)
     poly, _ = _polygon_for(doc, args)
     cloud = chaos_game_sample(doc.ifs, args.points, args.seed)
@@ -208,7 +207,6 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    _check_format(args)
     rs, phis, gaps = isodiametric_audit(args.r_steps, args.phi_steps)
     rows = ["r,phi,gap"]
     for i, r in enumerate(rs.tolist()):

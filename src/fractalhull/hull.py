@@ -144,19 +144,16 @@ def _cyclic_gap(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def support_point(w: WidthSamples, angle: float,
-                  kinks: KinkReport | None = None,
-                  jump_threshold: float | None = None) -> np.ndarray:
+def support_point(w: WidthSamples, angle: float) -> np.ndarray:
     """Supporting point of the hull for one direction on a smooth arc.
 
     Returns ``base + h(a) u(a) + h'(a) u_perp(a)`` with the derivative taken
-    from interpolated central differences.  Within one grid cell of a
-    detected kink the supporting set is a whole edge, so the query is
-    refused with :class:`AmbiguousSupportError`.
+    from interpolated central differences.  Within one grid cell of a kink
+    found by :func:`detect_kinks` (default threshold) the supporting set is
+    a whole edge, so the query is refused with
+    :class:`AmbiguousSupportError`.
     """
-    if kinks is None:
-        kinks = detect_kinks(w, jump_threshold)
-    for k in kinks.kinks:
+    for k in detect_kinks(w).kinks:
         if _cyclic_gap(angle, k.angle) < w.grid.step:
             raise AmbiguousSupportError(
                 f"direction {angle:.6g} is supported by the edge at kink "
@@ -212,21 +209,21 @@ def _monotone_chain(points: np.ndarray, eps_cross: float) -> np.ndarray:
     return np.array(hull) if len(hull) >= 2 else pts[:1]
 
 
-def extract_polygon(w: WidthSamples, jump_threshold: float | None = None) -> HullPolygon:
+def extract_polygon(w: WidthSamples) -> HullPolygon:
     """Turn a solved width function into an explicit convex polygon.
 
-    Every detected kink contributes the edge segment between
-    ``base + h u + h'(a-) u_perp`` and ``base + h u + h'(a+) u_perp``.
+    Every kink found by :func:`detect_kinks` contributes the edge segment
+    between ``base + h u + h'(a-) u_perp`` and ``base + h u + h'(a+) u_perp``.
     Consecutive edges whose endpoints already coincide (within the merge
-    tolerance) share a vertex; wider gaps are filled with supporting points
-    sampled at grid angles, which keeps the output a polygonal inner
-    approximation even when the boundary is curved, with the reported
-    ``outer_slack`` dilation certified to contain the hull.  With fewer
-    than two kinks the extraction falls back to dense supporting-point
-    sampling (method flag "dense").
+    tolerance) share a vertex; wider gaps, up to the next kink (a lone kink
+    is its own next, 2 pi on), are filled with supporting points sampled at
+    grid angles, which keeps the output a polygonal inner approximation
+    even when the boundary is curved, with the reported ``outer_slack``
+    dilation certified to contain the hull.  With no kink every grid
+    angle's supporting point is a candidate (method flag "dense").
     """
     _require_base_inside(w)
-    kinks = detect_kinks(w, jump_threshold)
+    ks = detect_kinks(w).kinks
     r_est = max(float(w.values.max()), 0.0) + w.iter_error
     merge_tol = max(1e-9 * r_est, 8.0 * (w.iter_error + w.interp_slack))
     eps_cross = 1e-12 * max(r_est, 1.0) ** 2
@@ -237,21 +234,8 @@ def extract_polygon(w: WidthSamples, jump_threshold: float | None = None) -> Hul
     perps = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
     all_support = w.base + w.values[:, None] * dirs + derivs[:, None] * perps
 
-    if len(kinks) < 2:
-        banned = np.zeros(w.grid.n, dtype=bool)
-        for k in kinks.kinks:
-            g = int(round(k.angle / w.grid.step))
-            for off in range(-_KINK_BUFFER_CELLS, _KINK_BUFFER_CELLS + 1):
-                banned[(g + off) % w.grid.n] = True
-        candidates = all_support[~banned]
-        verts = _monotone_chain(_dedup_cyclic(candidates, merge_tol), eps_cross)
-        return HullPolygon(_readonly(verts), _readonly(np.array(w.base)),
-                           degenerate=verts.shape[0] < 3, method="dense",
-                           outer_slack=outer)
-
-    pieces: list[np.ndarray] = []
     step = w.grid.step
-    ks = kinks.kinks
+    pieces: list[np.ndarray] = [] if ks else [all_support]
     for i, k in enumerate(ks):
         u = np.array([math.cos(k.angle), math.sin(k.angle)])
         uperp = np.array([-u[1], u[0]])
@@ -271,8 +255,8 @@ def extract_polygon(w: WidthSamples, jump_threshold: float | None = None) -> Hul
     candidates = _dedup_cyclic(np.concatenate(pieces, axis=0), merge_tol)
     verts = _monotone_chain(candidates, eps_cross)
     return HullPolygon(_readonly(verts), _readonly(np.array(w.base)),
-                       degenerate=verts.shape[0] < 3, method="kinks",
-                       outer_slack=outer)
+                       degenerate=verts.shape[0] < 3,
+                       method="kinks" if ks else "dense", outer_slack=outer)
 
 
 def polygon_area(p: HullPolygon) -> float:

@@ -74,23 +74,20 @@ def _min_singular_value(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
-def build_context(ifs: IFS, w: WidthSamples, x0=None,
-                  c0_mode: str = "paper") -> QueryContext:
+def build_context(ifs: IFS, w: WidthSamples, c0_mode: str = "paper") -> QueryContext:
     """Prepare a query context from a solved width function.
 
-    ``x0`` defaults to the centroid of the per-map fixed points: each fixed
-    point lies in the attractor, so the centroid lies in its convex hull
-    without solving anything.  ``c0_mode="paper"`` uses the excess constant
-    R/sqrt(2); ``"safe"`` substitutes the conservative 2R for callers who
-    prefer a bound derivable from the ball inclusion alone.
+    The base point ``x0`` is the centroid of the per-map fixed points: each
+    fixed point lies in the attractor, so the centroid lies in its convex
+    hull without solving anything.  ``c0_mode="paper"`` uses the excess
+    constant R/sqrt(2); ``"safe"`` substitutes the conservative 2R for
+    callers who prefer a bound derivable from the ball inclusion alone.
     """
     if ifs.dim != 2:
         raise ValidationError("queries need a two-dimensional system")
     if c0_mode not in ("paper", "safe"):
         raise ValidationError('c0_mode must be "paper" or "safe"')
-    if x0 is None:
-        x0 = np.mean([map_fixed_point(m) for m in ifs.maps], axis=0)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.mean([map_fixed_point(m) for m in ifs.maps], axis=0)
     w0 = rebase_width(w, x0)
     radius = circumradius(w0)
     c0 = radius / math.sqrt(2.0) if c0_mode == "paper" else 2.0 * radius

@@ -17,22 +17,19 @@ def _fmt(v: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-def render_svg(polygon: HullPolygon, cloud=None, viewport_radius: float | None = None) -> str:
+def render_svg(polygon: HullPolygon, cloud=None) -> str:
     """Render a hull polygon, an optional point cloud, and the base marker.
 
     The viewport is the square around the polygon's base point with half
-    extent 1.1x the circumradius (or ``viewport_radius`` when given).
+    extent 1.1x the polygon's circumradius (1 for an empty polygon, at
+    least 1e-6).
     """
     cx, cy = float(polygon.base[0]), float(polygon.base[1])
-    if viewport_radius is None:
-        if len(polygon):
-            viewport_radius = float(
-                np.max(np.linalg.norm(polygon.vertices - polygon.base, axis=1))
-            )
-        else:
-            viewport_radius = 1.0
-        viewport_radius = max(viewport_radius, 1e-6)
-    half = 1.1 * viewport_radius
+    if len(polygon):
+        radius = float(np.max(np.linalg.norm(polygon.vertices - polygon.base, axis=1)))
+    else:
+        radius = 1.0
+    half = 1.1 * max(radius, 1e-6)
     stroke = half / 160.0
     dot = half / 240.0
     parts = []

@@ -127,8 +127,7 @@ def _interp_periodic(values: np.ndarray, angles):
 
 
 def make_width_samples(grid: DirectionGrid, base, values,
-                       iter_error: float, interp_slack: float,
-                       iterations: int = 0) -> WidthSamples:
+                       iter_error: float, interp_slack: float) -> WidthSamples:
     """Assemble width samples from raw arrays, checking basic invariants."""
     base = _readonly(np.array(base, dtype=float))
     values = _readonly(np.array(values, dtype=float))
@@ -142,8 +141,7 @@ def make_width_samples(grid: DirectionGrid, base, values,
         raise ValidationError("width samples must be finite")
     if iter_error < 0.0 or interp_slack < 0.0:
         raise ValidationError("error bounds must be nonnegative")
-    return WidthSamples(grid, base, values, float(iter_error),
-                        float(interp_slack), int(iterations))
+    return WidthSamples(grid, base, values, float(iter_error), float(interp_slack))
 
 
 class _OperatorPlan:

@@ -1,8 +1,11 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
+from fractalhull import cli
 from fractalhull.cli import main
 
 TWINDRAGON_DOC = '{"complex_base": {"z": [1, 1], "n": 2}}'
@@ -28,6 +31,91 @@ def twindragon_file(tmp_path):
     path = tmp_path / "twindragon.json"
     path.write_text(TWINDRAGON_DOC)
     return str(path)
+
+
+# (subcommand, flag, value): each flag the subcommand does not read
+DROPPED_FLAGS = [
+    ("solve", "--seed", "9"), ("solve", "--points", "100"), ("solve", "--format", "csv"),
+    ("hull", "--seed", "9"), ("hull", "--points", "100"), ("hull", "--format", "svg"),
+    ("render", "--format", "svg"),
+    ("query", "--seed", "9"), ("query", "--points", "100"), ("query", "--out", "q.txt"),
+    ("query", "--format", "json"),
+    ("exact", "--grid", "7"), ("exact", "--seed", "9"), ("exact", "--points", "100"),
+    ("exact", "--format", "csv"),
+    ("audit", "--grid", "64"), ("audit", "--tol", "3"), ("audit", "--seed", "9"),
+    ("audit", "--points", "100"), ("audit", "--format", "csv"),
+    ("verify", "--grid", "64"), ("verify", "--tol", "1e-3"), ("verify", "--seed", "9"),
+    ("verify", "--points", "100"), ("verify", "--out", "v.txt"),
+    ("verify", "--format", "json"),
+]
+
+# a valid command line per subcommand, small enough to run in milliseconds
+VALID_COMMANDS = {
+    "solve": "solve --input {twindragon} --grid 64",
+    "hull": "hull --input {twindragon}",
+    "render": "render --input {twindragon} --grid 64 --points 10",
+    "query": "query --input {twindragon} --grid 64 --point 0,-0.5 --k 1",
+    "exact": "exact --input {twindragon}",
+    "audit": "audit --r-steps 2 --phi-steps 3",
+    "verify": "verify",
+}
+
+# Every value flag a subcommand reads, as a command template and two values
+# of the flag (at ``{v}``) that must give different artifact bytes.
+KEPT_FLAGS = [
+    ("solve --input {v} --grid 64", "{twindragon}", "{square}"),
+    ("solve --input {square} --grid {v}", "64", "128"),
+    ("solve --input {square} --grid 64 --tol {v}", "1e-2", "1e-8"),
+    ("solve --input {square} --grid 64 --out {v}", "{out}/a.csv", "{out}/b.csv"),
+    ("hull --input {v} --grid 64", "{twindragon}", "{square}"),
+    ("hull --input {square} --grid {v}", "64", "128"),
+    ("hull --input {square} --grid 64 --tol {v}", "1e-2", "1e-8"),
+    ("hull --input {square} --grid 64 --out {v}", "{out}/a.json", "{out}/b.json"),
+    ("render --input {v} --grid 64 --points 10", "{twindragon}", "{square}"),
+    ("render --input {square} --grid {v} --points 10", "64", "128"),
+    ("render --input {square} --grid 64 --tol {v} --points 10", "1e-2", "1e-8"),
+    ("render --input {square} --grid 64 --seed {v} --points 10", "1", "2"),
+    ("render --input {square} --grid 64 --points {v}", "10", "11"),
+    ("render --input {square} --grid 64 --points 10 --out {v}",
+     "{out}/a.svg", "{out}/b.svg"),
+    ("query --input {v} --grid 64 --point 0.9,0.9 --k 1", "{twindragon}", "{square}"),
+    ("query --input {square} --grid {v} --point 0,0 --k 1", "64", "128"),
+    ("query --input {square} --grid 64 --tol {v} --point 0,0 --k 1", "1e-2", "1e-8"),
+    ("query --input {square} --grid 64 --point {v} --k 1", "0.5,0.5", "5,5"),
+    ("query --input {square} --grid 64 --point 0.5,0.5 --k {v}", "0", "3"),
+    ("query --input {twindragon} --grid 64 --point 0,-0.5 --dist {v}", "0.1", "0.01"),
+    ("query --input {twindragon} --grid 64 --point 0,-0.5 --dist 0.01 --c0 {v}",
+     "paper", "safe"),
+    ("exact --input {v}", "{twindragon}", "{zphi}"),
+    ("exact --input {twindragon} --tol {v}", "1e-10", "1e-11"),
+    ("exact --input {twindragon} --angles {v}", "0", "1"),
+    ("exact --input {twindragon} --out {v}", "{out}/a.txt", "{out}/b.txt"),
+    ("audit --r-steps {v} --phi-steps 3", "2", "3"),
+    ("audit --r-steps 2 --phi-steps {v}", "3", "4"),
+    ("audit --r-steps 2 --phi-steps 3 --out {v}", "{out}/a.csv", "{out}/b.csv"),
+]
+
+
+def _kept_flag_id(case):
+    tokens = case[0].split()
+    return tokens[0] + tokens[tokens.index("{v}") - 1]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    docs = {
+        "twindragon": TWINDRAGON_DOC,
+        "square": SQUARE_DOC,
+        # |z| = 2 at phi = 1: an irrational angle, so no edge table
+        "zphi": json.dumps({"complex_base": {"z": [2 * math.cos(1.0), 2 * math.sin(1.0)],
+                                             "n": 2}}),
+    }
+    paths = {}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        paths[name] = str(path)
+    return paths
 
 
 class TestSolve:
@@ -84,9 +172,6 @@ class TestHull:
         doc = json.loads(out.read_text())
         assert len(doc["vertices"]) == 4
         assert "method=kinks" in capsys.readouterr().out
-
-    def test_format_mismatch_rejected(self, twindragon_file):
-        assert main(["hull", "--input", twindragon_file, "--format", "svg"]) == 1
 
 
 class TestRender:
@@ -185,6 +270,36 @@ class TestErrors:
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command,flag,value", DROPPED_FLAGS,
+                             ids=[c + f for c, f, _ in DROPPED_FLAGS])
+    def test_format_mismatch_rejected(self, inputs, capsys, command, flag, value):
+        argv = [t.format(**inputs) for t in VALID_COMMANDS[command].split()]
+        assert main(argv + [flag, value]) == 1
+        assert "usage error: unrecognized arguments:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", KEPT_FLAGS, ids=[_kept_flag_id(c) for c in KEPT_FLAGS])
+    def test_every_flag_changes_output(self, inputs, tmp_path, capsys, case):
+        template, *values = case
+        outputs = []
+        for i, value in enumerate(values):
+            out_dir = tmp_path / f"run{i}"
+            out_dir.mkdir()
+            argv = [t.replace("{v}", value).format(out=out_dir, **inputs)
+                    for t in template.split()]
+            assert main(argv) == 0
+            files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+            outputs.append((capsys.readouterr().out, files))
+        assert outputs[0] != outputs[1]
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        commands = [shlex.split(line)[1:] for line in section.splitlines()
+                    if line.startswith("fractalhull ")]
+        for argv in commands:
+            cli._build_parser().parse_args(argv)
+        assert {argv[0] for argv in commands} == set(VALID_COMMANDS)
 
     def test_noncontracting_input(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -125,6 +125,19 @@ class TestExtractPolygon:
         radii = np.linalg.norm(poly.vertices, axis=1)
         assert np.all(np.abs(radii - 1.0) <= 1e-3)
 
+    def test_half_disk_single_kink_keeps_edge(self):
+        # upper half-disk seen from the middle of its flat edge: one kink, at
+        # 3 pi/2, whose edge runs between the corners (-1, 0) and (1, 0)
+        grid = fh.DirectionGrid(4096)
+        a = grid.angles
+        values = np.where(np.sin(a) >= 0.0, 1.0, np.abs(np.cos(a)))
+        w = fh.make_width_samples(grid, (0, 0), values, 0.0, math.pi / grid.n)
+        assert len(fh.detect_kinks(w)) == 1
+        poly = fh.extract_polygon(w)
+        assert poly.method == "kinks"
+        assert fh.polygon_area(poly) == pytest.approx(math.pi / 2, abs=1e-4)
+        assert fh.polygon_width(poly, 1.5 * math.pi)[0] == pytest.approx(0.0, abs=1e-4)
+
     def test_polygon_width_consistency(self, twindragon_width):
         poly = fh.extract_polygon(twindragon_width)
         w = twindragon_width

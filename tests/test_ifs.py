@@ -49,6 +49,15 @@ class TestOperatorNorm:
     def test_one_by_one(self):
         assert fh.operator_norm([[-0.25]]) == 0.25
 
+    def test_unit_norm_with_close_second_singular_value_rejected(self):
+        # norm exactly 1 with a second singular value close behind
+        with pytest.raises(fh.NotContractingError):
+            fh.affine_map(np.diag([1.0, 1.0 - 1e-4, 0.3]), np.zeros(3))
+
+    def test_close_singular_values_not_underestimated(self):
+        a = np.diag([0.9, 0.9 - 1e-5, 0.3])
+        assert fh.operator_norm(a) == pytest.approx(0.9, abs=1e-15)
+
 
 class TestValidateIfs:
     def test_single_contraction(self):
