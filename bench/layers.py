@@ -11,9 +11,9 @@ to be measured, as ``timeit`` does), in this one process:
 - ``extract_polygon_s``: kink detection and polygon extraction.
 
 The matrix is the twindragon (c = 0.707, grid-aligned rotation), |z| = 2
-at phi = 1 (c = 0.5, off-grid rotation), |z| = 1.05 at phi = 2 (c = 0.95,
-slow contraction) and one random 4-map affine system, each at grid sizes
-1024, 4096 and 65536.  ``--src`` picks the ``fractalhull`` source tree to
+at phi = 1 (c = 0.5, off-grid rotation), |z| = 1.05 and |z| = 1.01 at
+phi = 2 (c = 0.95 and 0.99, slow contraction) and one random 4-map affine
+system, each at grid sizes 1024, 4096 and 65536.  ``--src`` picks the ``fractalhull`` source tree to
 time, so one file can hold columns for two versions of the package; a
 version without an operator plan reports ``null`` for the plan layers.
 
@@ -56,6 +56,7 @@ def systems(fh):
         ("twindragon", fh.complex_base_ifs(1 + 1j, 2)),
         ("|z|=2 phi=1", fh.complex_base_ifs(2.0 * complex(math.cos(1.0), math.sin(1.0)), 2)),
         ("|z|=1.05 phi=2", fh.complex_base_ifs(1.05 * complex(math.cos(2.0), math.sin(2.0)), 2)),
+        ("|z|=1.01 phi=2", fh.complex_base_ifs(1.01 * complex(math.cos(2.0), math.sin(2.0)), 2)),
         (f"random 4-map affine (seed {RANDOM_SEED})", fh.validate_ifs(maps)),
     ]
 

@@ -22,6 +22,15 @@ in the operator (for each map and grid direction: the grid cell of
 ``t_i^T d``) is an :class:`_OperatorPlan`, built once per (IFS, grid);
 ``solve_width`` reuses one plan for every sweep and ``selfsim_operator``
 builds one and applies it once.
+
+When every map shares one linear part and it is a nonzero rotation-scaling
+(a complex multiplier ``1/z``, as in the complex-base systems), the maximum
+picks ``max_i t_i^T d`` whatever the values, so the discrete equation is
+linear, ``v = S v + b``, with ``S`` circulant up to rounding of the image
+cells.  ``solve_width`` then starts from the exact fixed point of the
+circulant of the plan's first row, one real FFT and one inverse; every
+other system starts from a constant ball bound.  The start is only a
+start: the same sweeps and stopping rule certify the result either way.
 """
 
 from __future__ import annotations
@@ -165,6 +174,27 @@ class _OperatorPlan:
             self._maps.append((g0, 1.0 - frac, frac,
                                np.hypot(v[:, 0], v[:, 1]), dirs @ m.t))
 
+    def circulant_fixed_point(self) -> np.ndarray:
+        """Fixed point of ``v = S v + b`` with ``b = max_i t_i^T d`` and ``S``
+        the circulant whose every row is map 0's first row: the factor
+        ``s = |A^T d_0|``, weights ``w0, w1`` on cells ``k, k + 1``, ``k = g0``.
+
+        ``S`` has the eigenvalues ``s (w0 + w1 e^{2 pi i j/n}) e^{2 pi i j k/n}``
+        on the Fourier modes, all of modulus at most ``s < 1``, so the fixed
+        point is one real FFT, a division by ``1 - lambda`` and the inverse.
+        """
+        g0, w0, w1, norms, _ = self._maps[0]
+        n = g0.shape[0]
+        b = self._maps[0][4]
+        for *_, shift in self._maps[1:]:
+            b = np.maximum(b, shift)
+        modes = np.arange(n // 2 + 1)
+        phase = 2j * math.pi / n
+        # reduce j * k mod n in integers so the phase stays exact for large n
+        lam = (norms[0] * (w0[0] + w1[0] * np.exp(phase * modes))
+               * np.exp(phase * (modes * int(g0[0]) % n)))
+        return np.fft.irfft(np.fft.rfft(b) / (1.0 - lam), n)
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         ext = np.append(values, values[0])  # ext[g0 + 1] is values[(g0 + 1) % n]
         nxt = ext[1:]
@@ -181,6 +211,15 @@ class _OperatorPlan:
             else:
                 np.maximum(best, term, out=best)
         return best
+
+
+def _shares_similarity(ifs: IFS) -> bool:
+    """True iff every map has the same linear part ``[[p, -q], [q, p]]`` with
+    ``det = p^2 + q^2 > 0``: one orientation-preserving similarity."""
+    a = ifs.maps[0].a
+    return bool(a[0, 0] == a[1, 1] and a[0, 1] == -a[1, 0]
+                and a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] > 0.0
+                and all(np.array_equal(m.a, a) for m in ifs.maps[1:]))
 
 
 def selfsim_operator(ifs: IFS, w: WidthSamples) -> WidthSamples:
@@ -216,11 +255,17 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
     -------
     WidthSamples
         Samples around base 0 with ``iter_error = step * c / (1 - c)`` and
-        ``interp_slack = R * pi / n_grid`` where R bounds the circumradius.
+        ``interp_slack = R * pi / n_grid`` where R bounds the circumradius;
+        ``iterations`` counts the planned sweeps.
 
-    The start function is the constant ``R0 = max_i |t_i| / (1 - c)``, the
-    width of a ball certain to contain the attractor.  The operator plan
-    is built once per solve and reused by every sweep.
+    When all maps share one nonzero rotation-scaling linear part (every
+    complex-base system), the start vector is the exact fixed point of the
+    plan's first-row circulant (:meth:`_OperatorPlan.circulant_fixed_point`),
+    and one sweep usually meets ``tol``.  Any other system starts from the
+    constant ``R0 = max_i |t_i| / (1 - c)``, the width of a ball certain to
+    contain the attractor.  Either way the sweeps and their stopping rule
+    alone certify the result.  The operator plan is built once per solve
+    and reused by every sweep.
     """
     if ifs.dim != 2:
         raise ValidationError("the width solver is two-dimensional only")
@@ -228,8 +273,11 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
     grid = DirectionGrid(n_grid)
     plan = _OperatorPlan(ifs, grid)
     c = ifs.c
-    r0 = max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c)
-    values = np.full(grid.n, r0)
+    if _shares_similarity(ifs):
+        values = plan.circulant_fixed_point()
+    else:
+        r0 = max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c)
+        values = np.full(grid.n, r0)
     delta = math.inf
     iterations = 0
     while iterations < _ITERATION_CAP:

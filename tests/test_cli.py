@@ -17,6 +17,16 @@ SQUARE_DOC = json.dumps({
         for t in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5])
     ],
 })
+# two maps with different linear parts: solved by sweeps from a ball bound,
+# so the result depends on --tol (a shared similarity starts at the exact
+# fixed point and gives the same bytes at every tol)
+PAIR_DOC = json.dumps({
+    "dim": 2,
+    "maps": [
+        {"A": [[0.5, 0.0], [0.0, 0.5]], "t": [0.0, 0.0]},
+        {"A": [[0.0, -0.6], [0.6, 0.0]], "t": [0.5, 0.0]},
+    ],
+})
 
 
 @pytest.fixture
@@ -65,22 +75,22 @@ VALID_COMMANDS = {
 KEPT_FLAGS = [
     ("solve --input {v} --grid 64", "{twindragon}", "{square}"),
     ("solve --input {square} --grid {v}", "64", "128"),
-    ("solve --input {square} --grid 64 --tol {v}", "1e-2", "1e-8"),
+    ("solve --input {pair} --grid 64 --tol {v}", "1e-2", "1e-8"),
     ("solve --input {square} --grid 64 --out {v}", "{out}/a.csv", "{out}/b.csv"),
     ("hull --input {v} --grid 64", "{twindragon}", "{square}"),
     ("hull --input {square} --grid {v}", "64", "128"),
-    ("hull --input {square} --grid 64 --tol {v}", "1e-2", "1e-8"),
+    ("hull --input {pair} --grid 64 --tol {v}", "1e-2", "1e-8"),
     ("hull --input {square} --grid 64 --out {v}", "{out}/a.json", "{out}/b.json"),
     ("render --input {v} --grid 64 --points 10", "{twindragon}", "{square}"),
     ("render --input {square} --grid {v} --points 10", "64", "128"),
-    ("render --input {square} --grid 64 --tol {v} --points 10", "1e-2", "1e-8"),
+    ("render --input {pair} --grid 64 --tol {v} --points 10", "1e-2", "1e-8"),
     ("render --input {square} --grid 64 --seed {v} --points 10", "1", "2"),
     ("render --input {square} --grid 64 --points {v}", "10", "11"),
     ("render --input {square} --grid 64 --points 10 --out {v}",
      "{out}/a.svg", "{out}/b.svg"),
     ("query --input {v} --grid 64 --point 0.9,0.9 --k 1", "{twindragon}", "{square}"),
     ("query --input {square} --grid {v} --point 0,0 --k 1", "64", "128"),
-    ("query --input {square} --grid 64 --tol {v} --point 0,0 --k 1", "1e-2", "1e-8"),
+    ("query --input {pair} --grid 64 --tol {v} --point 0,0 --k 1", "1e-2", "1e-8"),
     ("query --input {square} --grid 64 --point {v} --k 1", "0.5,0.5", "5,5"),
     ("query --input {square} --grid 64 --point 0.5,0.5 --k {v}", "0", "3"),
     ("query --input {twindragon} --grid 64 --point 0,-0.5 --dist {v}", "0.1", "0.01"),
@@ -106,6 +116,7 @@ def inputs(tmp_path):
     docs = {
         "twindragon": TWINDRAGON_DOC,
         "square": SQUARE_DOC,
+        "pair": PAIR_DOC,
         # |z| = 2 at phi = 1: an irrational angle, so no edge table
         "zphi": json.dumps({"complex_base": {"z": [2 * math.cos(1.0), 2 * math.sin(1.0)],
                                              "n": 2}}),
@@ -291,6 +302,23 @@ class TestErrors:
             files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
             outputs.append((capsys.readouterr().out, files))
         assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("name", ["square", "twindragon"])
+    def test_shared_similarity_same_bytes_at_every_tol(self, inputs, capsys, name):
+        # all maps share one similarity: the solve starts at the exact fixed
+        # point of the circulant, and one sweep meets either tol
+        outputs = []
+        for tol in ("1e-2", "1e-8"):
+            for command in ("solve", "hull"):
+                assert main([command, "--input", inputs[name], "--grid", "64",
+                             "--tol", tol]) == 0
+                captured = capsys.readouterr()
+                if command == "solve":
+                    info = dict(item.split("=") for item in captured.err.split())
+                    assert info["iterations"] == "1"
+                    assert float(info["iter_error"]) <= 1e-10
+                outputs.append((captured.out, captured.err))
+        assert outputs[:2] == outputs[2:]
 
     def test_readme_commands_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

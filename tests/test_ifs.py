@@ -39,12 +39,20 @@ class TestOperatorNorm:
             assert sampled <= norm + 1e-12
             assert sampled >= norm - 1e-6 * max(norm, 1.0)
 
-    def test_power_iteration_matches_svd(self):
+    def test_large_matrices_match_gram_eigenvalue_and_unit_vectors(self):
+        # oracles independent of the singular values operator_norm reads:
+        # the top eigenvalue of A^T A, its eigenvector x with |Ax| = |A|,
+        # and |Ax| <= |A| on sampled unit vectors
         rng = np.random.default_rng(5)
         for m in (3, 4, 7):
             a = rng.normal(size=(m, m))
-            assert fh.operator_norm(a) == pytest.approx(
-                float(np.linalg.norm(a, 2)), rel=1e-10)
+            norm = fh.operator_norm(a)
+            eigvals, eigvecs = np.linalg.eigh(a.T @ a)
+            assert norm == pytest.approx(math.sqrt(eigvals[-1]), rel=1e-12)
+            assert np.linalg.norm(a @ eigvecs[:, -1]) == pytest.approx(norm, rel=1e-12)
+            u = rng.normal(size=(10_000, m))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            assert np.max(np.linalg.norm(u @ a.T, axis=1)) <= norm * (1.0 + 1e-12)
 
     def test_one_by_one(self):
         assert fh.operator_norm([[-0.25]]) == 0.25

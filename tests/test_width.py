@@ -155,6 +155,102 @@ class TestOperatorPlanProperties:
         assert np.array_equal(got, reference_operator(ifs, grid, values))
 
 
+def value_iteration(ifs, n, tol):
+    """The sweep loop started from the constant ball bound R0, as the solver
+    ran every system before the circulant start: values, iter_error,
+    interp_slack, iterations."""
+    plan = fh.width._OperatorPlan(ifs, fh.DirectionGrid(n))
+    c = ifs.c
+    r0 = max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c)
+    values = np.full(n, r0)
+    iterations = 0
+    while True:
+        new = plan.apply(values)
+        delta = float(np.max(np.abs(new - values)))
+        values = new
+        iterations += 1
+        if delta * c <= tol * (1.0 - c):
+            break
+    iter_error = delta * c / (1.0 - c)
+    r_bound = max(float(values.max()), 0.0) + iter_error
+    return values, iter_error, r_bound * math.pi / n, iterations
+
+
+def rotation_scaling(ratio, angle):
+    return ratio * np.array([[math.cos(angle), -math.sin(angle)],
+                             [math.sin(angle), math.cos(angle)]])
+
+
+translations = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def single_similarity_systems(draw):
+    """1-4 maps x -> x/z + t, |z| in [1.005, 4]: the linear part of a
+    complex-base system, with arbitrary translations."""
+    r, phi = draw(st.floats(1.005, 4.0)), draw(st.floats(0.0, TWO_PI))
+    w = 1.0 / complex(r * math.cos(phi), r * math.sin(phi))
+    a = [[w.real, -w.imag], [w.imag, w.real]]
+    return fh.validate_ifs([(a, t) for t in draw(st.lists(translations, min_size=1,
+                                                           max_size=4))])
+
+
+@st.composite
+def other_systems(draw):
+    """Systems that do not share one orientation-preserving similarity: an
+    equal non-conformal or reflecting linear part, A = 0 everywhere, or
+    distinct rotation-scalings."""
+    kind = draw(st.sampled_from(["non-conformal", "reflection", "zero", "distinct"]))
+    ts = draw(st.lists(translations, min_size=1 if kind != "distinct" else 2,
+                       max_size=4))
+    c = draw(st.floats(0.05, 0.9))
+    if kind == "distinct":
+        angles = [draw(st.floats(0.0, TWO_PI)) for _ in ts]
+        # ratios differ map to map, so no two linear parts are equal
+        return fh.validate_ifs([(rotation_scaling(c * (1.0 - 0.1 * i), ang), t)
+                                for i, (ang, t) in enumerate(zip(angles, ts))])
+    if kind == "zero":
+        a = np.zeros((2, 2))
+    elif kind == "reflection":
+        th = draw(st.floats(0.0, TWO_PI))
+        a = c * np.array([[math.cos(th), math.sin(th)], [math.sin(th), -math.cos(th)]])
+    else:
+        s1, s2 = c, draw(st.floats(0.01, 0.99)) * c  # unequal singular values
+        a = (rotation_scaling(1.0, draw(st.floats(0.0, TWO_PI))) @ np.diag([s1, s2])
+             @ rotation_scaling(1.0, draw(st.floats(0.0, TWO_PI))))
+    return fh.validate_ifs([(a, t) for t in ts])
+
+
+class TestSolverStart:
+    @settings(max_examples=25, deadline=None)
+    @given(ifs=single_similarity_systems(), half=st.integers(32, 2048),
+           tol=st.sampled_from([1e-4, 1e-6, 1e-9]))
+    def test_single_similarity_matches_fine_value_iteration(self, ifs, half, tol):
+        n = 2 * half
+        w = fh.solve_width(ifs, n, tol)
+        assert w.iter_error <= tol
+        ref, ref_error, _, _ = value_iteration(ifs, n, 1e-12)
+        # Rounding allowance: a computed sweep is within a few ulps of
+        # |S v| + |b| <= max|h| + max|t| of the exact one, and a contraction
+        # at rate c gathers such per-sweep errors to at most 1/(1 - c) times
+        # one of them, once for each of the two solves.  Below the normal
+        # range rounding is absolute: one subnormal spacing per grid point.
+        scale = float(np.max(np.abs(ref))) + max(float(np.max(np.abs(m.t))) for m in ifs.maps)
+        allowance = (8.0 * np.finfo(float).eps * scale / (1.0 - ifs.c)
+                     + n * np.finfo(float).smallest_subnormal)
+        assert np.max(np.abs(w.values - ref)) <= w.iter_error + ref_error + allowance
+
+    @settings(max_examples=60, deadline=None)
+    @given(ifs=other_systems(), half=st.integers(32, 512),
+           tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    def test_other_systems_keep_the_constant_start_bitwise(self, ifs, half, tol):
+        w = fh.solve_width(ifs, 2 * half, tol)
+        values, iter_error, interp_slack, iterations = value_iteration(ifs, 2 * half, tol)
+        assert np.array_equal(w.values, values)
+        assert (w.iter_error, w.interp_slack, w.iterations) == (
+            iter_error, interp_slack, iterations)
+
+
 class TestSolveWidth:
     def test_point_attractor(self):
         ifs = fh.validate_ifs([(0.5 * np.eye(2), (0.0, 0.0))])
@@ -171,6 +267,18 @@ class TestSolveWidth:
         expected = np.maximum(0.0, np.cos(w.grid.angles))
         assert w.iter_error == 0.0
         assert np.allclose(w.values, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("z,digits", [
+        (1 + 1j, 2),
+        (2.0 * complex(math.cos(1.0), math.sin(1.0)), 2),
+        (1.01 * complex(math.cos(2.0), math.sin(2.0)), 2),
+        (1.5j, 3),
+    ])
+    def test_complex_base_certified_in_one_sweep(self, z, digits):
+        # the circulant start is the fixed point up to rounding of the cells
+        w = fh.solve_width(fh.complex_base_ifs(z, digits), 4096, 1e-6)
+        assert w.iterations == 1
+        assert w.iter_error <= 1e-10
 
     def test_twindragon_matches_closed_form(self, twindragon_ifs, twindragon_sys):
         w = fh.solve_width(twindragon_ifs, 1024, 1e-6)
