@@ -44,7 +44,7 @@ print(f"max |numeric - closed form| over {w.grid.n} directions: {err:.3g}")
 # ------------------------------------------------------------ extraction
 kinks = fh.detect_kinks(centered)
 print(f"\ndetected {len(kinks)} width-function kinks (hull edges):")
-for k in kinks.kinks:
+for k in kinks:
     print(f"  normal angle {k.angle:.4f}  edge length ~ {k.jump:.4f}")
 
 numeric = fh.extract_polygon(w)

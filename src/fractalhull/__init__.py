@@ -8,7 +8,6 @@ complex-base family.
 """
 
 from .errors import (
-    AmbiguousSupportError,
     ConvergenceError,
     FractalHullError,
     InvalidBaseError,
@@ -32,13 +31,11 @@ from .ifs import (
 )
 from .width import (
     DirectionGrid,
-    RadiusValue,
     WidthSamples,
     circumradius,
     eval_width,
     hull_contains,
     make_width_samples,
-    radius_from_width,
     rebase_width,
     selfsim_operator,
     solve_width,
@@ -47,7 +44,6 @@ from .width import (
 from .hull import (
     HullPolygon,
     Kink,
-    KinkReport,
     default_jump_threshold,
     detect_kinks,
     extract_polygon,
@@ -56,7 +52,6 @@ from .hull import (
     polygon_perimeter,
     polygon_width,
     polygon_width_samples,
-    support_point,
 )
 from .analytic import (
     ComplexBaseSystem,
@@ -86,10 +81,10 @@ from .render import render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap", "AmbiguousSupportError", "ComplexBaseSystem", "ConvergenceError",
+    "AffineMap", "ComplexBaseSystem", "ConvergenceError",
     "DirectionGrid", "FractalHullError", "HullPolygon", "IFS", "IFSDocument",
-    "InvalidBaseError", "Kink", "KinkReport", "NotContractingError", "PointCloud",
-    "QueryContext", "QueryResult", "RadiusValue", "TriangleParams",
+    "InvalidBaseError", "Kink", "NotContractingError", "PointCloud",
+    "QueryContext", "QueryResult", "TriangleParams",
     "ValidationError", "WidthSamples", "affine_map", "build_context",
     "centered_width", "chaos_game_sample", "circumradius", "complex_base_ifs",
     "complex_base_system", "default_jump_threshold", "detect_kinks",
@@ -99,7 +94,7 @@ __all__ = [
     "load_ifs_file", "make_width_samples", "map_fixed_point", "near", "near1",
     "operator_norm", "parse_ifs_document", "polygon_area", "polygon_json",
     "polygon_perimeter", "polygon_width", "polygon_width_samples",
-    "quick_reject", "radius_from_width", "rational_width", "rebase_width",
-    "render_svg", "selfsim_operator", "solve_width", "support_point",
+    "quick_reject", "rational_width", "rebase_width",
+    "render_svg", "selfsim_operator", "solve_width",
     "symmetry_center", "validate_ifs", "width_csv",
 ]

@@ -8,7 +8,8 @@ built once.
 
 The sampling side always goes through independent machinery (chaos game,
 scipy's qhull wrapper, a KD-tree) so that no criterion checks the solver
-against itself.
+against itself.  scipy is needed here only, so it is an optional
+dependency (the ``verify`` extra), not a runtime one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import ConvexHull, cKDTree
 
 from .analytic import (
     complex_base_system,
@@ -81,12 +83,10 @@ class Workspace:
 
     @cached_property
     def sample_hull(self):
-        from scipy.spatial import ConvexHull
         return ConvexHull(self.cloud_1e6)
 
     @cached_property
     def kdtree(self):
-        from scipy.spatial import cKDTree
         return cKDTree(self.cloud_1e6)
 
 
@@ -235,7 +235,6 @@ def criterion_6(ws: Workspace) -> CriterionResult:
     w = ws.width
     inside = hull_contains(w, ws.cloud_1e5, slack=1e-4)
     n_out = int(np.size(inside) - np.count_nonzero(inside))
-    from scipy.spatial import ConvexHull
     hull = ConvexHull(ws.cloud_1e5)
     extremes = ws.cloud_1e5[hull.vertices]
     proj = w.grid.directions @ extremes.T

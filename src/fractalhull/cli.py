@@ -223,7 +223,11 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .acceptance import run_all
+    try:
+        from .acceptance import run_all
+    except ImportError as exc:
+        raise FractalHullError(
+            f"verify needs scipy, from the 'verify' extra ({exc})") from None
     results = run_all()
     failed = 0
     for res in results:

@@ -14,11 +14,7 @@ class NotContractingError(ValidationError):
 
 
 class InvalidBaseError(FractalHullError):
-    """The stored base point is not inside the convex hull it claims to describe."""
-
-
-class AmbiguousSupportError(FractalHullError):
-    """Support point queried at a kink angle, where a whole edge supports the direction."""
+    """``circumradius`` was given a width whose base lies outside the hull."""
 
 
 class ConvergenceError(FractalHullError):

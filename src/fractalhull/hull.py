@@ -17,15 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousSupportError
 from .ifs import _readonly
-from .width import (
-    TWO_PI,
-    WidthSamples,
-    _interp_periodic,
-    _require_base_inside,
-    eval_width,
-)
+from .width import TWO_PI, WidthSamples, eval_width
 
 _KINK_BUFFER_CELLS = 2
 
@@ -38,15 +31,6 @@ class Kink:
     left: float   # h'(angle-)
     right: float  # h'(angle+)
     jump: float   # right - left; approximates the hull edge length
-
-
-@dataclass(frozen=True)
-class KinkReport:
-    kinks: tuple[Kink, ...]
-    threshold: float
-
-    def __len__(self) -> int:
-        return len(self.kinks)
 
 
 @dataclass(frozen=True)
@@ -92,14 +76,15 @@ def _one_sided_derivatives(values: np.ndarray, g: int, step: float) -> tuple[flo
     return float(left), float(right)
 
 
-def detect_kinks(w: WidthSamples, jump_threshold: float | None = None) -> KinkReport:
-    """Locate width-function kinks on the grid.
+def detect_kinks(w: WidthSamples, jump_threshold: float | None = None) -> tuple[Kink, ...]:
+    """Locate width-function kinks on the grid, sorted by angle.
 
     The derivative jump at each node is estimated from the cyclic second
     difference (which conserves jump mass when a kink falls between grid
     nodes); nodes above the threshold are clustered, and each cluster's
     one-sided derivatives are refined with third-order stencils whose
-    points stay strictly on one side of the cluster.
+    points stay strictly on one side of the cluster.  Returns the tuple of
+    :class:`Kink`; it is empty when the width function has no kink.
     """
     if jump_threshold is None:
         jump_threshold = default_jump_threshold(w)
@@ -109,7 +94,7 @@ def detect_kinks(w: WidthSamples, jump_threshold: float | None = None) -> KinkRe
     mass = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / step
     flagged = np.nonzero(mass > jump_threshold)[0]
     if flagged.size == 0:
-        return KinkReport((), float(jump_threshold))
+        return ()
     groups: list[list[int]] = [[int(flagged[0])]]
     for g in flagged[1:].tolist():
         if g == groups[-1][-1] + 1:
@@ -131,39 +116,12 @@ def detect_kinks(w: WidthSamples, jump_threshold: float | None = None) -> KinkRe
         angle = (w.grid.angles[gl % n] + float(rel @ weights / weights.sum())) % TWO_PI
         kinks.append(Kink(float(angle), left, right, float(jump)))
     kinks.sort(key=lambda k: k.angle)
-    return KinkReport(tuple(kinks), float(jump_threshold))
+    return tuple(kinks)
 
 
 def _node_derivatives(w: WidthSamples) -> np.ndarray:
     """Central-difference angle derivative at every grid node."""
     return (np.roll(w.values, -1) - np.roll(w.values, 1)) / (2.0 * w.grid.step)
-
-
-def _cyclic_gap(a: float, b: float) -> float:
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
-
-
-def support_point(w: WidthSamples, angle: float) -> np.ndarray:
-    """Supporting point of the hull for one direction on a smooth arc.
-
-    Returns ``base + h(a) u(a) + h'(a) u_perp(a)`` with the derivative taken
-    from interpolated central differences.  Within one grid cell of a kink
-    found by :func:`detect_kinks` (default threshold) the supporting set is
-    a whole edge, so the query is refused with
-    :class:`AmbiguousSupportError`.
-    """
-    for k in detect_kinks(w).kinks:
-        if _cyclic_gap(angle, k.angle) < w.grid.step:
-            raise AmbiguousSupportError(
-                f"direction {angle:.6g} is supported by the edge at kink "
-                f"{k.angle:.6g}; use its endpoints instead"
-            )
-    h = eval_width(w, angle)
-    hp = float(_interp_periodic(_node_derivatives(w), angle))
-    u = np.array([math.cos(angle), math.sin(angle)])
-    uperp = np.array([-u[1], u[0]])
-    return w.base + h * u + hp * uperp
 
 
 def _dedup_cyclic(points: np.ndarray, tol: float) -> np.ndarray:
@@ -221,9 +179,13 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     even when the boundary is curved, with the reported ``outer_slack``
     dilation certified to contain the hull.  With no kink every grid
     angle's supporting point is a candidate (method flag "dense").
+
+    The base may be any point, inside the hull or not: the width function
+    around x, its kinks and the supporting points ``x + h u + h' u_perp``
+    are defined for every x, and ``|h'|`` stays below the largest distance
+    from x to the hull, the ``R`` of ``interp_slack``.
     """
-    _require_base_inside(w)
-    ks = detect_kinks(w).kinks
+    ks = detect_kinks(w)
     r_est = max(float(w.values.max()), 0.0) + w.iter_error
     merge_tol = max(1e-9 * r_est, 8.0 * (w.iter_error + w.interp_slack))
     eps_cross = 1e-12 * max(r_est, 1.0) ** 2

@@ -45,6 +45,9 @@ from .ifs import IFS, _readonly
 
 TWO_PI = 2.0 * math.pi
 _ITERATION_CAP = 1_000_000
+# a sweep rounds each value by a few ulps of the largest, so steps below
+# this multiple of eps * max|h| are rounding, not convergence
+_ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
 
 
 def _check_tol(tol: float) -> float:
@@ -75,12 +78,6 @@ class DirectionGrid:
     def step(self) -> float:
         return TWO_PI / self.n
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DirectionGrid) and other.n == self.n
-
-    def __hash__(self) -> int:
-        return hash(("DirectionGrid", self.n))
-
     def __repr__(self) -> str:
         return f"DirectionGrid(n={self.n})"
 
@@ -108,15 +105,6 @@ class WidthSamples:
     def slack(self) -> float:
         """Total pointwise uncertainty iter_error + interp_slack."""
         return self.iter_error + self.interp_slack
-
-
-@dataclass(frozen=True)
-class RadiusValue:
-    """Reach of the hull from the base point along one direction."""
-
-    angle: float
-    radius: float
-    support_angle: float
 
 
 def _grid_cell(n: int, angles):
@@ -249,12 +237,16 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
         Number of grid angles (even, >= 64).
     tol : float
         Target for the a-posteriori bound: iteration stops once
-        ``step * c / (1 - c) <= tol``.  Must be positive and finite.
+        ``step * c / (1 - c) <= tol``, or once the step is within rounding
+        of one sweep, ``step <= 4 eps max|h|`` (eps the float64 machine
+        epsilon), where further sweeps cannot shrink it.  Must be positive
+        and finite.
 
     Returns
     -------
     WidthSamples
-        Samples around base 0 with ``iter_error = step * c / (1 - c)`` and
+        Samples around base 0 with ``iter_error = step * c / (1 - c)``
+        (above ``tol`` when the rounding floor stopped the sweeps) and
         ``interp_slack = R * pi / n_grid`` where R bounds the circumradius;
         ``iterations`` counts the planned sweeps.
 
@@ -280,12 +272,18 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
         values = np.full(grid.n, r0)
     delta = math.inf
     iterations = 0
+    # top bounds max|values| (each sweep moves it by at most delta), so the
+    # rounding floor costs a pass over the values only once delta is near it
+    top = float(np.max(np.abs(values)))
     while iterations < _ITERATION_CAP:
         new = plan.apply(values)
         delta = float(np.max(np.abs(new - values)))
         values = new
         iterations += 1
-        if delta * c <= tol * (1.0 - c):
+        top += delta
+        if delta * c <= tol * (1.0 - c) or (
+                delta <= _ROUNDING_FLOOR * top
+                and delta <= _ROUNDING_FLOOR * float(np.max(np.abs(new)))):
             break
     else:
         raise ConvergenceError(
@@ -318,36 +316,20 @@ def eval_width(w: WidthSamples, angle):
     return out
 
 
-def _require_base_inside(w: WidthSamples) -> None:
+def circumradius(w: WidthSamples) -> float:
+    """Certified upper bound on sup_d h(d), the hull radius around the base.
+
+    Raises :class:`InvalidBaseError` when the base lies outside the hull:
+    the query layer's excess constant C0 is derived from this radius for a
+    base inside the hull.
+    """
     worst = float(w.values.min())
     if worst < -w.iter_error - 1e-15:
         raise InvalidBaseError(
             f"base point lies outside the hull (min width {worst:.6g} "
             f"< -iter_error {-w.iter_error:.6g})"
         )
-
-
-def circumradius(w: WidthSamples) -> float:
-    """Certified upper bound on sup_d h(d), the hull radius around the base."""
-    _require_base_inside(w)
     return float(w.values.max()) + w.iter_error + w.interp_slack
-
-
-def radius_from_width(w: WidthSamples, angle: float) -> RadiusValue:
-    """Reach of the hull in one direction, from the width/radius duality.
-
-    ``r(d) = min over grid directions e with d^T e > 0 of h(e) / (d^T e)``;
-    the minimizing e is the supporting direction.  Tiny negative minima
-    (error artifacts around a boundary base point) are clamped to 0.
-    """
-    _require_base_inside(w)
-    d = np.array([math.cos(angle), math.sin(angle)])
-    dots = w.grid.directions @ d
-    mask = dots > 0.0
-    ratios = w.values[mask] / dots[mask]
-    pos = int(np.argmin(ratios))
-    support_angle = float(w.grid.angles[np.nonzero(mask)[0][pos]])
-    return RadiusValue(float(angle), max(float(ratios[pos]), 0.0), support_angle)
 
 
 def hull_contains(w: WidthSamples, x, slack: float = 0.0):

@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fractalhull import cli
@@ -184,6 +188,19 @@ class TestHull:
         assert len(doc["vertices"]) == 4
         assert "method=kinks" in capsys.readouterr().out
 
+    def test_hull_away_from_origin(self, tmp_path, capsys):
+        # three square maps moved so the hull, the triangle (4, 4), (5, 4),
+        # (4, 5), misses the origin the width is solved around
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps({"dim": 2, "maps": [
+            {"A": [[0.5, 0.0], [0.0, 0.5]], "t": t}
+            for t in ([2.0, 2.0], [2.5, 2.0], [2.0, 2.5])]}))
+        out = tmp_path / "poly.json"
+        assert main(["hull", "--input", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert sorted(np.round(doc["vertices"], 6).tolist()) == [[4, 4], [4, 5], [5, 4]]
+        assert "method=kinks vertices=3" in capsys.readouterr().out
+
 
 class TestRender:
     def test_deterministic_svg(self, twindragon_file, tmp_path):
@@ -328,6 +345,26 @@ class TestErrors:
         for argv in commands:
             cli._build_parser().parse_args(argv)
         assert {argv[0] for argv in commands} == set(VALID_COMMANDS)
+
+    def test_verify_without_scipy(self, monkeypatch, capsys):
+        # a None entry in sys.modules makes importing it raise ImportError;
+        # the acceptance module is dropped so that verify imports it afresh
+        for name in ("scipy", "scipy.spatial"):
+            monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.delitem(sys.modules, "fractalhull.acceptance", raising=False)
+        assert main(["verify"]) == 1
+        assert capsys.readouterr().err.startswith("error: verify needs scipy")
+
+    def test_other_commands_without_scipy(self, twindragon_file):
+        # numpy is the only runtime dependency: a fresh interpreter that
+        # cannot import scipy still runs the library and every other command
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from fractalhull.cli import main; "
+                f"sys.exit(main(['hull', '--input', {twindragon_file!r}, '--grid', '64']))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
     def test_noncontracting_input(self, tmp_path):
         path = tmp_path / "bad.json"

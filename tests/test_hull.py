@@ -10,6 +10,10 @@ from conftest import disk_width
 from fractalhull.hull import _dedup_cyclic, _monotone_chain
 
 SQRT2 = math.sqrt(2.0)
+TWO_PI = 2.0 * math.pi
+# three of the unit square's four maps, moved so the attractor's hull is the
+# triangle (4, 4), (5, 4), (4, 5), far from the origin
+SHIFTED_TRIANGLE = [(0.5 * np.eye(2), t) for t in ((2.0, 2.0), (2.5, 2.0), (2.0, 2.5))]
 
 
 def polygon_from_vertices(vertices, base=(0.0, 0.0)):
@@ -40,21 +44,21 @@ class TestDetectKinks:
         assert len(fh.detect_kinks(disk_width())) == 0
 
     def test_square_axes(self, square_centered):
-        report = fh.detect_kinks(square_centered)
-        assert len(report) == 4
-        angles = sorted(k.angle for k in report.kinks)
+        kinks = fh.detect_kinks(square_centered)
+        assert len(kinks) == 4
+        angles = sorted(k.angle for k in kinks)
         assert angles == pytest.approx(
             [0.0, math.pi / 2, math.pi, 3 * math.pi / 2], abs=1e-9)
-        for k in report.kinks:
+        for k in kinks:
             assert k.jump == pytest.approx(1.0, abs=0.01)
 
     def test_twindragon_octagon_jumps(self, twindragon_width, twindragon_sys):
         wc = fh.rebase_width(twindragon_width, (0.0, -0.5))
-        report = fh.detect_kinks(wc)
-        assert len(report) == 8
+        kinks = fh.detect_kinks(wc)
+        assert len(kinks) == 8
         r = SQRT2
         scale = 1.0 / (1.0 - r ** -4.0)
-        for k in report.kinks:
+        for k in kinks:
             # normal pi/2 - j*pi/4 (mod pi, antipodes share the edge family)
             j = round((math.pi / 2 - k.angle) / (math.pi / 4)) % 4
             j = j if j else 4
@@ -63,33 +67,8 @@ class TestDetectKinks:
 
     def test_explicit_threshold_filters(self, twindragon_width):
         wc = fh.rebase_width(twindragon_width, (0.0, -0.5))
-        report = fh.detect_kinks(wc, jump_threshold=0.5)
-        kept = [k for k in fh.detect_kinks(wc).kinks if k.jump > 0.5]
-        assert len(report) == len(kept)
-
-
-class TestSupportPoint:
-    def test_disk(self):
-        w = disk_width(radius=2.0)
-        p = fh.support_point(w, 1.1)
-        assert p == pytest.approx(
-            [2 * math.cos(1.1), 2 * math.sin(1.1)], abs=1e-4)
-
-    def test_single_point_set(self):
-        grid = fh.DirectionGrid(2048)
-        target = np.array([0.3, -0.7])
-        values = grid.directions @ target
-        w = fh.make_width_samples(grid, (0, 0), values, 0, 0)
-        for ang in (0.0, 1.0, 2.5, 5.1):
-            assert fh.support_point(w, ang) == pytest.approx(target, abs=1e-5)
-
-    def test_square_diagonal_supports_corner(self, square_centered):
-        p = fh.support_point(square_centered, math.pi / 4)
-        assert p == pytest.approx([1.0, 1.0], abs=1e-3)
-
-    def test_kink_angle_refused(self, square_centered):
-        with pytest.raises(fh.AmbiguousSupportError):
-            fh.support_point(square_centered, 0.0)
+        kept = [k for k in fh.detect_kinks(wc) if k.jump > 0.5]
+        assert len(fh.detect_kinks(wc, jump_threshold=0.5)) == len(kept)
 
 
 class TestExtractPolygon:
@@ -153,11 +132,95 @@ class TestExtractPolygon:
         proj = (twindragon_cloud - poly.base) @ dirs.T
         assert np.all(proj.max(axis=0) <= sup + poly.outer_slack + 1e-4)
 
-    def test_base_outside_rejected(self):
-        grid = fh.DirectionGrid(64)
-        w = fh.make_width_samples(grid, (0, 0), np.cos(grid.angles) - 0.5, 0, 0)
-        with pytest.raises(fh.InvalidBaseError):
-            fh.extract_polygon(w)
+    def test_base_outside_hull(self):
+        # the three-map square moved to (2, 2): its hull, the triangle
+        # (4, 4), (5, 4), (4, 5), lies wholly away from the origin base
+        w = fh.solve_width(fh.validate_ifs(SHIFTED_TRIANGLE), 4096, 1e-8)
+        assert float(w.values.min()) < -5.0
+        poly = fh.extract_polygon(w)
+        assert cyclic_match(poly.vertices, [[4.0, 4.0], [5.0, 4.0], [4.0, 5.0]],
+                            tol=poly.outer_slack)
+        slack = poly.outer_slack
+        assert fh.polygon_area(poly) == pytest.approx(
+            0.5, abs=fh.polygon_perimeter(poly) * slack + math.pi * slack ** 2)
+
+
+def rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)],
+                     [math.sin(angle), math.cos(angle)]])
+
+
+@st.composite
+def planar_maps(draw):
+    """1-4 maps ``c R(a) diag(1, s) R(b)`` with translations in [-2, 2]^2;
+    ``s = 0`` makes a map rank one.  The origin is outside most of their
+    hulls."""
+    maps = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(st.floats(0.1, 0.85))
+        s = draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0)))
+        a = (c * rotation(draw(st.floats(0.0, TWO_PI))) @ np.diag([1.0, s])
+             @ rotation(draw(st.floats(0.0, TWO_PI))))
+        maps.append((a, (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))))
+    return maps
+
+
+def word_images(ifs, length):
+    """Images of the maps' fixed points under every word of up to ``length``
+    maps: exact points of the attractor."""
+    a = np.stack([m.a for m in ifs.maps])
+    t = np.stack([m.t for m in ifs.maps])
+    pts = np.stack([fh.map_fixed_point(m) for m in ifs.maps])
+    out = [pts]
+    for _ in range(length):
+        pts = (np.einsum("kij,pj->kpi", a, pts) + t[:, None, :]).reshape(-1, 2)
+        out.append(pts)
+    return np.concatenate(out)
+
+
+def distance_to_polygon(vertices, points):
+    """Distance from each point to a convex polygon with counterclockwise
+    vertices (0 inside), or to the segment or point that fewer than three
+    vertices describe."""
+    a = vertices
+    ab = np.roll(vertices, -1, axis=0) - a
+    den = np.maximum(np.sum(ab * ab, axis=1), np.finfo(float).tiny)
+    out = np.empty(len(points))
+    for lo in range(0, len(points), 256):
+        ap = points[lo:lo + 256, None, :] - a[None]
+        s = np.clip(np.einsum("pkd,kd->pk", ap, ab) / den, 0.0, 1.0)
+        d = np.linalg.norm(ap - s[..., None] * ab, axis=2).min(axis=1)
+        if len(a) >= 3:
+            cross = ab[:, 0] * ap[..., 1] - ab[:, 1] * ap[..., 0]
+            d[np.all(cross >= 0.0, axis=1)] = 0.0
+        out[lo:lo + 256] = d
+    return out
+
+
+class TestAnyBase:
+    # The base of a width function need not lie in the hull: the origin is
+    # outside most of these systems' hulls.  Rounding allowance: a vertex is
+    # base + h u + h' u_perp, whose derivative stencils divide sums of values
+    # by the grid step, so it carries rounding of order eps * n * R; 1e-9
+    # relative to the attractor's scale covers that many times over.
+    @settings(max_examples=80, deadline=None)
+    @given(maps=planar_maps())
+    @example(maps=SHIFTED_TRIANGLE)
+    def test_word_images_within_outer_slack(self, maps):
+        ifs = fh.validate_ifs(maps)
+        w = fh.solve_width(ifs, 1024, 1e-8)
+        poly = fh.extract_polygon(w)
+        pts = word_images(ifs, 5)
+        scale = max(1.0, float(np.max(np.abs(pts))))
+        allowance = 1e-9 * scale
+        assert np.max(distance_to_polygon(poly.vertices, pts)) <= (
+            poly.outer_slack + allowance)
+        # the same hull, read off around a base inside it
+        centroid = np.mean([fh.map_fixed_point(m) for m in ifs.maps], axis=0)
+        inner = fh.extract_polygon(fh.rebase_width(w, centroid))
+        both = poly.outer_slack + inner.outer_slack + allowance
+        assert np.max(distance_to_polygon(inner.vertices, poly.vertices)) <= both
+        assert np.max(distance_to_polygon(poly.vertices, inner.vertices)) <= both
 
 
 class TestRoundTrip:
@@ -182,9 +245,9 @@ class TestRoundTrip:
         source = polygon_from_vertices(
             [[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
         w = fh.polygon_width_samples(source, fh.DirectionGrid(4096))
-        report = fh.detect_kinks(w)
-        assert len(report) == 4
-        for k in report.kinks:
+        kinks = fh.detect_kinks(w)
+        assert len(kinks) == 4
+        for k in kinks:
             assert k.jump == pytest.approx(2.0, abs=8 * 2.0 / 4096 * 2 * math.pi)
 
 

@@ -280,6 +280,16 @@ class TestSolveWidth:
         assert w.iterations == 1
         assert w.iter_error <= 1e-10
 
+    def test_rounding_floor_stops_the_sweeps(self):
+        # tol 1e-12 asks for steps below one sweep's rounding (widths ~200,
+        # c = 0.995); the sweeps stop at the rounding floor and report the
+        # bound they reached, as they do at tol 1e-6
+        ifs = fh.complex_base_ifs(1.005 * complex(math.cos(2.0), math.sin(2.0)), 4)
+        w = fh.solve_width(ifs, 4096, 1e-12)
+        assert w.iterations <= 2
+        assert w.iter_error > 0.0
+        assert w.iter_error == fh.solve_width(ifs, 4096, 1e-6).iter_error
+
     def test_twindragon_matches_closed_form(self, twindragon_ifs, twindragon_sys):
         w = fh.solve_width(twindragon_ifs, 1024, 1e-6)
         wc = fh.rebase_width(w, (0.0, -0.5))
@@ -360,6 +370,11 @@ class TestRadiusAndContainment:
         w = disk_width()
         r = fh.circumradius(w)
         assert 1.0 <= r <= 1.0 + w.iter_error + w.interp_slack + 1e-12
+        slack = 2 * (w.iter_error + w.interp_slack)
+        for ang in (0.0, 0.9, 2.5, 4.0):
+            d = np.array([math.cos(ang), math.sin(ang)])
+            assert fh.hull_contains(w, d, slack)
+            assert not fh.hull_contains(w, (1 + 10 * slack) * d, slack)
 
     def test_circumradius_square_corner(self, square_width):
         r = fh.circumradius(square_width)
@@ -371,28 +386,6 @@ class TestRadiusAndContainment:
                                   np.cos(grid.angles) - 0.5, 1e-9, 0.0)
         with pytest.raises(fh.InvalidBaseError):
             fh.circumradius(w)
-
-    def test_radius_unit_ball(self):
-        w = disk_width()
-        rv = fh.radius_from_width(w, 0.7)
-        assert rv.radius == pytest.approx(1.0, abs=1e-5)
-        assert math.cos(rv.support_angle - 0.7) >= 1.0 - 1e-5
-
-    def test_radius_segment(self):
-        grid = fh.DirectionGrid(4096)
-        values = np.maximum(0.0, np.cos(grid.angles))
-        w = fh.make_width_samples(grid, (0, 0), values, 0, 0)
-        assert fh.radius_from_width(w, 0.0).radius == pytest.approx(1.0, abs=1e-6)
-        assert fh.radius_from_width(w, math.pi / 2).radius <= 1e-9
-
-    def test_radius_duality_on_disk(self):
-        w = disk_width()
-        slack = 2 * (w.iter_error + w.interp_slack)
-        for ang in (0.0, 0.9, 2.5, 4.0):
-            r = fh.radius_from_width(w, ang).radius
-            d = np.array([math.cos(ang), math.sin(ang)])
-            assert fh.hull_contains(w, w.base + r * d, slack)
-            assert not fh.hull_contains(w, w.base + (r + 10 * slack) * d, slack)
 
     def test_contains_base_and_rejects_far(self, twindragon_width):
         w = twindragon_width
