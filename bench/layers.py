@@ -1,4 +1,4 @@
-"""Per-layer timings of the width solver and polygon extraction.
+"""Per-layer timings of the width solver, polygon extraction and artifacts.
 
 Times, as the best of five samples (each sample loops a call long enough
 to be measured, as ``timeit`` does), in this one process:
@@ -8,14 +8,19 @@ to be measured, as ``timeit`` does), in this one process:
 - ``selfsim_operator_s``: one public ``selfsim_operator`` call (plan
   build plus one application);
 - ``solve_width_s``: the whole fixed-point solve at tol 1e-6 (the CLI's);
-- ``extract_polygon_s``: kink detection and polygon extraction.
+- ``extract_polygon_s``: kink detection and polygon extraction;
+- ``width_csv_s``: the CSV text of the solved width (``fractalhull solve``).
 
 The matrix is the twindragon (c = 0.707, grid-aligned rotation), |z| = 2
 at phi = 1 (c = 0.5, off-grid rotation), |z| = 1.05 and |z| = 1.01 at
 phi = 2 (c = 0.95 and 0.99, slow contraction) and one random 4-map affine
-system, each at grid sizes 1024, 4096 and 65536.  ``--src`` picks the ``fractalhull`` source tree to
-time, so one file can hold columns for two versions of the package; a
-version without an operator plan reports ``null`` for the plan layers.
+system, each at grid sizes 1024, 4096 and 65536.  Two more rows time the
+twindragon's ``fractalhull render`` layers at 5 000 and 20 000 points (the
+CLI default): ``chaos_game_sample_s``, the chaos-game cloud (seed 1), and
+``render_svg_s``, the SVG of its exact polygon and that cloud.  ``--src``
+picks the ``fractalhull`` source tree to time, so one file can hold
+columns for two versions of the package; a version without an operator
+plan reports ``null`` for the plan layers.
 
     python bench/layers.py --label change --out layers.json
     python bench/layers.py --label parent --src ../parent/src --out layers.json
@@ -39,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 GRIDS = (1024, 4096, 65536)
+POINTS = (5000, 20000)
 TOL = 1e-6
 REPEAT = 5
 RANDOM_SEED = 0
@@ -90,8 +96,18 @@ def measure(fh, width_mod) -> list[dict]:
                 row["extract_error"] = type(exc).__name__
             else:
                 row["extract_polygon_s"] = best_time(lambda: fh.extract_polygon(w))
+            row["width_csv_s"] = best_time(lambda: fh.width_csv(w))
             rows.append(row)
             print(json.dumps(row), flush=True)
+    ifs = fh.complex_base_ifs(1 + 1j, 2)
+    poly, _ = fh.exact_polygon(fh.complex_base_system(1 + 1j, 2))
+    for k in POINTS:
+        cloud = fh.chaos_game_sample(ifs, k, 1).points
+        row = {"system": "twindragon", "points": k, "vertices": len(poly),
+               "chaos_game_sample_s": best_time(lambda: fh.chaos_game_sample(ifs, k, 1)),
+               "render_svg_s": best_time(lambda: fh.render_svg(poly, cloud))}
+        rows.append(row)
+        print(json.dumps(row), flush=True)
     return rows
 
 

@@ -355,7 +355,5 @@ def hull_contains(w: WidthSamples, x, slack: float = 0.0):
 def width_csv(w: WidthSamples) -> str:
     """CSV export: header ``angle,h``, one row per grid angle (radians, 12
     significant digits), '\\n' line endings."""
-    lines = ["angle,h"]
-    for angle, value in zip(w.grid.angles.tolist(), w.values.tolist()):
-        lines.append(f"{angle:.12g},{value:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack((w.grid.angles, w.values)).ravel().tolist()
+    return "\n".join(["angle,h"] + ["%.12g,%.17g"] * w.grid.n) % tuple(rows) + "\n"

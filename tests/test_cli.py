@@ -223,6 +223,26 @@ class TestRender:
                      "--seed", "2", "--grid", "512", "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    def test_viewport_frames_hull_away_from_origin(self, tmp_path):
+        # the shifted 3-map square: its triangle (4, 4), (5, 4), (4, 5) lies
+        # far from the origin the width is solved around
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps({"dim": 2, "maps": [
+            {"A": [[0.5, 0.0], [0.0, 0.5]], "t": t}
+            for t in ([2.0, 2.0], [2.5, 2.0], [2.0, 2.5])]}))
+        out = tmp_path / "hull.svg"
+        assert main(["render", "--input", str(path), "--points", "50",
+                     "--out", str(out)]) == 0
+        text = out.read_text()
+        x0, y0, width, height = map(float, text.split('viewBox="', 1)[1].split('"', 1)[0].split())
+        path_d = text.split('<path d="M ', 1)[1].split(' Z"', 1)[0]
+        vertices = np.array([[float(v) for v in p.split(",")] for p in path_d.split(" L ")])
+        assert len(vertices) == 3
+        assert np.all(vertices >= [x0, y0]) and np.all(vertices <= [x0 + width, y0 + height])
+        # the hull's diameter (the triangle's hypotenuse) spans the box
+        diameter = max(np.linalg.norm(p - q) for p in vertices for q in vertices)
+        assert diameter >= 0.8 * width
+
 
 class TestQuery:
     def test_inside_point_near1(self, twindragon_file, capsys):

@@ -1,0 +1,138 @@
+"""The batched artifact writers against per-value reference writers.
+
+``render_svg`` and ``width_csv`` fill one %-template from one flat list of
+floats.  The references below format each value with its own call, as the
+writers did before, so any difference in a single byte shows.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import fractalhull as fh
+
+
+def _fmt(v: float) -> str:
+    s = f"{v:.6f}"
+    return "0.000000" if s == "-0.000000" else s
+
+
+def reference_svg(polygon, cloud=None) -> str:
+    """One formatting call per value; viewport around the vertices' box."""
+    cx, cy = float(polygon.base[0]), float(polygon.base[1])
+    if len(polygon):
+        centre = (polygon.vertices.min(axis=0) + polygon.vertices.max(axis=0)) / 2.0
+        radius = float(np.max(np.linalg.norm(polygon.vertices - centre, axis=1)))
+    else:
+        centre, radius = polygon.base, 1.0
+    vx, vy = float(centre[0]), float(centre[1])
+    half = 1.1 * max(radius, 1e-6)
+    stroke = half / 160.0
+    dot = half / 240.0
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{_fmt(vx - half)} {_fmt(-vy - half)} {_fmt(2 * half)} {_fmt(2 * half)}">'
+    ]
+    if len(polygon):
+        coords = [f"{_fmt(x)},{_fmt(-y)}" for x, y in polygon.vertices]
+        path = "M " + " L ".join(coords) + " Z"
+        parts.append(f'<path d="{path}" fill="none" stroke="#1f6feb" '
+                     f'stroke-width="{_fmt(stroke)}"/>')
+    if cloud is not None:
+        for x, y in np.asarray(cloud, dtype=float):
+            parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(-y)}" r="{_fmt(dot)}" '
+                         'fill="#d73a49"/>')
+    m = half / 40.0
+    parts.append(
+        f'<path d="M {_fmt(cx - m)} {_fmt(-cy)} L {_fmt(cx + m)} {_fmt(-cy)} '
+        f'M {_fmt(cx)} {_fmt(-cy - m)} L {_fmt(cx)} {_fmt(-cy + m)}" '
+        f'stroke="#24292f" stroke-width="{_fmt(stroke)}" fill="none"/>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def reference_csv(w) -> str:
+    lines = ["angle,h"]
+    for angle, value in zip(w.grid.angles.tolist(), w.values.tolist()):
+        lines.append(f"{angle:.12g},{value:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+# values that print as -0.000000 or sit at the rounding edge of 1e-6
+NEAR_ZERO = [0.0, -0.0, 5e-7, -5e-7, 4.9999999999999996e-7, -4.9999999999999996e-7,
+             math.nextafter(5e-7, 1.0), math.nextafter(-5e-7, -1.0),
+             4e-7, -4e-7, 1e-300, -1e-300, 5e-324, -5e-324]
+coordinate = st.one_of(
+    st.sampled_from(NEAR_ZERO),
+    st.floats(-1e-5, 1e-5),
+    st.floats(-1e12, 1e12),
+)
+
+
+def point_arrays(max_size):
+    return st.lists(st.tuples(coordinate, coordinate), max_size=max_size).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, 2))
+
+
+def polygon(vertices, base=(0.0, 0.0)):
+    return fh.HullPolygon(vertices=np.asarray(vertices, dtype=float).reshape(-1, 2),
+                          base=np.asarray(base, dtype=float))
+
+
+SEGMENT = [[-0.0, 4e-7], [1.0, -5e-7]]
+TRIANGLE = [[4.0, 4.0], [5.0, 4.0], [4.0, 5.0]]
+CLOUD = [[-4e-7, 4e-7], [0.0, -0.0], [5e-7, -5e-7], [1e12, -1e12]]
+
+
+class TestRenderSvg:
+    @settings(max_examples=300, deadline=None)
+    @given(vertices=point_arrays(8), base=st.tuples(coordinate, coordinate),
+           cloud=st.none() | point_arrays(40))
+    @example(vertices=np.empty((0, 2)), base=(0.0, 0.0), cloud=None)
+    @example(vertices=np.empty((0, 2)), base=(-0.0, 4e-7), cloud=np.empty((0, 2)))
+    @example(vertices=np.array(SEGMENT), base=(-0.0, -0.0), cloud=np.array(CLOUD))
+    @example(vertices=np.array(TRIANGLE), base=(0.0, 0.0), cloud=np.array(CLOUD[:1]))
+    def test_same_bytes_as_per_value_writer(self, vertices, base, cloud):
+        poly = polygon(vertices, base)
+        assert fh.render_svg(poly, cloud) == reference_svg(poly, cloud)
+
+    def test_negative_zero_is_written_unsigned(self):
+        text = fh.render_svg(polygon(SEGMENT, (-0.0, 4e-7)), np.array(CLOUD))
+        assert "-0.000000" not in text
+        assert 'cx="0.000000" cy="0.000000"' in text
+        assert "M 0.000000,0.000000 L 1.000000,0.000000 Z" in text
+
+    def test_viewport_centres_the_hull(self):
+        text = fh.render_svg(polygon(TRIANGLE), np.array([[4.25, 4.25]]))
+        half = 1.1 * math.sqrt(0.5)
+        assert f'viewBox="{4.5 - half:.6f} {-4.5 - half:.6f} {2 * half:.6f} {2 * half:.6f}"' in text
+        assert f'r="{half / 240:.6f}"' in text
+        assert '<circle cx="4.250000" cy="-4.250000"' in text
+
+    @pytest.mark.parametrize("cloud", [
+        np.zeros((4, 3)),
+        np.zeros(8),
+        np.zeros((2, 2, 2)),
+        np.array([[0.0, 0.0], [np.nan, 1.0]]),
+        np.array([[np.inf, 0.0]]),
+        np.array([[0.0, -np.inf]]),
+    ], ids=["k-by-3", "flat", "3d", "nan", "inf", "-inf"])
+    def test_rejects_malformed_cloud(self, cloud):
+        with pytest.raises(fh.ValidationError):
+            fh.render_svg(polygon(TRIANGLE), cloud)
+
+
+class TestWidthCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.sampled_from([64, 66, 128]), data=st.data())
+    def test_same_bytes_as_per_row_writer(self, n, data):
+        values = data.draw(st.lists(coordinate, min_size=n, max_size=n))
+        w = fh.WidthSamples(grid=fh.DirectionGrid(n), base=np.zeros(2),
+                            values=np.array(values), iter_error=0.0, interp_slack=0.0)
+        assert fh.width_csv(w) == reference_csv(w)
+
+    def test_solved_width(self, twindragon_width):
+        assert fh.width_csv(twindragon_width) == reference_csv(twindragon_width)
