@@ -1,7 +1,7 @@
 """Per-layer timings of the width solver, polygon extraction and artifacts.
 
 Times, as the best of five samples (each sample loops a call long enough
-to be measured, as ``timeit`` does), in this one process:
+to be measured, as ``timeit`` does):
 
 - ``plan_build_s``: building the operator plan for one (IFS, grid);
 - ``plan_apply_s``: one application of a built plan;
@@ -17,17 +17,20 @@ phi = 2 (c = 0.95 and 0.99, slow contraction) and one random 4-map affine
 system, each at grid sizes 1024, 4096 and 65536.  Two more rows time the
 twindragon's ``fractalhull render`` layers at 5 000 and 20 000 points (the
 CLI default): ``chaos_game_sample_s``, the chaos-game cloud (seed 1), and
-``render_svg_s``, the SVG of its exact polygon and that cloud.  ``--src``
-picks the ``fractalhull`` source tree to time, so one file can hold
-columns for two versions of the package; a version without an operator
-plan reports ``null`` for the plan layers.
+``render_svg_s``, the SVG of its exact polygon and that cloud.
 
-    python bench/layers.py --label change --out layers.json
-    python bench/layers.py --label parent --src ../parent/src --out layers.json
+Each ``label=SRC`` pair names a ``fractalhull`` source tree and the
+column its figures go to; a version without an operator plan reports
+``null`` for the plan layers.  Every row (one system and grid, or one
+point count) is timed for all trees back to back, each in a fresh
+subprocess, and the tree that runs first alternates from row to row, so a
+slow phase of the machine lands on both columns alike:
 
-Each run replaces its own column in ``--out`` and keeps the others.  Set
-one BLAS thread (``OPENBLAS_NUM_THREADS=1``) for figures comparable with
-``perfbench``.
+    python bench/layers.py parent=../parent/src change=src --out layers.json
+
+``--out`` is written anew with every column.  Set one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``) for figures comparable with ``perfbench``;
+the subprocesses inherit it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import timeit
 from pathlib import Path
@@ -50,21 +54,29 @@ REPEAT = 5
 RANDOM_SEED = 0
 
 
-def systems(fh):
-    """(name, IFS) pairs of the matrix."""
+def random_affine(fh):
     rng = np.random.default_rng(RANDOM_SEED)
     maps = []
     for _ in range(4):
         a = rng.normal(size=(2, 2))
         a *= rng.uniform(0.4, 0.8) / fh.operator_norm(a)
         maps.append((a, rng.uniform(-1.0, 1.0, 2)))
-    return [
-        ("twindragon", fh.complex_base_ifs(1 + 1j, 2)),
-        ("|z|=2 phi=1", fh.complex_base_ifs(2.0 * complex(math.cos(1.0), math.sin(1.0)), 2)),
-        ("|z|=1.05 phi=2", fh.complex_base_ifs(1.05 * complex(math.cos(2.0), math.sin(2.0)), 2)),
-        ("|z|=1.01 phi=2", fh.complex_base_ifs(1.01 * complex(math.cos(2.0), math.sin(2.0)), 2)),
-        (f"random 4-map affine (seed {RANDOM_SEED})", fh.validate_ifs(maps)),
-    ]
+    return fh.validate_ifs(maps)
+
+
+# (name, builder of the IFS from the package) pairs of the matrix
+SYSTEMS = (
+    ("twindragon", lambda fh: fh.complex_base_ifs(1 + 1j, 2)),
+    ("|z|=2 phi=1",
+     lambda fh: fh.complex_base_ifs(2.0 * complex(math.cos(1.0), math.sin(1.0)), 2)),
+    ("|z|=1.05 phi=2",
+     lambda fh: fh.complex_base_ifs(1.05 * complex(math.cos(2.0), math.sin(2.0)), 2)),
+    ("|z|=1.01 phi=2",
+     lambda fh: fh.complex_base_ifs(1.01 * complex(math.cos(2.0), math.sin(2.0)), 2)),
+    (f"random 4-map affine (seed {RANDOM_SEED})", random_affine),
+)
+# one row per (system, grid), then one per render point count
+ROWS = [(s, n) for s in range(len(SYSTEMS)) for n in GRIDS] + [(None, k) for k in POINTS]
 
 
 def best_time(fn) -> float:
@@ -73,70 +85,97 @@ def best_time(fn) -> float:
     return min(timer.repeat(REPEAT, number)) / number
 
 
-def measure(fh, width_mod) -> list[dict]:
+def measure_row(fh, width_mod, index: int) -> dict:
+    """Time the layers of row ``index`` of ``ROWS`` in this process."""
+    s, n = ROWS[index]
+    if s is None:
+        ifs = fh.complex_base_ifs(1 + 1j, 2)
+        poly, _ = fh.exact_polygon(fh.complex_base_system(1 + 1j, 2))
+        cloud = fh.chaos_game_sample(ifs, n, 1).points
+        return {"system": "twindragon", "points": n, "vertices": len(poly),
+                "chaos_game_sample_s": best_time(lambda: fh.chaos_game_sample(ifs, n, 1)),
+                "render_svg_s": best_time(lambda: fh.render_svg(poly, cloud))}
+    name, build = SYSTEMS[s]
+    ifs = build(fh)
     plan_cls = getattr(width_mod, "_OperatorPlan", None)
-    rows = []
-    for name, ifs in systems(fh):
-        for n in GRIDS:
-            grid = fh.DirectionGrid(n)
-            w = fh.solve_width(ifs, n, TOL)
-            row = {"system": name, "grid": n, "c": ifs.c, "maps": len(ifs),
-                   "iterations": w.iterations,
-                   "plan_build_s": None, "plan_apply_s": None}
-            if plan_cls is not None:
-                plan = plan_cls(ifs, grid)
-                row["plan_build_s"] = best_time(lambda: plan_cls(ifs, grid))
-                row["plan_apply_s"] = best_time(lambda: plan.apply(w.values))
-            row["selfsim_operator_s"] = best_time(lambda: fh.selfsim_operator(ifs, w))
-            row["solve_width_s"] = best_time(lambda: fh.solve_width(ifs, n, TOL))
-            try:
-                fh.extract_polygon(w)
-            except fh.FractalHullError as exc:
-                row["extract_polygon_s"] = None
-                row["extract_error"] = type(exc).__name__
-            else:
-                row["extract_polygon_s"] = best_time(lambda: fh.extract_polygon(w))
-            row["width_csv_s"] = best_time(lambda: fh.width_csv(w))
-            rows.append(row)
-            print(json.dumps(row), flush=True)
-    ifs = fh.complex_base_ifs(1 + 1j, 2)
-    poly, _ = fh.exact_polygon(fh.complex_base_system(1 + 1j, 2))
-    for k in POINTS:
-        cloud = fh.chaos_game_sample(ifs, k, 1).points
-        row = {"system": "twindragon", "points": k, "vertices": len(poly),
-               "chaos_game_sample_s": best_time(lambda: fh.chaos_game_sample(ifs, k, 1)),
-               "render_svg_s": best_time(lambda: fh.render_svg(poly, cloud))}
-        rows.append(row)
-        print(json.dumps(row), flush=True)
-    return rows
+    grid = fh.DirectionGrid(n)
+    w = fh.solve_width(ifs, n, TOL)
+    row = {"system": name, "grid": n, "c": ifs.c, "maps": len(ifs),
+           "iterations": w.iterations,
+           "plan_build_s": None, "plan_apply_s": None}
+    if plan_cls is not None:
+        plan = plan_cls(ifs, grid)
+        row["plan_build_s"] = best_time(lambda: plan_cls(ifs, grid))
+        row["plan_apply_s"] = best_time(lambda: plan.apply(w.values))
+    row["selfsim_operator_s"] = best_time(lambda: fh.selfsim_operator(ifs, w))
+    row["solve_width_s"] = best_time(lambda: fh.solve_width(ifs, n, TOL))
+    try:
+        fh.extract_polygon(w)
+    except fh.FractalHullError as exc:
+        row["extract_polygon_s"] = None
+        row["extract_error"] = type(exc).__name__
+    else:
+        row["extract_polygon_s"] = best_time(lambda: fh.extract_polygon(w))
+    row["width_csv_s"] = best_time(lambda: fh.width_csv(w))
+    return row
+
+
+def tree(pair: str) -> tuple[str, str]:
+    label, sep, src = pair.partition("=")
+    if not (label and sep and src):
+        raise argparse.ArgumentTypeError(f"expected label=SRC, got {pair!r}")
+    return label, str(Path(src).resolve())
 
 
 def main(argv=None) -> int:
-    here = Path(__file__).resolve().parent
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=str(here.parent / "src"),
-                    help="directory holding the fractalhull package to time")
-    ap.add_argument("--label", required=True, help="column name, e.g. parent or change")
-    ap.add_argument("--out", required=True, help="JSON file to create or update")
+    ap.add_argument("trees", nargs="+", type=tree, metavar="label=SRC",
+                    help="column name and the directory holding its fractalhull package")
+    ap.add_argument("--out", help="JSON file to write")
+    ap.add_argument("--row", type=int, default=None,
+                    help="time only this row for the one tree given, in this "
+                         "process, and print it as JSON (what each subprocess runs)")
     args = ap.parse_args(argv)
 
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    import fractalhull as fh
-    import fractalhull.width as width_mod
+    if args.row is not None:
+        if len(args.trees) != 1:
+            ap.error("--row times one tree")
+        sys.path.insert(0, args.trees[0][1])
+        import fractalhull as fh
+        import fractalhull.width as width_mod
 
-    rows = measure(fh, width_mod)
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["machine"] = {
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        print(json.dumps(measure_row(fh, width_mod, args.row)), flush=True)
+        return 0
+    if not args.out:
+        ap.error("--out is required")
+    labels = dict(args.trees)
+    if len(labels) != len(args.trees):
+        ap.error("column labels must differ")
+
+    columns = {label: [] for label in labels}
+    for index in range(len(ROWS)):
+        order = list(labels) if index % 2 == 0 else list(labels)[::-1]
+        for label in order:
+            proc = subprocess.run(
+                [sys.executable, __file__, "--row", str(index), f"{label}={labels[label]}"],
+                stdout=subprocess.PIPE, text=True, check=True)
+            row = json.loads(proc.stdout)
+            columns[label].append(row)
+            print(label, json.dumps(row), flush=True)
+    doc = {
+        "machine": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
+        "timing": (f"best of {REPEAT} autoranged samples per layer, seconds per "
+                   "call; each row timed for every tree back to back in fresh "
+                   "subprocesses, the first tree alternating by row"),
+        "tol": TOL,
+        "columns": columns,
     }
-    doc["timing"] = f"best of {REPEAT} autoranged samples per layer, seconds per call"
-    doc["tol"] = TOL
-    doc.setdefault("columns", {})[args.label] = rows
-    out.write_text(json.dumps(doc, indent=1) + "\n")
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -10,7 +10,6 @@ complex-base family.
 from .errors import (
     ConvergenceError,
     FractalHullError,
-    InvalidBaseError,
     NotContractingError,
     ValidationError,
 )
@@ -22,7 +21,6 @@ from .ifs import (
     affine_map,
     chaos_game_sample,
     complex_base_ifs,
-    format_ifs_document,
     load_ifs_file,
     map_fixed_point,
     operator_norm,
@@ -44,7 +42,6 @@ from .width import (
 from .hull import (
     HullPolygon,
     Kink,
-    default_jump_threshold,
     detect_kinks,
     extract_polygon,
     polygon_area,
@@ -74,27 +71,24 @@ from .query import (
     build_context,
     near,
     near1,
-    quick_reject,
 )
 from .render import render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap", "ComplexBaseSystem", "ConvergenceError",
-    "DirectionGrid", "FractalHullError", "HullPolygon", "IFS", "IFSDocument",
-    "InvalidBaseError", "Kink", "NotContractingError", "PointCloud",
-    "QueryContext", "QueryResult", "TriangleParams",
-    "ValidationError", "WidthSamples", "affine_map", "build_context",
-    "centered_width", "chaos_game_sample", "circumradius", "complex_base_ifs",
-    "complex_base_system", "default_jump_threshold", "detect_kinks",
+    "AffineMap", "ComplexBaseSystem", "ConvergenceError", "DirectionGrid",
+    "FractalHullError", "HullPolygon", "IFS", "IFSDocument", "Kink",
+    "NotContractingError", "PointCloud", "QueryContext", "QueryResult",
+    "TriangleParams", "ValidationError", "WidthSamples", "affine_map",
+    "build_context", "centered_width", "chaos_game_sample", "circumradius",
+    "complex_base_ifs", "complex_base_system", "detect_kinks",
     "equal_maps_width", "eval_width", "exact_polygon", "extract_polygon",
-    "format_ifs_document", "hull_area", "hull_contains", "hull_perimeter",
-    "irrational_polygon", "isodiametric_audit", "isodiametric_gap",
-    "load_ifs_file", "make_width_samples", "map_fixed_point", "near", "near1",
+    "hull_area", "hull_contains", "hull_perimeter", "irrational_polygon",
+    "isodiametric_audit", "isodiametric_gap", "load_ifs_file",
+    "make_width_samples", "map_fixed_point", "near", "near1",
     "operator_norm", "parse_ifs_document", "polygon_area", "polygon_json",
     "polygon_perimeter", "polygon_width", "polygon_width_samples",
-    "quick_reject", "rational_width", "rebase_width",
-    "render_svg", "selfsim_operator", "solve_width",
-    "symmetry_center", "validate_ifs", "width_csv",
+    "rational_width", "rebase_width", "render_svg", "selfsim_operator",
+    "solve_width", "symmetry_center", "validate_ifs", "width_csv",
 ]

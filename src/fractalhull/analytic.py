@@ -39,8 +39,9 @@ _MAX_DENOMINATOR = 64
 class ComplexBaseSystem:
     """The (z, n) complex-base family with optional exact-angle metadata.
 
-    ``rational_angle = (l, k)`` declares ``arg z = pi l / k`` in lowest
-    terms, unlocking the finite width form and the exact polygon.
+    ``rational_angle = (l, k)`` records ``arg z = pi l / k`` in lowest
+    terms, unlocking the finite width form and the exact polygon; ``None``
+    selects the series forms.
     """
 
     z: complex
@@ -59,35 +60,20 @@ class ComplexBaseSystem:
         return cmath.phase(self.z)
 
 
-def complex_base_system(z: complex, n: int,
-                        rational_angle="detect") -> ComplexBaseSystem:
+def complex_base_system(z: complex, n: int) -> ComplexBaseSystem:
     """Build a validated :class:`ComplexBaseSystem`.
 
-    ``rational_angle`` may be an explicit ``(l, k)`` pair, ``None`` to force
-    irrational treatment, or ``"detect"`` to search denominators up to 64
-    for a rational multiple of pi within 1e-12 (floating-point angles are
-    never exactly rational, so exactness stays opt-in/detected).
+    The rational angle is detected: denominators up to 64 are searched for
+    a rational multiple of pi within 1e-12 of ``arg z`` (floating-point
+    angles are never exactly rational).  An angle not found is treated as
+    irrational.
     """
     z = complex(z)
     if abs(z) <= 1.0:
         raise ValidationError("complex base needs |z| > 1")
     if n != int(n) or int(n) < 2:
         raise ValidationError("digit count n must be an integer >= 2")
-    phi = cmath.phase(z)
-    if rational_angle == "detect":
-        rational_angle = _detect_rational_angle(phi)
-    elif rational_angle is not None:
-        l, k = int(rational_angle[0]), int(rational_angle[1])
-        if k < 1:
-            raise ValidationError("rational angle denominator must be >= 1")
-        if math.gcd(abs(l), k) != 1:
-            raise ValidationError("rational angle (l, k) must be in lowest terms")
-        if abs(phi - math.pi * l / k) > _RATIONAL_ANGLE_TOL:
-            raise ValidationError(
-                f"arg z = {phi:.15g} is not pi*{l}/{k} within {_RATIONAL_ANGLE_TOL}"
-            )
-        rational_angle = (l, k)
-    return ComplexBaseSystem(z, int(n), rational_angle)
+    return ComplexBaseSystem(z, int(n), _detect_rational_angle(cmath.phase(z)))
 
 
 def _detect_rational_angle(phi: float) -> tuple[int, int] | None:
@@ -297,8 +283,7 @@ def exact_polygon(sys: ComplexBaseSystem) -> tuple[HullPolygon, list[TrianglePar
     scale = max(max(abs(t.a) for t in tris), max(t.b + t.c for t in tris))
     verts = _chain_edges(tris, center, angle_tol=1e-12, close_tol=1e-9 * scale,
                          merge_tol=1e-9 * scale)
-    poly = HullPolygon(_readonly(verts), _readonly(center),
-                       degenerate=verts.shape[0] < 3, method="exact",
+    poly = HullPolygon(_readonly(verts), _readonly(center), method="exact",
                        outer_slack=0.0)
     return poly, tris
 
@@ -326,8 +311,7 @@ def irrational_polygon(sys: ComplexBaseSystem, tol: float) -> HullPolygon:
     # only strictly reflex points may go: collinear joints between short
     # sub-edges carry real support and must survive the cleanup
     verts = _monotone_chain(verts, eps_cross=0.0)
-    return HullPolygon(_readonly(verts), _readonly(center),
-                       degenerate=verts.shape[0] < 3, method="series",
+    return HullPolygon(_readonly(verts), _readonly(center), method="series",
                        outer_slack=float(tol))
 
 

@@ -37,23 +37,26 @@ class Kink:
 class HullPolygon:
     """Ordered convex polygon (counterclockwise vertices) for conv(K).
 
-    ``degenerate`` marks segments and points (< 3 vertices).  ``method``
-    records how the polygon was obtained ("kinks", "dense", "exact",
-    "series"); ``outer_slack`` is the reported dilation radius within which
-    the true hull is certified to lie.
+    ``method`` records how the polygon was obtained ("kinks", "dense",
+    "exact", "series"); ``outer_slack`` is the reported dilation radius
+    within which the true hull is certified to lie.
     """
 
     vertices: np.ndarray  # (k, 2)
     base: np.ndarray  # (2,)
-    degenerate: bool = False
     method: str = "kinks"
     outer_slack: float = 0.0
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
 
+    @property
+    def degenerate(self) -> bool:
+        """True for segments and points (fewer than 3 vertices)."""
+        return len(self) < 3
 
-def default_jump_threshold(w: WidthSamples) -> float:
+
+def _jump_threshold(w: WidthSamples) -> float:
     """Smallest derivative jump distinguishable from discretization noise.
 
     The second-difference jump estimator sees curvature noise of order
@@ -76,18 +79,18 @@ def _one_sided_derivatives(values: np.ndarray, g: int, step: float) -> tuple[flo
     return float(left), float(right)
 
 
-def detect_kinks(w: WidthSamples, jump_threshold: float | None = None) -> tuple[Kink, ...]:
+def detect_kinks(w: WidthSamples) -> tuple[Kink, ...]:
     """Locate width-function kinks on the grid, sorted by angle.
 
     The derivative jump at each node is estimated from the cyclic second
     difference (which conserves jump mass when a kink falls between grid
-    nodes); nodes above the threshold are clustered, and each cluster's
-    one-sided derivatives are refined with third-order stencils whose
-    points stay strictly on one side of the cluster.  Returns the tuple of
-    :class:`Kink`; it is empty when the width function has no kink.
+    nodes); nodes above the discretization-noise threshold are clustered,
+    and each cluster's one-sided derivatives are refined with third-order
+    stencils whose points stay strictly on one side of the cluster.
+    Returns the tuple of :class:`Kink`; it is empty when the width function
+    has no kink.
     """
-    if jump_threshold is None:
-        jump_threshold = default_jump_threshold(w)
+    jump_threshold = _jump_threshold(w)
     v = w.values
     n = w.grid.n
     step = w.grid.step
@@ -217,7 +220,6 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     candidates = _dedup_cyclic(np.concatenate(pieces, axis=0), merge_tol)
     verts = _monotone_chain(candidates, eps_cross)
     return HullPolygon(_readonly(verts), _readonly(np.array(w.base)),
-                       degenerate=verts.shape[0] < 3,
                        method="kinks" if ks else "dense", outer_slack=outer)
 
 

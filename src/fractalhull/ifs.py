@@ -2,10 +2,12 @@
 
 Matrices and vectors are plain float ndarrays.  An :class:`AffineMap` is one
 contraction ``x -> A x + t`` with its spectral norm cached; an :class:`IFS`
-is a validated family of such maps sharing a dimension.  The chaos game
-provides an independent sampling oracle for the attractor, used throughout
-the test suite to audit everything built on top; one sampler, vectorised
-over parallel chains, serves every dimension.
+is a validated family of such maps sharing a dimension, built from
+``(A, t)`` pairs.  The chaos game provides an independent sampling oracle
+for the attractor, used throughout the test suite to audit everything built
+on top; one sampler, vectorised over parallel chains, serves every
+dimension.  Systems are read from the JSON input format of
+:func:`parse_ifs_document`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from .errors import NotContractingError, ValidationError
 
 _MAX_CHAINS = 1024
+_BURN_IN = 64
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -102,30 +105,17 @@ class IFS:
 
 
 def validate_ifs(maps) -> IFS:
-    """Check a family of maps and assemble an :class:`IFS`.
+    """Check a family of ``(A, t)`` pairs and assemble an :class:`IFS`.
 
-    Accepts :class:`AffineMap` instances or ``(A, t)`` pairs.  Rejects an
-    empty family, mixed dimensions, and any non-contracting member (the
-    error names the 1-based index and the offending norm).
+    Each pair becomes an :class:`AffineMap` through :func:`affine_map`.
+    Rejects an empty family, mixed dimensions, and any non-contracting
+    member (the error names the 1-based index and the offending norm).
     """
     items = list(maps)
     if not items:
         raise ValidationError("an IFS needs at least one map")
     built: list[AffineMap] = []
-    for i, item in enumerate(items, start=1):
-        if isinstance(item, AffineMap):
-            fresh = operator_norm(item.a)
-            if abs(item.c - fresh) > 1e-12:
-                raise ValidationError(
-                    f"map {i} carries a stale cached norm ({item.c} vs {fresh})"
-                )
-            if item.c >= 1.0:
-                raise NotContractingError(
-                    f"map {i} is not contracting, c_{i}={item.c:.6g}"
-                )
-            built.append(item)
-            continue
-        a, t = item
+    for i, (a, t) in enumerate(items, start=1):
         try:
             built.append(affine_map(a, t))
         except NotContractingError:
@@ -152,42 +142,37 @@ class PointCloud:
     """Chaos-game samples of an attractor, deterministic for fixed inputs."""
 
     points: np.ndarray  # (count, dim)
-    seed: int
-    burn_in: int
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
 
-def chaos_game_sample(ifs: IFS, count: int, seed: int, burn_in: int = 64) -> PointCloud:
+def chaos_game_sample(ifs: IFS, count: int, seed: int) -> PointCloud:
     """Random-iteration sampling of the attractor.
 
     Advances independent chains side by side, each started at the fixed
     point of the first map (a point of the attractor) and moved by a
     uniformly chosen map per step, and records every chain's points step by
-    step once ``burn_in`` steps have passed.  ``min(1024, count // burn_in)``
+    step once a burn-in of 64 steps has passed.  ``min(1024, count // 64)``
     chains (at least 1) keep the burn-in work no larger than the recorded
     work.  Output is bit-for-bit reproducible for identical
-    ``(ifs, count, seed, burn_in)``.
+    ``(ifs, count, seed)``.
     """
     if count < 1:
         raise ValidationError("count must be at least 1")
-    if burn_in < 0:
-        raise ValidationError("burn_in must be nonnegative")
-    chains = max(1, min(_MAX_CHAINS, count // max(burn_in, 1)))
-    steps = burn_in + -(-count // chains)
+    chains = max(1, min(_MAX_CHAINS, count // _BURN_IN))
+    steps = _BURN_IN + -(-count // chains)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(ifs.maps), size=(steps, chains))
     a = np.stack([m.a for m in ifs.maps])
     t = np.stack([m.t for m in ifs.maps])
     x = np.tile(map_fixed_point(ifs.maps[0]), (chains, 1))
-    pts = np.empty((steps - burn_in, chains, ifs.dim))
+    pts = np.empty((steps - _BURN_IN, chains, ifs.dim))
     for step, i in enumerate(idx):
         x = np.einsum("cij,cj->ci", a[i], x) + t[i]
-        if step >= burn_in:
-            pts[step - burn_in] = x
-    return PointCloud(_readonly(pts.reshape(-1, ifs.dim)[:count]),
-                      seed=int(seed), burn_in=int(burn_in))
+        if step >= _BURN_IN:
+            pts[step - _BURN_IN] = x
+    return PointCloud(_readonly(pts.reshape(-1, ifs.dim)[:count]))
 
 
 def complex_base_ifs(z: complex, n: int) -> IFS:
@@ -204,11 +189,8 @@ def complex_base_ifs(z: complex, n: int) -> IFS:
         raise ValidationError("digit count n must be an integer >= 2")
     w = 1.0 / z
     a = np.array([[w.real, -w.imag], [w.imag, w.real]])
-    maps = []
-    for i in range(int(n)):
-        ti = i * w
-        maps.append(affine_map(a, (ti.real, ti.imag)))
-    return validate_ifs(maps)
+    shifts = [i * w for i in range(int(n))]
+    return validate_ifs([(a, (s.real, s.imag)) for s in shifts])
 
 
 @dataclass(frozen=True)
@@ -227,7 +209,7 @@ def _json_int(value, what: str) -> int:
 
 
 def parse_ifs_document(text: str) -> IFSDocument:
-    """Parse the JSON IFS interchange format.
+    """Parse the JSON IFS input format.
 
     Two layouts are accepted::
 
@@ -270,17 +252,6 @@ def parse_ifs_document(text: str) -> IFSDocument:
             f'declared dim {doc["dim"]} does not match maps of dimension {ifs.dim}'
         )
     return IFSDocument(ifs)
-
-
-def format_ifs_document(ifs: IFS) -> str:
-    """Serialize an IFS to the JSON interchange format (raw-matrix layout)."""
-    doc = {
-        "dim": ifs.dim,
-        "maps": [
-            {"A": m.a.tolist(), "t": m.t.tolist()} for m in ifs.maps
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def load_ifs_file(path) -> IFSDocument:

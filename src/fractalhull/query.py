@@ -10,10 +10,14 @@ contraction factor per level.  One pull-back walk serves both predicates;
 they differ only in the rule that stops it with a true answer:
 
 * ``near(x, k)``   -- stop after k levels; a true answer bounds
-  dist(x, attractor) by C0 * c^k plus the width slack.
+  dist(x, attractor) by C0 * c^k plus the width slack.  ``near(x, 0)`` is
+  the quick test alone.
 * ``near1(x, l)``  -- distance-threshold form: stop as soon as the level
   budget ``l / (c_i1 ... c_im)`` reaches C0, so a true answer certifies
   dist(x, attractor) <= l plus the width slack.
+
+The base point is the centroid of the maps' fixed points, which lies in
+the hull, so point and segment attractors are walked like any other.
 
 Singular maps cannot be inverted and are skipped, as the recursion demands;
 results then carry ``complete=False`` to flag that a false answer may be
@@ -44,7 +48,6 @@ class QueryContext:
     radius: float        # certified circumradius around x0
     c0_bound: float      # upper bound on the quick-test set's excess over K
     c0_mode: str         # "paper" (R/sqrt(2)) or "safe" (2R)
-    usable: tuple[int, ...]      # indices of nonsingular maps
     complete: bool       # False when singular maps had to be skipped
     slack: float         # width uncertainty granted on the permissive side
 
@@ -91,12 +94,10 @@ def build_context(ifs: IFS, w: WidthSamples, c0_mode: str = "paper") -> QueryCon
     w0 = rebase_width(w, x0)
     radius = circumradius(w0)
     c0 = radius / math.sqrt(2.0) if c0_mode == "paper" else 2.0 * radius
-    usable = []
     coeff = []
-    for i, m in enumerate(ifs.maps):
+    for m in ifs.maps:
         if _min_singular_value(m.a) <= _SINGULAR_RTOL * max(m.c, 1e-300):
             continue
-        usable.append(i)
         inv = np.linalg.inv(m.a)
         coeff.append((
             float(inv[0, 0]), float(inv[0, 1]), float(inv[1, 0]), float(inv[1, 1]),
@@ -104,8 +105,7 @@ def build_context(ifs: IFS, w: WidthSamples, c0_mode: str = "paper") -> QueryCon
         ))
     return QueryContext(
         ifs=ifs, width=w0, x0=x0, radius=radius, c0_bound=c0, c0_mode=c0_mode,
-        usable=tuple(usable),
-        complete=len(usable) == len(ifs.maps),
+        complete=len(coeff) == len(ifs.maps),
         slack=w0.iter_error + w0.interp_slack,
         _values=tuple(w0.values.tolist()),
         _coeff=tuple(coeff),
@@ -124,18 +124,6 @@ def _quick_inside(ctx: QueryContext, x: float, y: float) -> bool:
     frac = pos - int(pos)
     h = (1.0 - frac) * ctx._values[g0] + frac * ctx._values[(g0 + 1) % n]
     return dist <= h + ctx.slack
-
-
-def quick_reject(ctx: QueryContext, x) -> bool:
-    """Single-direction membership test against the quick-test superset.
-
-    True iff ``|x - x0| <= h(dir(x - x0)) + slack``; the base point itself
-    always passes.  False certifies the point lies outside the convex hull
-    and therefore outside the attractor; true only places it in the
-    quick-test superset.
-    """
-    x = np.asarray(x, dtype=float)
-    return _quick_inside(ctx, float(x[0]), float(x[1]))
 
 
 def _walk(ctx: QueryContext, x, budget: float, levels: float) -> QueryResult:

@@ -12,7 +12,8 @@ against 17 ms for one Python formatting call per value (one core of a
 coordinate that rounds to ``-0.000000`` is written ``0.000000``.
 
 The viewport is a square around the midpoint of the vertices' bounding
-box, so a hull away from its base point is drawn whole and centred.
+box, so a hull away from its base point is drawn whole and centred; the
+base marker is written only when the base lies in that square.
 """
 
 from __future__ import annotations
@@ -28,24 +29,22 @@ def _flipped(points: np.ndarray) -> list[float]:
     return np.column_stack((points[:, 0], -points[:, 1])).ravel().tolist()
 
 
-def render_svg(polygon: HullPolygon, cloud=None) -> str:
-    """Render a hull polygon, an optional point cloud, and the base marker.
+def render_svg(polygon: HullPolygon, cloud) -> str:
+    """Render a hull polygon, a point cloud, and the base marker.
 
     The viewport is the square around the midpoint of the vertices'
     bounding box with half extent 1.1x the largest distance from that
     midpoint to a vertex (at least 1e-6); an empty polygon gets the square
-    base +- 1.  The base marker is drawn at the base point, inside the
-    viewport or not.
+    base +- 1.  The base marker, a cross at the base point, is drawn only
+    when the base lies inside the viewport.
 
-    Raises ``ValidationError`` unless ``cloud`` is None or a (k, 2) array
-    of finite values.
+    Raises ``ValidationError`` unless ``cloud`` is a (k, 2) array of
+    finite values.
     """
-    pts = None
-    if cloud is not None:
-        pts = np.asarray(cloud, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or not np.isfinite(pts).all():
-            raise ValidationError(
-                f"cloud must be a finite (k, 2) array, got shape {pts.shape}")
+    pts = np.asarray(cloud, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or not np.isfinite(pts).all():
+        raise ValidationError(
+            f"cloud must be a finite (k, 2) array, got shape {pts.shape}")
     cx, cy = float(polygon.base[0]), float(polygon.base[1])
     if len(polygon):
         centre = (polygon.vertices.min(axis=0) + polygon.vertices.max(axis=0)) / 2.0
@@ -65,12 +64,12 @@ def render_svg(polygon: HullPolygon, cloud=None) -> str:
                      + ' Z" fill="none" stroke="#1f6feb" stroke-width="%.6f"/>')
         values += _flipped(polygon.vertices)
         values.append(stroke)
-    if pts is not None:
-        lines += [f'<circle cx="%.6f" cy="%.6f" r="{dot:.6f}" fill="#d73a49"/>'] * len(pts)
-        values += _flipped(pts)
-    lines.append('<path d="M %.6f %.6f L %.6f %.6f M %.6f %.6f L %.6f %.6f" '
-                 'stroke="#24292f" stroke-width="%.6f" fill="none"/>')
-    values += [cx - m, -cy, cx + m, -cy, cx, -cy - m, cx, -cy + m, stroke]
+    lines += [f'<circle cx="%.6f" cy="%.6f" r="{dot:.6f}" fill="#d73a49"/>'] * len(pts)
+    values += _flipped(pts)
+    if abs(cx - vx) <= half and abs(cy - vy) <= half:
+        lines.append('<path d="M %.6f %.6f L %.6f %.6f M %.6f %.6f L %.6f %.6f" '
+                     'stroke="#24292f" stroke-width="%.6f" fill="none"/>')
+        values += [cx - m, -cy, cx + m, -cy, cx, -cy - m, cx, -cy + m, stroke]
     lines.append("</svg>")
     text = "\n".join(lines) % tuple(values) + "\n"
     # The template's only "-" is that of "stroke-width", and "%.6f" ends

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidBaseError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .ifs import IFS, _readonly
 
 TWO_PI = 2.0 * math.pi
@@ -317,18 +317,12 @@ def eval_width(w: WidthSamples, angle):
 
 
 def circumradius(w: WidthSamples) -> float:
-    """Certified upper bound on sup_d h(d), the hull radius around the base.
+    """Certified upper bound on sup_d h(d), the largest distance from the
+    base to a point of the hull.
 
-    Raises :class:`InvalidBaseError` when the base lies outside the hull:
-    the query layer's excess constant C0 is derived from this radius for a
-    base inside the hull.
+    The bound ``max h + iter_error + interp_slack`` holds for any base,
+    inside the hull or not, so no base is rejected.
     """
-    worst = float(w.values.min())
-    if worst < -w.iter_error - 1e-15:
-        raise InvalidBaseError(
-            f"base point lies outside the hull (min width {worst:.6g} "
-            f"< -iter_error {-w.iter_error:.6g})"
-        )
     return float(w.values.max()) + w.iter_error + w.interp_slack
 
 

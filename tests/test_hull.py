@@ -65,11 +65,6 @@ class TestDetectKinks:
             assert k.jump == pytest.approx(scale * r ** -j, abs=0.01)
             assert k.right - k.left == pytest.approx(k.jump)
 
-    def test_explicit_threshold_filters(self, twindragon_width):
-        wc = fh.rebase_width(twindragon_width, (0.0, -0.5))
-        kept = [k for k in fh.detect_kinks(wc) if k.jump > 0.5]
-        assert len(fh.detect_kinks(wc, jump_threshold=0.5)) == len(kept)
-
 
 class TestExtractPolygon:
     def test_unit_square(self, square_width):
@@ -258,8 +253,8 @@ class TestPolygonMeasures:
         assert fh.polygon_perimeter(p) == pytest.approx(4.0)
 
     def test_segment(self):
-        p = fh.HullPolygon(np.array([[0.0, 0.0], [1.0, 0.0]]),
-                           np.zeros(2), degenerate=True)
+        p = fh.HullPolygon(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros(2))
+        assert p.degenerate
         assert fh.polygon_area(p) == 0.0
         assert fh.polygon_perimeter(p) == pytest.approx(2.0)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fractalhull as fh
 
@@ -52,13 +52,13 @@ class TestBuildContext:
 
 class TestQuickReject:
     def test_base_point_passes(self, ctx):
-        assert fh.quick_reject(ctx, ctx.x0)
+        assert fh.near(ctx, ctx.x0, 0).hit
 
     def test_far_point_fails(self, ctx):
-        assert not fh.quick_reject(ctx, ctx.x0 + np.array([2 * ctx.radius, 0.0]))
+        assert not fh.near(ctx, ctx.x0 + np.array([2 * ctx.radius, 0.0]), 0).hit
 
     def test_all_samples_pass(self, ctx, probe_cloud):
-        assert all(fh.quick_reject(ctx, p) for p in probe_cloud[:2000])
+        assert all(fh.near(ctx, p, 0).hit for p in probe_cloud[:2000])
 
 
 class TestNear:
@@ -88,7 +88,7 @@ class TestNear:
     def test_true_implies_quick_pass(self, ctx, probe_cloud):
         for p in probe_cloud[:200]:
             if fh.near(ctx, p, 2).hit:
-                assert fh.quick_reject(ctx, p)
+                assert fh.near(ctx, p, 0).hit
 
     def test_rejects_negative_depth(self, ctx):
         with pytest.raises(fh.ValidationError):
@@ -159,7 +159,11 @@ class TestSingularMaps:
         w = fh.solve_width(mixed_ifs, 1024, 1e-8)
         c = fh.build_context(mixed_ifs, w)
         assert not c.complete
-        assert c.usable == (0,)
+        # map 1's fixed point (1, 0) lies in K, but only map 1 pulls it back
+        # into the hull; with map 1 skipped, one level cannot certify it
+        res = fh.near(c, (1.0, 0.0), 1)
+        assert not res.hit and not res.complete
+        assert fh.near(c, (0.25, 0.0), 1).hit  # map 0 pulls it back to x0
 
     def test_results_flagged_incomplete(self, mixed_ifs):
         w = fh.solve_width(mixed_ifs, 1024, 1e-8)
@@ -172,8 +176,7 @@ class TestSingularMaps:
         ifs = fh.validate_ifs([(np.zeros((2, 2)), (1.0, 2.0))])
         w = fh.solve_width(ifs, 1024, 1e-10)
         c = fh.build_context(ifs, w)
-        assert c.usable == ()
-        assert fh.quick_reject(c, (1.0, 2.0))
+        assert not c.complete
         assert fh.near(c, (1.0, 2.0), 0).hit
         # no invertible branch: a deeper query cannot certify and is flagged
         deeper = fh.near(c, (1.0, 2.0), 1)
@@ -215,12 +218,7 @@ class TestWalkProperties:
     def test_nesting_depth_and_completeness(self, system, offset, k, frac, grow):
         ifs, invertible = system
         w = fh.solve_width(ifs, 256, 1e-8)
-        try:
-            ctx = fh.build_context(ifs, w)
-        except fh.InvalidBaseError:
-            # point attractors mostly fail the base check before any walk
-            # runs: ROADMAP open item 3, defect (b)
-            reject()
+        ctx = fh.build_context(ifs, w)
         x = ctx.x0 + ctx.radius * np.asarray(offset)
         deeper, shallow = fh.near(ctx, x, k + 1), fh.near(ctx, x, k)
         assert not deeper.hit or shallow.hit

@@ -19,8 +19,9 @@ def _fmt(v: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-def reference_svg(polygon, cloud=None) -> str:
-    """One formatting call per value; viewport around the vertices' box."""
+def reference_svg(polygon, cloud) -> str:
+    """One formatting call per value; viewport around the vertices' box,
+    base marker only for a base inside it."""
     cx, cy = float(polygon.base[0]), float(polygon.base[1])
     if len(polygon):
         centre = (polygon.vertices.min(axis=0) + polygon.vertices.max(axis=0)) / 2.0
@@ -40,16 +41,16 @@ def reference_svg(polygon, cloud=None) -> str:
         path = "M " + " L ".join(coords) + " Z"
         parts.append(f'<path d="{path}" fill="none" stroke="#1f6feb" '
                      f'stroke-width="{_fmt(stroke)}"/>')
-    if cloud is not None:
-        for x, y in np.asarray(cloud, dtype=float):
-            parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(-y)}" r="{_fmt(dot)}" '
-                         'fill="#d73a49"/>')
+    for x, y in np.asarray(cloud, dtype=float):
+        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(-y)}" r="{_fmt(dot)}" '
+                     'fill="#d73a49"/>')
     m = half / 40.0
-    parts.append(
-        f'<path d="M {_fmt(cx - m)} {_fmt(-cy)} L {_fmt(cx + m)} {_fmt(-cy)} '
-        f'M {_fmt(cx)} {_fmt(-cy - m)} L {_fmt(cx)} {_fmt(-cy + m)}" '
-        f'stroke="#24292f" stroke-width="{_fmt(stroke)}" fill="none"/>'
-    )
+    if abs(cx - vx) <= half and abs(cy - vy) <= half:
+        parts.append(
+            f'<path d="M {_fmt(cx - m)} {_fmt(-cy)} L {_fmt(cx + m)} {_fmt(-cy)} '
+            f'M {_fmt(cx)} {_fmt(-cy - m)} L {_fmt(cx)} {_fmt(-cy + m)}" '
+            f'stroke="#24292f" stroke-width="{_fmt(stroke)}" fill="none"/>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -84,17 +85,21 @@ def polygon(vertices, base=(0.0, 0.0)):
 
 SEGMENT = [[-0.0, 4e-7], [1.0, -5e-7]]
 TRIANGLE = [[4.0, 4.0], [5.0, 4.0], [4.0, 5.0]]
+# the 3-map square shifted by (4, -5), as solved around the origin
+SHIFTED_SQUARE = [[8.0, -10.0], [9.0, -10.0], [8.0, -9.0]]
 CLOUD = [[-4e-7, 4e-7], [0.0, -0.0], [5e-7, -5e-7], [1e12, -1e12]]
 
 
 class TestRenderSvg:
     @settings(max_examples=300, deadline=None)
     @given(vertices=point_arrays(8), base=st.tuples(coordinate, coordinate),
-           cloud=st.none() | point_arrays(40))
-    @example(vertices=np.empty((0, 2)), base=(0.0, 0.0), cloud=None)
+           cloud=point_arrays(40))
+    @example(vertices=np.empty((0, 2)), base=(0.0, 0.0), cloud=np.empty((0, 2)))
     @example(vertices=np.empty((0, 2)), base=(-0.0, 4e-7), cloud=np.empty((0, 2)))
     @example(vertices=np.array(SEGMENT), base=(-0.0, -0.0), cloud=np.array(CLOUD))
     @example(vertices=np.array(TRIANGLE), base=(0.0, 0.0), cloud=np.array(CLOUD[:1]))
+    @example(vertices=np.array(SHIFTED_SQUARE), base=(0.0, 0.0),
+             cloud=np.array([[8.25, -9.75]]))
     def test_same_bytes_as_per_value_writer(self, vertices, base, cloud):
         poly = polygon(vertices, base)
         assert fh.render_svg(poly, cloud) == reference_svg(poly, cloud)
@@ -111,6 +116,13 @@ class TestRenderSvg:
         assert f'viewBox="{4.5 - half:.6f} {-4.5 - half:.6f} {2 * half:.6f} {2 * half:.6f}"' in text
         assert f'r="{half / 240:.6f}"' in text
         assert '<circle cx="4.250000" cy="-4.250000"' in text
+        # the base (0, 0) lies outside the view, so no marker is written
+        assert text.count("<path") == 1
+
+    def test_marker_for_base_in_view(self):
+        text = fh.render_svg(polygon(TRIANGLE, (4.25, 4.25)), np.empty((0, 2)))
+        m = 1.1 * math.sqrt(0.5) / 40
+        assert f'<path d="M {4.25 - m:.6f} -4.250000 L {4.25 + m:.6f} -4.250000 ' in text
 
     @pytest.mark.parametrize("cloud", [
         np.zeros((4, 3)),

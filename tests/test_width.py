@@ -380,12 +380,10 @@ class TestRadiusAndContainment:
         r = fh.circumradius(square_width)
         assert r == pytest.approx(math.sqrt(2.0), abs=2 * square_width.slack + 1e-6)
 
-    def test_circumradius_rejects_outside_base(self):
-        grid = fh.DirectionGrid(64)
-        w = fh.make_width_samples(grid, (0, 0),
-                                  np.cos(grid.angles) - 0.5, 1e-9, 0.0)
-        with pytest.raises(fh.InvalidBaseError):
-            fh.circumradius(w)
+    def test_circumradius_outside_base(self):
+        # the unit disk seen from (3, 0): its farthest point (-1, 0) is 4 away
+        w = fh.rebase_width(disk_width(), (3.0, 0.0))
+        assert fh.circumradius(w) >= 4.0
 
     def test_contains_base_and_rejects_far(self, twindragon_width):
         w = twindragon_width
