@@ -1,7 +1,7 @@
 """Per-layer timings of the width solver, polygon extraction and artifacts.
 
-Times, as the best of five samples (each sample loops a call long enough
-to be measured, as ``timeit`` does):
+Times, as the best of three samples per round (each sample loops a call
+long enough to be measured, as ``timeit`` does):
 
 - ``plan_build_s``: building the operator plan for one (IFS, grid);
 - ``plan_apply_s``: one application of a built plan;
@@ -13,8 +13,10 @@ to be measured, as ``timeit`` does):
 
 The matrix is the twindragon (c = 0.707, grid-aligned rotation), |z| = 2
 at phi = 1 (c = 0.5, off-grid rotation), |z| = 1.05 and |z| = 1.01 at
-phi = 2 (c = 0.95 and 0.99, slow contraction) and one random 4-map affine
-system, each at grid sizes 1024, 4096 and 65536.  Two more rows time the
+phi = 2 (c = 0.95 and 0.99, slow contraction), one random 4-map affine
+system and one random 2-map similarity system (c = 0.96, a rotation and a
+reflection: the sweep-bound systems of perfbench's hull-slow), each at
+grid sizes 1024, 4096 and 65536.  Two more rows time the
 twindragon's ``fractalhull render`` layers at 5 000 and 20 000 points (the
 CLI default): ``chaos_game_sample_s``, the chaos-game cloud (seed 1), and
 ``render_svg_s``, the SVG of its exact polygon and that cloud.
@@ -22,9 +24,11 @@ CLI default): ``chaos_game_sample_s``, the chaos-game cloud (seed 1), and
 Each ``label=SRC`` pair names a ``fractalhull`` source tree and the
 column its figures go to; a version without an operator plan reports
 ``null`` for the plan layers.  Every row (one system and grid, or one
-point count) is timed for all trees back to back, each in a fresh
-subprocess, and the tree that runs first alternates from row to row, so a
-slow phase of the machine lands on both columns alike:
+point count) is timed in ``ROUNDS`` rounds per tree, each a fresh
+subprocess, alternating between the trees (A B B A A B ...), so a slow
+phase of the machine lands on both columns alike.  A column keeps each
+layer's minimum over its rounds, and ``spread`` holds ``max / min - 1`` of
+those rounds: a change/parent ratio inside the spreads is not resolved.
 
     python bench/layers.py parent=../parent/src change=src --out layers.json
 
@@ -50,7 +54,8 @@ import numpy as np
 GRIDS = (1024, 4096, 65536)
 POINTS = (5000, 20000)
 TOL = 1e-6
-REPEAT = 5
+REPEAT = 3
+ROUNDS = 4
 RANDOM_SEED = 0
 
 
@@ -64,6 +69,16 @@ def random_affine(fh):
     return fh.validate_ifs(maps)
 
 
+def random_similarity(fh):
+    rng = np.random.default_rng(RANDOM_SEED)
+    maps = []
+    for flip in (np.diag([1.0, -1.0]), np.eye(2)):
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+        maps.append((0.96 * rot @ flip, rng.uniform(-1.0, 1.0, 2)))
+    return fh.validate_ifs(maps)
+
+
 # (name, builder of the IFS from the package) pairs of the matrix
 SYSTEMS = (
     ("twindragon", lambda fh: fh.complex_base_ifs(1 + 1j, 2)),
@@ -74,6 +89,7 @@ SYSTEMS = (
     ("|z|=1.01 phi=2",
      lambda fh: fh.complex_base_ifs(1.01 * complex(math.cos(2.0), math.sin(2.0)), 2)),
     (f"random 4-map affine (seed {RANDOM_SEED})", random_affine),
+    (f"random 2-map similarity c=0.96 (seed {RANDOM_SEED})", random_similarity),
 )
 # one row per (system, grid), then one per render point count
 ROWS = [(s, n) for s in range(len(SYSTEMS)) for n in GRIDS] + [(None, k) for k in POINTS]
@@ -120,6 +136,19 @@ def measure_row(fh, width_mod, index: int) -> dict:
     return row
 
 
+def fold_rounds(rounds: list[dict]) -> dict:
+    """One row from its rounds: each timed layer's minimum, and in
+    ``spread`` its ``max / min - 1`` over the rounds."""
+    row = dict(rounds[0])
+    row["spread"] = {}
+    for key, value in rounds[0].items():
+        if key.endswith("_s") and value is not None:
+            times = [r[key] for r in rounds]
+            row[key] = min(times)
+            row["spread"][key] = max(times) / min(times) - 1.0
+    return row
+
+
 def tree(pair: str) -> tuple[str, str]:
     label, sep, src = pair.partition("=")
     if not (label and sep and src):
@@ -154,12 +183,18 @@ def main(argv=None) -> int:
 
     columns = {label: [] for label in labels}
     for index in range(len(ROWS)):
-        order = list(labels) if index % 2 == 0 else list(labels)[::-1]
-        for label in order:
-            proc = subprocess.run(
-                [sys.executable, __file__, "--row", str(index), f"{label}={labels[label]}"],
-                stdout=subprocess.PIPE, text=True, check=True)
-            row = json.loads(proc.stdout)
+        rounds = {label: [] for label in labels}
+        order = list(labels)
+        for _ in range(ROUNDS):
+            for label in order:
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--row", str(index),
+                     f"{label}={labels[label]}"],
+                    stdout=subprocess.PIPE, text=True, check=True)
+                rounds[label].append(json.loads(proc.stdout))
+            order.reverse()
+        for label in labels:
+            row = fold_rounds(rounds[label])
             columns[label].append(row)
             print(label, json.dumps(row), flush=True)
     doc = {
@@ -169,9 +204,10 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
-        "timing": (f"best of {REPEAT} autoranged samples per layer, seconds per "
-                   "call; each row timed for every tree back to back in fresh "
-                   "subprocesses, the first tree alternating by row"),
+        "timing": (f"seconds per call: the best of {ROUNDS} rounds, each the "
+                   f"best of {REPEAT} autoranged samples; each round a fresh "
+                   "subprocess, the trees alternating A B B A ...; spread is "
+                   "max / min - 1 over a tree's rounds"),
         "tol": TOL,
         "columns": columns,
     }

@@ -347,7 +347,10 @@ def isodiametric_gap(r: float, phi):
 
 def isodiametric_audit(r_count: int = 60, phi_count: int = 720):
     """Gap values over a log-spaced r grid in [1.05, 4] and a uniform phi
-    grid in [0, 2 pi).  Returns (r values, phi values, gap matrix)."""
+    grid in [0, 2 pi).  Returns (r values, phi values, gap matrix).  Both
+    counts must be at least 1."""
+    if r_count < 1 or phi_count < 1:
+        raise ValidationError("audit grid counts must be at least 1")
     rs = np.geomspace(1.05, 4.0, r_count)
     phis = np.arange(phi_count) * (2.0 * math.pi / phi_count)
     gaps = np.empty((r_count, phi_count))

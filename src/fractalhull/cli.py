@@ -183,18 +183,22 @@ def _cmd_exact(args) -> int:
         raise ValidationError("exact analytics need a complex_base input")
     sys_ = complex_base_system(*doc.complex_base)
     tol = min(_check_tol(args.tol), 1e-9)  # closed forms are cheap; keep displays exact
+    try:
+        angles = [float(tok) for tok in args.angles.split(",")] if args.angles else []
+    except ValueError:
+        raise ValidationError("--angles must be comma-separated numbers") from None
+    if not all(math.isfinite(ang) for ang in angles):
+        raise ValidationError("--angles must be finite")
     center = symmetry_center(sys_)
     lines = [f"center = ({center[0]:.6f}, {center[1]:.6f}) (exact)"]
     lines.append(f"perimeter = {hull_perimeter(sys_):.6f} (exact)")
     lines.append(f"area = {hull_area(sys_, tol):.6f} +- {tol:.3g}")
-    if args.angles:
-        for tok in args.angles.split(","):
-            ang = float(tok)
-            if sys_.rational_angle is not None:
-                val, err = rational_width(sys_, ang), 0.0
-            else:
-                val, err = centered_width(sys_, ang, tol), tol
-            lines.append(f"width({ang:.6f}) = {val:.9f} +- {err:.3g}")
+    for ang in angles:
+        if sys_.rational_angle is not None:
+            val, err = rational_width(sys_, ang), 0.0
+        else:
+            val, err = centered_width(sys_, ang, tol), tol
+        lines.append(f"width({ang:.6f}) = {val:.9f} +- {err:.3g}")
     if sys_.rational_angle is not None:
         lines.append("triangles (j, angle, a, b, c):")
         for t in exact_polygon(sys_)[1]:

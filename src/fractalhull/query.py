@@ -19,6 +19,11 @@ they differ only in the rule that stops it with a true answer:
 The base point is the centroid of the maps' fixed points, which lies in
 the hull, so point and segment attractors are walked like any other.
 
+Both predicates take a finite 2-vector x (else :class:`ValidationError`).
+The walk recurses once per level, so one that goes deeper than Python's
+recursion limit (large k, or a tiny l with c near 1) raises
+:class:`FractalHullError` naming the level it reached.
+
 Singular maps cannot be inverted and are skipped, as the recursion demands;
 results then carry ``complete=False`` to flag that a false answer may be
 spurious.
@@ -27,11 +32,12 @@ spurious.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FractalHullError, ValidationError
 from .ifs import IFS, map_fixed_point
 from .width import WidthSamples, circumradius, rebase_width
 
@@ -131,6 +137,11 @@ def _walk(ctx: QueryContext, x, budget: float, levels: float) -> QueryResult:
     with true once ``depth >= levels`` or ``budget >= C0``; each level
     divides the budget by the map's contraction factor."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise ValidationError("query point must be a finite 2-vector")
+    px, py = float(x[0]), float(x[1])
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise ValidationError("query point must be a finite 2-vector")
     coeff = ctx._coeff
     c0 = ctx.c0_bound
     max_depth = 0
@@ -150,7 +161,12 @@ def _walk(ctx: QueryContext, x, budget: float, levels: float) -> QueryResult:
                 return True
         return False
 
-    hit = walk(float(x[0]), float(x[1]), budget, 0)
+    try:
+        hit = walk(px, py, budget, 0)
+    except RecursionError:
+        raise FractalHullError(
+            f"pull-back walk reached level {max_depth}, past the recursion "
+            f"limit ({sys.getrecursionlimit()})") from None
     return QueryResult(hit, ctx.complete, max_depth)
 
 
@@ -162,8 +178,8 @@ def near(ctx: QueryContext, x, k: int) -> QueryResult:
     tries maps in index order and short-circuits on the first success;
     levels beyond k are never visited.
     """
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
+    if not 0 <= k < math.inf:  # also rejects NaN, which int() cannot take
+        raise ValidationError("k must be nonnegative and finite")
     # a budget of -inf never reaches C0, even a C0 of zero
     return _walk(ctx, x, -math.inf, int(k))
 
@@ -178,6 +194,6 @@ def near1(ctx: QueryContext, x, l: float) -> QueryResult:
     bound.  Budgets grow by at least 1/c per level, so the depth never
     exceeds ``ceil(log(C0/l) / log(1/c)) + 1``.
     """
-    if l <= 0.0:
+    if not l > 0.0:  # also rejects NaN, whose budget never reaches C0
         raise ValidationError("distance threshold must be positive")
     return _walk(ctx, x, float(l), math.inf)

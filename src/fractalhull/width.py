@@ -21,7 +21,11 @@ in the operator (for each map and grid direction: the grid cell of
 ``dir(A_i^T d)`` with its two interpolation weights, ``|A_i^T d|`` and
 ``t_i^T d``) is an :class:`_OperatorPlan`, built once per (IFS, grid);
 ``solve_width`` reuses one plan for every sweep and ``selfsim_operator``
-builds one and applies it once.
+builds one and applies it once.  A similarity map (a rotation or reflection
+times a ratio) sends grid direction k to cell ``(o + k) % n`` or
+``(o - k) % n``, so the plan reads its cells as a strided slice of the
+periodically extended values; other maps gather them by index.  Both read
+the same elements in the same operation order, so the bits agree.
 
 When every map shares one linear part and it is a nonzero rotation-scaling
 (a complex multiplier ``1/z``, as in the complex-base systems), the maximum
@@ -144,10 +148,18 @@ def make_width_samples(grid: DirectionGrid, base, values,
 class _OperatorPlan:
     """The value-independent part of the self-similarity operator on a grid.
 
-    For each map and grid direction d it holds the image cell ``g0`` and
-    weights ``w0 = 1 - frac``, ``w1 = frac`` of ``dir(A^T d)``, the factor
-    ``|A^T d|`` and the shift ``t^T d``, so one application is two gathers,
-    a multiply-add and a running max, with no trigonometry.
+    For each map and grid direction d it holds the image cell of
+    ``dir(A^T d)``, its weights ``w0 = 1 - frac``, ``w1 = frac``, the factor
+    ``|A^T d|`` and the shift ``t^T d``, so one application is two reads, a
+    multiply-add and a running max, with no trigonometry.
+
+    The cells are an index into the values extended periodically (the
+    ``buf`` of :meth:`apply`).  For a similarity map (a rotation or
+    reflection times a ratio) the cell of direction ``k`` is ``(o + k) % n``
+    or ``(o - k) % n``, unless the rotation falls within rounding of a cell
+    boundary; such a map stores the cells as a slice of ``buf``, so its two
+    reads are strided views.  Any other map stores them as an integer array
+    and pays two gathers.  Both read the same elements, so the bits agree.
     """
 
     __slots__ = ("_maps",)
@@ -159,39 +171,41 @@ class _OperatorPlan:
             v = dirs @ m.a  # row g holds (A^T d_g)^T
             g0, frac = _grid_cell(grid.n, np.arctan2(v[:, 1], v[:, 0]))
             # norms == 0 makes the h-term vanish, leaving t^T d: the correct limit
-            self._maps.append((g0, 1.0 - frac, frac,
+            self._maps.append((_progression(g0), 1.0 - frac, frac,
                                np.hypot(v[:, 0], v[:, 1]), dirs @ m.t))
 
     def circulant_fixed_point(self) -> np.ndarray:
         """Fixed point of ``v = S v + b`` with ``b = max_i t_i^T d`` and ``S``
         the circulant whose every row is map 0's first row: the factor
-        ``s = |A^T d_0|``, weights ``w0, w1`` on cells ``k, k + 1``, ``k = g0``.
+        ``s = |A^T d_0|``, weights ``w0, w1`` on cells ``k, k + 1``, ``k`` the
+        image cell of ``d_0``.
 
         ``S`` has the eigenvalues ``s (w0 + w1 e^{2 pi i j/n}) e^{2 pi i j k/n}``
         on the Fourier modes, all of modulus at most ``s < 1``, so the fixed
         point is one real FFT, a division by ``1 - lambda`` and the inverse.
         """
-        g0, w0, w1, norms, _ = self._maps[0]
-        n = g0.shape[0]
-        b = self._maps[0][4]
+        cells, w0, w1, norms, b = self._maps[0]
+        n = w0.shape[0]
+        k = (cells.start if isinstance(cells, slice) else int(cells[0])) % n
         for *_, shift in self._maps[1:]:
             b = np.maximum(b, shift)
         modes = np.arange(n // 2 + 1)
         phase = 2j * math.pi / n
         # reduce j * k mod n in integers so the phase stays exact for large n
         lam = (norms[0] * (w0[0] + w1[0] * np.exp(phase * modes))
-               * np.exp(phase * (modes * int(g0[0]) % n)))
+               * np.exp(phase * (modes * k % n)))
         return np.fft.irfft(np.fft.rfft(b) / (1.0 - lam), n)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        ext = np.append(values, values[0])  # ext[g0 + 1] is values[(g0 + 1) % n]
-        nxt = ext[1:]
+        # buf[j] is values[j % n] for j <= 2n, and nxt[j] is buf[j + 1]
+        buf = np.concatenate((values, values, values[:1]))
+        nxt = buf[1:]
         best = None
-        for g0, w0, w1, norms, shift in self._maps:
+        for cells, w0, w1, norms, shift in self._maps:
             # the operation order of norms * _interp_periodic(...) + shift,
             # so the bits match it
-            term = w0 * ext[g0]
-            term += w1 * nxt[g0]
+            term = w0 * buf[cells]
+            term += w1 * nxt[cells]
             term *= norms
             term += shift
             if best is None:
@@ -199,6 +213,32 @@ class _OperatorPlan:
             else:
                 np.maximum(best, term, out=best)
         return best
+
+
+def _progression(g0: np.ndarray):
+    """The image cells ``g0`` (in [0, n)) as an index into the doubled
+    buffer of :meth:`_OperatorPlan.apply`: a slice when
+    ``g0[k] = (o + k) % n`` or ``(o - k) % n`` for every k, else ``g0``.
+
+    A few probed cells reject other maps in O(1); a probe that passes is
+    confirmed on every cell: each step ``g0[k + 1] - g0[k]`` must be
+    ``step`` mod n, that is ``step`` or, where the cells wrap, ``step -
+    step * n``.
+    """
+    n = g0.shape[0]
+    o = int(g0[0])
+    step = (int(g0[1]) - o) % n
+    if step == n - 1:
+        step = -1
+    elif step != 1:
+        return g0
+    if any(int(g0[k]) != (o + step * k) % n for k in (n // 4, n // 3, n - 1)):
+        return g0
+    d = g0[1:] - g0[:-1]
+    if not ((d == step) | (d == step * (1 - n))).all():
+        return g0
+    # reflections read buf[n + o - k] for k = 0 .. n - 1
+    return slice(o, o + n) if step == 1 else slice(n + o, o, -1)
 
 
 def _shares_similarity(ifs: IFS) -> bool:

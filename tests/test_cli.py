@@ -110,6 +110,23 @@ KEPT_FLAGS = [
 ]
 
 
+# values that parse but that the command cannot use: each must print
+# ``error:`` and exit 1, with no traceback
+BAD_VALUES = [
+    "audit --phi-steps 0",
+    "audit --r-steps 0",
+    "audit --r-steps -3",
+    "exact --input {twindragon} --angles abc",
+    "exact --input {twindragon} --angles 1,,2",
+    "exact --input {twindragon} --angles nan",
+    "exact --input {twindragon} --angles 0,inf",
+    "query --input {twindragon} --grid 64 --point 0,0 --dist nan",
+    "query --input {twindragon} --grid 64 --point=nan,0 --k 1",
+    # 0 is in the attractor, so the walk goes past the recursion limit
+    "query --input {twindragon} --grid 64 --point 0,0 --k 100000",
+]
+
+
 def _kept_flag_id(case):
     tokens = case[0].split()
     return tokens[0] + tokens[tokens.index("{v}") - 1]
@@ -318,6 +335,12 @@ class TestErrors:
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", BAD_VALUES)
+    def test_bad_values_rejected(self, inputs, capsys, command):
+        argv = [t.format(**inputs) for t in command.split()]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("command,flag,value", DROPPED_FLAGS,
                              ids=[c + f for c, f, _ in DROPPED_FLAGS])

@@ -94,6 +94,11 @@ class TestNear:
         with pytest.raises(fh.ValidationError):
             fh.near(ctx, ctx.x0, -1)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_rejects_non_finite_depth(self, ctx, k):
+        with pytest.raises(fh.ValidationError, match="finite"):
+            fh.near(ctx, ctx.x0, k)
+
 
 class TestNear1:
     def test_big_budget_immediate(self, ctx):
@@ -143,6 +148,39 @@ class TestNear1:
     def test_rejects_nonpositive_threshold(self, ctx):
         with pytest.raises(fh.ValidationError):
             fh.near1(ctx, ctx.x0, 0.0)
+
+    def test_rejects_nan_threshold(self, ctx):
+        # NaN passed a `l <= 0` test, and its budget never reached C0
+        with pytest.raises(fh.ValidationError, match="positive"):
+            fh.near1(ctx, ctx.x0, math.nan)
+
+
+class TestQueryInputs:
+    @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, 0.0),
+                                   (0.0,), 0.0])
+    def test_point_must_be_finite_2_vector(self, ctx, x):
+        with pytest.raises(fh.ValidationError, match="finite 2-vector"):
+            fh.near(ctx, x, 1)
+        with pytest.raises(fh.ValidationError, match="finite 2-vector"):
+            fh.near1(ctx, x, 0.1)
+
+
+class TestDeepWalks:
+    def test_near_past_recursion_limit(self, ctx):
+        # 0 is the fixed point of the twindragon's first map: every level passes
+        with pytest.raises(fh.FractalHullError, match=r"reached level \d+"):
+            fh.near(ctx, (0.0, 0.0), 5000)
+
+    def test_large_k_rejected_at_depth_zero(self, ctx):
+        res = fh.near(ctx, (50.0, 50.0), 100_000)
+        assert not res.hit and res.depth == 0
+
+    def test_near1_past_recursion_limit(self):
+        # c = 1/1.01: the budget reaches C0 only after ~2300 levels
+        ifs = fh.complex_base_ifs(1.01 * complex(math.cos(2.0), math.sin(2.0)), 2)
+        c = fh.build_context(ifs, fh.solve_width(ifs, 1024, 1e-6))
+        with pytest.raises(fh.FractalHullError, match=r"reached level \d+"):
+            fh.near1(c, fh.map_fixed_point(ifs.maps[0]), 1e-10)
 
 
 @pytest.fixture(scope="module")

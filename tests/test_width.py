@@ -121,16 +121,34 @@ def reference_operator(ifs, grid, values):
     return best
 
 
+def rotation_scaling(ratio, angle):
+    return ratio * np.array([[math.cos(angle), -math.sin(angle)],
+                             [math.sin(angle), math.cos(angle)]])
+
+
 @st.composite
 def operator_maps(draw):
-    """1-4 planar maps: general, rank one (``|A^T d|`` vanishes on a line)
-    or the zero matrix (it vanishes everywhere)."""
+    """1-4 planar maps: general, rank one (``|A^T d|`` vanishes on a line),
+    the zero matrix (it vanishes everywhere), or similarities, whose image
+    cells are a progression the plan reads as a slice: a rotation, a
+    reflection, ``c I``, or a rotation by a multiple of pi/4, on the grid
+    whenever 8 divides n (the plan may then fall back to gathers)."""
     maps = []
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["general", "rank-one", "zero"]))
+        kind = draw(st.sampled_from(["general", "rank-one", "zero", "rotation",
+                                     "reflection", "grid-aligned", "scalar"]))
         c = draw(st.floats(0.05, 0.95))
         if kind == "zero":
             a = np.zeros((2, 2))
+        elif kind == "scalar":
+            a = c * np.eye(2)
+        elif kind in ("rotation", "grid-aligned"):
+            th = (draw(st.floats(0.0, TWO_PI)) if kind == "rotation"
+                  else TWO_PI * draw(st.integers(0, 7)) / 8)
+            a = rotation_scaling(c, th)
+        elif kind == "reflection":
+            th = draw(st.floats(0.0, TWO_PI))
+            a = c * np.array([[math.cos(th), math.sin(th)], [math.sin(th), -math.cos(th)]])
         elif kind == "rank-one":
             th, ph = draw(st.floats(0.0, TWO_PI)), draw(st.floats(0.0, TWO_PI))
             a = c * np.outer([math.cos(th), math.sin(th)], [math.cos(ph), math.sin(ph)])
@@ -154,6 +172,19 @@ class TestOperatorPlanProperties:
         got = fh.selfsim_operator(ifs, w).values
         assert np.array_equal(got, reference_operator(ifs, grid, values))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_similarity_maps_read_as_slices(self, seed):
+        # 2-4 random similarities with c near 0.96, the first a reflection:
+        # every map's image cells are a progression, so no map pays gathers
+        rng = np.random.default_rng(seed)
+        maps = []
+        for i in range(2 + seed % 3):
+            flip = np.diag([1.0, -1.0]) if i == 0 or rng.uniform() < 0.5 else np.eye(2)
+            a = rotation_scaling(rng.uniform(0.95, 0.97), rng.uniform(0.0, TWO_PI)) @ flip
+            maps.append((a, rng.uniform(-1.0, 1.0, 2)))
+        plan = fh.width._OperatorPlan(fh.validate_ifs(maps), fh.DirectionGrid(4096))
+        assert all(isinstance(cells, slice) for cells, *_ in plan._maps)
+
 
 def value_iteration(ifs, n, tol):
     """The sweep loop started from the constant ball bound R0, as the solver
@@ -174,11 +205,6 @@ def value_iteration(ifs, n, tol):
     iter_error = delta * c / (1.0 - c)
     r_bound = max(float(values.max()), 0.0) + iter_error
     return values, iter_error, r_bound * math.pi / n, iterations
-
-
-def rotation_scaling(ratio, angle):
-    return ratio * np.array([[math.cos(angle), -math.sin(angle)],
-                             [math.sin(angle), math.cos(angle)]])
 
 
 translations = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
