@@ -21,6 +21,8 @@ from .ifs import _readonly
 from .width import TWO_PI, WidthSamples, eval_width
 
 _KINK_BUFFER_CELLS = 2
+# points _dedup_cyclic tests one by one before it screens a run in blocks
+_DEDUP_SCAN = 32
 
 
 @dataclass(frozen=True)
@@ -128,19 +130,50 @@ def _node_derivatives(w: WidthSamples) -> np.ndarray:
 
 
 def _dedup_cyclic(points: np.ndarray, tol: float) -> np.ndarray:
-    """Drop each point within ``tol`` of the last kept one, cyclically."""
-    if points.shape[0] == 0:
+    """Drop each point within ``tol`` of the last kept one, cyclically.
+
+    Points are tested with ``math.hypot`` in windows of ``_DEDUP_SCAN``.
+    After a window that keeps no point, the run is likely long, and the
+    points that follow are screened in blocks of doubling size with one
+    ``np.hypot`` each.  The two hypots differ by at most an ulp, so a block
+    flags every point whose ``np.hypot`` exceeds ``tol - 4 ulp(tol)``: an
+    unflagged point has ``math.hypot <= tol`` and would not have been kept.
+    From the first flagged point on the windows resume and ``math.hypot``
+    decides, so the kept points are exactly those of a scan that tests
+    every point with ``math.hypot``.
+    """
+    n = points.shape[0]
+    if n == 0:
         return points
-    xs = points[:, 0].tolist()
-    ys = points[:, 1].tolist()
+    xs, ys = points[:, 0], points[:, 1]
+    # memoryviews read single floats without a full tolist()
+    xv, yv = memoryview(xs), memoryview(ys)
+    screen = tol - 4.0 * math.ulp(tol)
+
     keep = [0]
-    kx, ky = xs[0], ys[0]
-    for i in range(1, len(xs)):
-        x, y = xs[i], ys[i]
-        if math.hypot(x - kx, y - ky) > tol:
-            keep.append(i)
-            kx, ky = x, y
-    if len(keep) > 1 and math.hypot(xs[0] - kx, ys[0] - ky) <= tol:
+    kx, ky = xv[0], yv[0]
+    i = 1
+    while i < n:
+        stop = min(i + _DEDUP_SCAN, n)
+        kept = len(keep)
+        for j in range(i, stop):
+            if math.hypot(xv[j] - kx, yv[j] - ky) > tol:
+                keep.append(j)
+                kx, ky = xv[j], yv[j]
+        i = stop
+        if len(keep) > kept:
+            continue
+        # a window that kept nothing: screen what follows in blocks
+        block = _DEDUP_SCAN
+        while i < n:
+            hi = min(i + block, n)
+            far = np.hypot(xs[i:hi] - kx, ys[i:hi] - ky) > screen
+            j = int(far.argmax())  # the first flagged point, if any
+            if far[j]:
+                i += j
+                break
+            i, block = hi, 2 * block
+    if len(keep) > 1 and math.hypot(xv[0] - kx, yv[0] - ky) <= tol:
         keep.pop()
     return points[keep]
 
@@ -199,24 +232,25 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     perps = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
     all_support = w.base + w.values[:, None] * dirs + derivs[:, None] * perps
 
-    step = w.grid.step
-    pieces: list[np.ndarray] = [] if ks else [all_support]
-    for i, k in enumerate(ks):
-        u = np.array([math.cos(k.angle), math.sin(k.angle)])
-        uperp = np.array([-u[1], u[0]])
-        h = eval_width(w, k.angle)
-        p_minus = w.base + h * u + k.left * uperp
-        p_plus = w.base + h * u + k.right * uperp
-        pieces.append(p_minus[None, :])
-        pieces.append(p_plus[None, :])
-        nxt = ks[(i + 1) % len(ks)]
-        theta0 = k.angle
-        theta1 = nxt.angle if nxt.angle > k.angle else nxt.angle + TWO_PI
-        g0 = int(math.ceil(theta0 / step)) + _KINK_BUFFER_CELLS
-        g1 = int(math.floor(theta1 / step)) - _KINK_BUFFER_CELLS
-        if g1 >= g0:
-            idx = np.arange(g0, g1 + 1) % w.grid.n
-            pieces.append(all_support[idx])
+    if ks:
+        angles = np.array([k.angle for k in ks])
+        # math.cos and math.sin per kink: np.cos and np.sin may differ by an ulp
+        u = np.array([(math.cos(k.angle), math.sin(k.angle)) for k in ks])
+        uperp = np.column_stack((-u[:, 1], u[:, 0]))
+        mid = w.base + eval_width(w, angles)[:, None] * u
+        sides = np.array([(k.left, k.right) for k in ks])
+        # ends[i] holds kink i's edge endpoints p_minus, p_plus
+        ends = np.stack((mid + sides[:, :1] * uperp, mid + sides[:, 1:] * uperp), axis=1)
+        # each kink's gap runs to the next kink, 2 pi on for the last one
+        nxt = np.roll(angles, -1)
+        nxt[nxt <= angles] += TWO_PI
+        first = np.ceil(angles / w.grid.step).astype(np.intp) + _KINK_BUFFER_CELLS
+        last = np.floor(nxt / w.grid.step).astype(np.intp) - _KINK_BUFFER_CELLS
+        pieces = []
+        for i, (g0, g1) in enumerate(zip(first.tolist(), last.tolist())):
+            pieces += [ends[i], all_support.take(np.arange(g0, g1 + 1), axis=0, mode="wrap")]
+    else:
+        pieces = [all_support]
     candidates = _dedup_cyclic(np.concatenate(pieces, axis=0), merge_tol)
     verts = _monotone_chain(candidates, eps_cross)
     return HullPolygon(_readonly(verts), _readonly(np.array(w.base)),

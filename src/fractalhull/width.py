@@ -113,10 +113,23 @@ class WidthSamples:
 
 def _grid_cell(n: int, angles):
     """Cell of each angle on an n-point grid: left node ``g0`` in [0, n) and
-    the fraction ``frac`` of the way to node ``(g0 + 1) % n``."""
-    pos = np.mod(np.multiply(angles, n / TWO_PI), n)
+    the fraction ``frac`` of the way to node ``(g0 + 1) % n``.
+
+    The grid position ``x = angle * n / 2 pi`` is taken mod n.  When every
+    ``|x| < n`` (``arctan2``'s angles, in [-pi, pi], give about n / 2 at
+    most), ``fmod`` is exact, so ``np.mod(x, n)`` is ``x + n`` for ``x < 0``
+    and ``x`` otherwise (``0.0`` for ``-0.0``, which gives the same cell and
+    fraction): one masked add gives the same bits.  Either way ``x + n``
+    rounds to ``n`` for ``x`` just below 0, the cell of node 0.
+    """
+    pos = np.multiply(angles, n / TWO_PI)
+    if np.ndim(pos) and pos.size and -n < pos.min() and pos.max() < n:
+        np.add(pos, n, out=pos, where=pos < 0.0)
+    else:
+        pos = np.mod(pos, n)
     floor = np.floor(pos)
-    return floor.astype(np.intp) % n, pos - floor
+    g0 = floor.astype(np.intp)
+    return np.where(g0 == n, 0, g0), pos - floor
 
 
 def _interp_periodic(values: np.ndarray, angles):
@@ -317,7 +330,8 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
     top = float(np.max(np.abs(values)))
     while iterations < _ITERATION_CAP:
         new = plan.apply(values)
-        delta = float(np.max(np.abs(new - values)))
+        diff = new - values
+        delta = float(np.abs(diff, out=diff).max())
         values = new
         iterations += 1
         top += delta

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fractalhull as fh
 from conftest import disk_width
-from fractalhull.hull import _dedup_cyclic, _monotone_chain
+from fractalhull.hull import _dedup_cyclic, _monotone_chain, _node_derivatives
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -325,6 +325,103 @@ def lattice_walks(draw):
     return pts / 8.0
 
 
+def reference_dedup_hypot(points, tol):
+    """Cyclic de-duplication testing every point with ``math.hypot``, as
+    the oracle of the points ``_dedup_cyclic`` keeps."""
+    if points.shape[0] == 0:
+        return points
+    xs = points[:, 0].tolist()
+    ys = points[:, 1].tolist()
+    keep = [0]
+    kx, ky = xs[0], ys[0]
+    for i in range(1, len(xs)):
+        if math.hypot(xs[i] - kx, ys[i] - ky) > tol:
+            keep.append(i)
+            kx, ky = xs[i], ys[i]
+    if len(keep) > 1 and math.hypot(xs[0] - kx, ys[0] - ky) <= tol:
+        keep.pop()
+    return points[keep]
+
+
+def reference_extract(w):
+    """``extract_polygon`` with scalar arithmetic and one ``eval_width`` call
+    per kink, and the ``math.hypot`` scan, as the oracle of its bytes."""
+    ks = fh.detect_kinks(w)
+    r_est = max(float(w.values.max()), 0.0) + w.iter_error
+    merge_tol = max(1e-9 * r_est, 8.0 * (w.iter_error + w.interp_slack))
+    dirs = w.grid.directions
+    perps = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
+    support = w.base + w.values[:, None] * dirs + _node_derivatives(w)[:, None] * perps
+    pieces = [] if ks else [support]
+    for i, k in enumerate(ks):
+        u = np.array([math.cos(k.angle), math.sin(k.angle)])
+        uperp = np.array([-u[1], u[0]])
+        h = fh.eval_width(w, k.angle)
+        pieces += [(w.base + h * u + k.left * uperp)[None, :],
+                   (w.base + h * u + k.right * uperp)[None, :]]
+        nxt = ks[(i + 1) % len(ks)].angle
+        theta1 = nxt if nxt > k.angle else nxt + TWO_PI
+        g0 = math.ceil(k.angle / w.grid.step) + 2
+        g1 = math.floor(theta1 / w.grid.step) - 2
+        if g1 >= g0:
+            pieces.append(support[np.arange(g0, g1 + 1) % w.grid.n])
+    candidates = reference_dedup_hypot(np.concatenate(pieces), merge_tol)
+    return _monotone_chain(candidates, 1e-12 * max(r_est, 1.0) ** 2)
+
+
+def nudge(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place (down when negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x
+
+
+@st.composite
+def long_runs(draw):
+    """Hundreds of points on the lattice (2^-10 Z)^2, mostly in long runs
+    within the tolerance of the last kept point, and the tolerance.
+
+    Each step stays put, moves a little (at most a quarter of the radius L
+    per axis), moves exactly L along an axis, or jumps up to 4 L.  Lattice
+    differences are exact, so an axis step of L is at distance exactly L,
+    and the tolerance is L moved by -2 to 2 ulps: such points sit 0, 1 or 2
+    ulps from it, on either side.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(100, 1200))
+    radius = draw(st.integers(1, 64))
+    p_stay = draw(st.sampled_from([0.5, 0.9, 0.99]))
+    rest = (1.0 - p_stay) / 3.0
+    kind = rng.choice(4, size=size, p=[p_stay, rest, rest, rest])
+    steps = np.zeros((size, 2), dtype=np.int64)
+    small = kind == 1
+    steps[small] = rng.integers(-(radius // 4), radius // 4 + 1, (small.sum(), 2))
+    axis = np.flatnonzero(kind == 2)
+    steps[axis, rng.integers(0, 2, axis.size)] = radius * rng.choice([-1, 1], axis.size)
+    jump = kind == 3
+    steps[jump] = rng.integers(-4 * radius, 4 * radius + 1, (jump.sum(), 2))
+    points = steps.cumsum(axis=0) * 2.0**-10
+    tol = nudge(radius * 2.0**-10, draw(st.integers(-2, 2)))
+    return points, tol
+
+
+def hypot_disagreements(count, seed=0):
+    """``count`` offsets whose ``np.hypot`` is an ulp below ``math.hypot``
+    and ``count`` whose ``np.hypot`` is an ulp above it."""
+    rng = np.random.default_rng(seed)
+    below, above = [], []
+    while len(below) < count or len(above) < count:
+        d = rng.uniform(-1.0, 1.0, (4096, 2))
+        fast = np.hypot(d[:, 0], d[:, 1])
+        for (dx, dy), f in zip(d.tolist(), fast.tolist()):
+            exact = math.hypot(dx, dy)
+            if f < exact and len(below) < count:
+                below.append((dx, dy))
+            elif f > exact and len(above) < count:
+                above.append((dx, dy))
+    return below, above
+
+
 class TestExtractionHelpers:
     @settings(max_examples=200, deadline=None)
     @given(points=lattice_walks(), odd=st.integers(0, 5))
@@ -337,6 +434,56 @@ class TestExtractionHelpers:
         tol = (2 * odd + 1) / 16.0
         got = _dedup_cyclic(points, tol)
         assert np.array_equal(got, reference_dedup(points, tol))
+
+    @settings(max_examples=40, deadline=None)
+    @given(maps=planar_maps(), n=st.sampled_from([1024, 4096]))
+    @example(maps=SHIFTED_TRIANGLE, n=4096)
+    def test_extract_matches_per_kink_reference(self, maps, n):
+        w = fh.solve_width(fh.validate_ifs(maps), n, 1e-8)
+        assert fh.extract_polygon(w).vertices.tobytes() == reference_extract(w).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=long_runs())
+    def test_dedup_long_runs_match_hypot_scan(self, case):
+        points, tol = case
+        got = _dedup_cyclic(points, tol)
+        assert np.array_equal(got, reference_dedup_hypot(points, tol))
+
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    def test_dedup_point_ulps_from_tol(self, ulps):
+        # copies of the origin with one point at distance exactly tol moved
+        # by ``ulps`` ulps, at every index of the Python scan and of the
+        # first blocks: kept iff that distance exceeds tol
+        tol = 0.1
+        far = nudge(tol, ulps)
+        for at in range(1, 400):
+            points = np.zeros((400, 2))
+            points[at] = (0.0, far)
+            got = _dedup_cyclic(points, tol)
+            assert np.array_equal(got, reference_dedup_hypot(points, tol))
+            assert got.shape[0] == (2 if far > tol else 1)
+
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    def test_dedup_wraps_at_tol(self, ulps):
+        # the last kept point is dropped iff it lies within tol of the first
+        tol = 0.5
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, nudge(tol, ulps)]])
+        got = _dedup_cyclic(points, tol)
+        assert np.array_equal(got, reference_dedup_hypot(points, tol))
+        assert got.shape[0] == (3 if ulps > 0 else 2)
+
+    @pytest.mark.parametrize("at", [5, 60, 250])
+    def test_dedup_where_the_two_hypots_disagree(self, at):
+        # tol is the smaller of the two hypots of an offset: kept iff
+        # math.hypot is the larger, whichever side np.hypot rounds to
+        below, above = hypot_disagreements(4)
+        for (dx, dy), kept in [(d, True) for d in below] + [(d, False) for d in above]:
+            tol = min(math.hypot(dx, dy), float(np.hypot(dx, dy)))
+            points = np.zeros((300, 2))
+            points[at] = (dx, dy)
+            got = _dedup_cyclic(points, tol)
+            assert np.array_equal(got, reference_dedup_hypot(points, tol))
+            assert got.shape[0] == (2 if kept else 1)
 
     @settings(max_examples=200, deadline=None)
     @given(lattice=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),

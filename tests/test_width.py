@@ -102,6 +102,13 @@ class TestSelfsimOperator:
         assert np.all(lo <= hi + 1e-12)
 
 
+def reference_cell(n, angles):
+    """Grid cell and fraction of each angle by a float ``np.mod``, as an oracle."""
+    pos = np.mod(np.multiply(angles, n / TWO_PI), n)
+    floor = np.floor(pos)
+    return floor.astype(np.intp) % n, pos - floor
+
+
 def reference_operator(ifs, grid, values):
     """The per-map operator formula, trigonometry on every call, as an oracle."""
     n = grid.n
@@ -110,10 +117,7 @@ def reference_operator(ifs, grid, values):
     for m in ifs.maps:
         v = dirs @ m.a
         norms = np.hypot(v[:, 0], v[:, 1])
-        ang = np.arctan2(v[:, 1], v[:, 0])
-        pos = np.mod(np.multiply(ang, n / TWO_PI), n)
-        g0 = np.floor(pos).astype(int) % n
-        frac = pos - np.floor(pos)
+        g0, frac = reference_cell(n, np.arctan2(v[:, 1], v[:, 0]))
         g1 = (g0 + 1) % n
         interp = (1.0 - frac) * values[g0] + frac * values[g1]
         term = norms * interp + dirs @ m.t
@@ -184,6 +188,41 @@ class TestOperatorPlanProperties:
             maps.append((a, rng.uniform(-1.0, 1.0, 2)))
         plan = fh.width._OperatorPlan(fh.validate_ifs(maps), fh.DirectionGrid(4096))
         assert all(isinstance(cells, slice) for cells, *_ in plan._maps)
+
+    @pytest.mark.parametrize("n", [64, 4096, 16384])
+    def test_cells_match_mod_formula_bitwise(self, n):
+        # arctan2's outputs with its extremes +-pi, both zeros and a negative
+        # angle so small that its position + n rounds to n (node 0); then
+        # angles beyond one turn, and one scalar of each kind
+        tiny = -1e-300
+        assert np.mod(np.multiply(tiny, n / TWO_PI), n) == n
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=(n, 2))
+        batches = [
+            np.concatenate((np.arctan2(v[:, 1], v[:, 0]),
+                            [math.pi, -math.pi, 0.0, -0.0, tiny])),
+            np.concatenate((rng.uniform(-50.0, 50.0, n), [TWO_PI, -TWO_PI, 3 * math.pi])),
+            tiny, -0.0, 7.5, -7.5,
+        ]
+        for angles in batches:
+            got = fh.width._grid_cell(n, angles)
+            for a, b in zip(got, reference_cell(n, angles)):
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [64, 4096, 16384])
+    def test_plan_cells_and_weights_match_mod_formula(self, n):
+        # one anisotropic map (gathers) and one rotation-scaling (a slice)
+        grid = fh.DirectionGrid(n)
+        ifs = fh.validate_ifs([(np.array([[0.5, 0.2], [-0.1, 0.3]]), (1.0, 0.0)),
+                               (rotation_scaling(0.5, 1.0), (0.0, 1.0))])
+        plan = fh.width._OperatorPlan(ifs, grid)
+        for m, (cells, w0, w1, _, _) in zip(ifs.maps, plan._maps):
+            v = grid.directions @ m.a
+            g0, frac = reference_cell(n, np.arctan2(v[:, 1], v[:, 0]))
+            assert np.array_equal(np.arange(2 * n + 1)[cells] % n, g0)
+            assert w0.tobytes() == (1.0 - frac).tobytes()
+            assert w1.tobytes() == frac.tobytes()
 
 
 def value_iteration(ifs, n, tol):
