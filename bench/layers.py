@@ -19,7 +19,13 @@ reflection: the sweep-bound systems of perfbench's hull-slow), each at
 grid sizes 1024, 4096 and 65536.  Two more rows time the
 twindragon's ``fractalhull render`` layers at 5 000 and 20 000 points (the
 CLI default): ``chaos_game_sample_s``, the chaos-game cloud (seed 1), and
-``render_svg_s``, the SVG of its exact polygon and that cloud.
+``render_svg_s``, the SVG of its exact polygon and that cloud.  The last
+two time the query layers of the twindragon and of one random 3-map affine
+system at grid 4096: ``build_context_s``, and ``near1_s`` and ``near_s``,
+the mean time of one call over a fixed mix of 256 probes drawn as
+perfbench's ``query`` workload draws them (half near images of fixed
+points under words of 1-8 maps, half anywhere in the disk of 1.2 R around
+x0; ``l`` cycling through 0.1, 0.01 and 0.001 R, ``k`` through 4 and 12).
 
 Each ``label=SRC`` pair names a ``fractalhull`` source tree and the
 column its figures go to; a version without an operator plan reports
@@ -53,16 +59,18 @@ import numpy as np
 
 GRIDS = (1024, 4096, 65536)
 POINTS = (5000, 20000)
+QUERY_GRID = 4096
+QUERY_PROBES = 256
 TOL = 1e-6
 REPEAT = 3
 ROUNDS = 4
 RANDOM_SEED = 0
 
 
-def random_affine(fh):
+def random_affine(fh, count=4):
     rng = np.random.default_rng(RANDOM_SEED)
     maps = []
-    for _ in range(4):
+    for _ in range(count):
         a = rng.normal(size=(2, 2))
         a *= rng.uniform(0.4, 0.8) / fh.operator_norm(a)
         maps.append((a, rng.uniform(-1.0, 1.0, 2)))
@@ -91,8 +99,14 @@ SYSTEMS = (
     (f"random 4-map affine (seed {RANDOM_SEED})", random_affine),
     (f"random 2-map similarity c=0.96 (seed {RANDOM_SEED})", random_similarity),
 )
-# one row per (system, grid), then one per render point count
-ROWS = [(s, n) for s in range(len(SYSTEMS)) for n in GRIDS] + [(None, k) for k in POINTS]
+QUERY_SYSTEMS = (
+    SYSTEMS[0],
+    (f"random 3-map affine (seed {RANDOM_SEED})", lambda fh: random_affine(fh, 3)),
+)
+# one row per (system, grid), one per render point count, one per query system
+ROWS = ([("solve", s, n) for s in range(len(SYSTEMS)) for n in GRIDS]
+        + [("render", None, k) for k in POINTS]
+        + [("query", q, QUERY_GRID) for q in range(len(QUERY_SYSTEMS))])
 
 
 def best_time(fn) -> float:
@@ -101,10 +115,56 @@ def best_time(fn) -> float:
     return min(timer.repeat(REPEAT, number)) / number
 
 
+def query_probes(fh, ifs, ctx) -> list:
+    """``(x, l, k)`` per probe: the perfbench ``query`` mix, drawn from
+    ``RANDOM_SEED`` so that every tree gets the same probes."""
+    rng = np.random.default_rng(RANDOM_SEED)
+    fixed = [fh.map_fixed_point(m) for m in ifs.maps]
+    probes = []
+    for j in range(QUERY_PROBES):
+        if j % 2 == 0:
+            x = fixed[rng.integers(len(fixed))]
+            for _ in range(rng.integers(1, 9)):
+                x = ifs.maps[rng.integers(len(ifs))](x)
+            rad = 0.2
+        else:
+            x, rad = ctx.x0, 1.2
+        rad *= ctx.radius * math.sqrt(rng.uniform())
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        x = (float(x[0] + rad * math.cos(ang)), float(x[1] + rad * math.sin(ang)))
+        probes.append((x, (0.1, 0.01, 0.001)[j % 3] * ctx.radius, (4, 12)[j // 8 % 2]))
+    return probes
+
+
+def measure_query_row(fh, q: int, n: int) -> dict:
+    name, build = QUERY_SYSTEMS[q]
+    ifs = build(fh)
+    w = fh.solve_width(ifs, n, TOL)
+    ctx = fh.build_context(ifs, w)
+    probes = query_probes(fh, ifs, ctx)
+    near, near1 = fh.near, fh.near1
+
+    def run_near1():
+        for x, l, _ in probes:
+            near1(ctx, x, l)
+
+    def run_near():
+        for x, _, k in probes:
+            near(ctx, x, k)
+
+    return {"system": name, "grid": n, "c": ifs.c, "maps": len(ifs),
+            "probes": len(probes),
+            "build_context_s": best_time(lambda: fh.build_context(ifs, w)),
+            "near1_s": best_time(run_near1) / len(probes),
+            "near_s": best_time(run_near) / len(probes)}
+
+
 def measure_row(fh, width_mod, index: int) -> dict:
     """Time the layers of row ``index`` of ``ROWS`` in this process."""
-    s, n = ROWS[index]
-    if s is None:
+    kind, s, n = ROWS[index]
+    if kind == "query":
+        return measure_query_row(fh, s, n)
+    if kind == "render":
         ifs = fh.complex_base_ifs(1 + 1j, 2)
         poly, _ = fh.exact_polygon(fh.complex_base_system(1 + 1j, 2))
         cloud = fh.chaos_game_sample(ifs, n, 1).points

@@ -19,7 +19,17 @@ they differ only in the rule that stops it with a true answer:
 The base point is the centroid of the maps' fixed points, which lies in
 the hull, so point and segment attractors are walked like any other.
 
-Both predicates take a finite 2-vector x (else :class:`ValidationError`).
+Most quick tests need no angle.  Every threshold ``h(angle) + slack`` the
+test interpolates from values in [lo, hi] lies, as computed in floating
+point, between ``r_in = (lo + slack)(1 - 8 eps)`` (``slack`` when lo < 0)
+and ``r_out = (max(hi, 0) + slack)(1 + 8 eps)``, eps the float64 machine
+epsilon: its five roundings move it by about 2 eps relative.  So a point
+within r_in of the base passes and one beyond r_out fails exactly as the
+full test would decide, and only points between the two circles pay for
+``atan2`` and the interpolation; every answer is the full test's.
+
+Both predicates take a finite 2-vector x (else :class:`ValidationError`,
+also for strings, complex numbers and other non-numbers).
 The walk recurses once per level, so one that goes deeper than Python's
 recursion limit (large k, or a tiny l with c near 1) raises
 :class:`FractalHullError` naming the level it reached.
@@ -39,9 +49,13 @@ import numpy as np
 
 from .errors import FractalHullError, ValidationError
 from .ifs import IFS, map_fixed_point
-from .width import WidthSamples, circumradius, rebase_width
+from .width import TWO_PI, WidthSamples, circumradius, rebase_width
 
 _SINGULAR_RTOL = 1e-12
+_EPS = sys.float_info.epsilon
+# eight of the smallest subnormal: the absolute rounding of an interpolant
+# whose terms underflow, which no relative margin covers
+_TINY = 8.0 * math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -57,9 +71,13 @@ class QueryContext:
     complete: bool       # False when singular maps had to be skipped
     slack: float         # width uncertainty granted on the permissive side
 
-    # flat copies for the recursion hot path
+    # flat copies for the recursion hot path: x0, the values with their
+    # first two repeated at the end (so a cell never wraps), the inverse
+    # maps, and the annulus (r_in, r_out) that settles most quick tests
+    _xy: tuple[float, float] = (0.0, 0.0)
     _values: tuple[float, ...] = ()
     _coeff: tuple[tuple[float, ...], ...] = ()
+    _annulus: tuple[float, float] = (0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -109,49 +127,80 @@ def build_context(ifs: IFS, w: WidthSamples, c0_mode: str = "paper") -> QueryCon
             float(inv[0, 0]), float(inv[0, 1]), float(inv[1, 0]), float(inv[1, 1]),
             float(m.t[0]), float(m.t[1]), float(m.c),
         ))
+    slack = w0.iter_error + w0.interp_slack
+    values = w0.values.tolist()
+    values += values[:2]
     return QueryContext(
         ifs=ifs, width=w0, x0=x0, radius=radius, c0_bound=c0, c0_mode=c0_mode,
         complete=len(coeff) == len(ifs.maps),
-        slack=w0.iter_error + w0.interp_slack,
-        _values=tuple(w0.values.tolist()),
+        slack=slack,
+        _xy=(float(x0[0]), float(x0[1])),
+        _values=tuple(values),
         _coeff=tuple(coeff),
+        _annulus=_annulus(float(w0.values.min()), float(w0.values.max()), slack),
     )
 
 
-def _quick_inside(ctx: QueryContext, x: float, y: float) -> bool:
-    dx = x - float(ctx.x0[0])
-    dy = y - float(ctx.x0[1])
-    dist = math.hypot(dx, dy)
-    if dist <= ctx.slack:
-        return True
-    n = len(ctx._values)
-    pos = (math.atan2(dy, dx) % (2.0 * math.pi)) * n / (2.0 * math.pi)
-    g0 = int(pos) % n
-    frac = pos - int(pos)
-    h = (1.0 - frac) * ctx._values[g0] + frac * ctx._values[(g0 + 1) % n]
-    return dist <= h + ctx.slack
+def _annulus(lo: float, hi: float, slack: float) -> tuple[float, float]:
+    """Radii ``(r_in, r_out)`` around x0 inside which the quick test passes
+    and beyond which it fails, whatever the direction.
+
+    A computed threshold ``(1 - f) v0 + f v1 + slack``, v0 and v1 in
+    [lo, hi], takes five roundings of at most half an eps each (the weight
+    ``1 - f``, two products, two sums), and its two weights sum to within
+    half an eps of 1.  So it is at least ``(lo + slack)(1 - 2 eps)`` when
+    lo >= 0, and at most ``(max(hi, 0) + slack)(1 + 2 eps)`` (to first
+    order) for any lo.  The radii, rounded themselves, stay more than
+    5 eps beyond those bounds, so ``dist <= r_in`` passes and
+    ``dist > r_out`` fails exactly where the full test does.  ``_TINY``
+    covers subnormal values, whose roundings are absolute, not relative.
+    """
+    r_in = slack
+    if lo >= 0.0:
+        r_in = max((lo + slack) * (1.0 - 8.0 * _EPS) - _TINY, slack)
+    return r_in, (max(hi, 0.0) + slack) * (1.0 + 8.0 * _EPS) + _TINY
 
 
 def _walk(ctx: QueryContext, x, budget: float, levels: float) -> QueryResult:
     """Depth-first pull-back walk: a point passing the quick test ends it
     with true once ``depth >= levels`` or ``budget >= C0``; each level
     divides the budget by the map's contraction factor."""
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("query point must be a finite 2-vector") from None
     if x.shape != (2,):
         raise ValidationError("query point must be a finite 2-vector")
-    px, py = float(x[0]), float(x[1])
+    px, py = x.tolist()
     if not (math.isfinite(px) and math.isfinite(py)):
         raise ValidationError("query point must be a finite 2-vector")
+    x0, y0 = ctx._xy
+    r_in, r_out = ctx._annulus
+    slack = ctx.slack
+    values = ctx._values
+    n = len(values) - 2
     coeff = ctx._coeff
     c0 = ctx.c0_bound
+    hypot, atan2 = math.hypot, math.atan2
     max_depth = 0
 
     def walk(px: float, py: float, budget: float, depth: int) -> bool:
         nonlocal max_depth
         if depth > max_depth:
             max_depth = depth
-        if not _quick_inside(ctx, px, py):
-            return False
+        dx = px - x0
+        dy = py - y0
+        dist = hypot(dx, dy)
+        # the quick test; inside r_in it passes, beyond r_out it fails, and
+        # NaN falls through to the interpolated test as any other distance
+        if not dist <= r_in:
+            if dist > r_out:
+                return False
+            pos = (atan2(dy, dx) % TWO_PI) * n / TWO_PI
+            g0 = int(pos)  # n when pos rounds up to n: values wraps there
+            frac = pos - g0
+            if not dist <= (1.0 - frac) * values[g0] + frac * values[g0 + 1] + slack:
+                return False
         if depth >= levels or budget >= c0:
             return True
         for i11, i12, i21, i22, tx, ty, ci in coeff:
@@ -174,12 +223,13 @@ def near(ctx: QueryContext, x, k: int) -> QueryResult:
     """Does x survive k pull-back levels of the quick test?
 
     A true answer means x lies in the k-fold image of the quick-test set
-    (within slack), hence within ``C0 * c^k`` of the attractor.  The walk
+    (within slack), hence within ``C0 * c^k`` of the attractor.  ``k`` is
+    a nonnegative integer (an integral float counts); the walk
     tries maps in index order and short-circuits on the first success;
     levels beyond k are never visited.
     """
-    if not 0 <= k < math.inf:  # also rejects NaN, which int() cannot take
-        raise ValidationError("k must be nonnegative and finite")
+    if not 0 <= k < math.inf or k != int(k):  # the first also rejects NaN
+        raise ValidationError("k must be a nonnegative finite integer")
     # a budget of -inf never reaches C0, even a C0 of zero
     return _walk(ctx, x, -math.inf, int(k))
 

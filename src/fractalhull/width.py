@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +85,12 @@ class DirectionGrid:
 
     def __repr__(self) -> str:
         return f"DirectionGrid(n={self.n})"
+
+
+@lru_cache(maxsize=4)
+def _shared_grid(n: int) -> DirectionGrid:
+    """One read-only grid per size, shared by every solve of that size."""
+    return DirectionGrid(n)
 
 
 @dataclass(frozen=True)
@@ -310,12 +317,13 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
     constant ``R0 = max_i |t_i| / (1 - c)``, the width of a ball certain to
     contain the attractor.  Either way the sweeps and their stopping rule
     alone certify the result.  The operator plan is built once per solve
-    and reused by every sweep.
+    and reused by every sweep; solves of one grid size share one
+    read-only :class:`DirectionGrid`.
     """
     if ifs.dim != 2:
         raise ValidationError("the width solver is two-dimensional only")
     _check_tol(tol)
-    grid = DirectionGrid(n_grid)
+    grid = _shared_grid(int(n_grid))
     plan = _OperatorPlan(ifs, grid)
     c = ifs.c
     if _shares_similarity(ifs):

@@ -99,6 +99,16 @@ class TestNear:
         with pytest.raises(fh.ValidationError, match="finite"):
             fh.near(ctx, ctx.x0, k)
 
+    @pytest.mark.parametrize("k", [2.5, 0.5, 1e-9])
+    def test_rejects_fractional_depth(self, ctx, k):
+        # int() would silently run 2 of 2.5 levels
+        with pytest.raises(fh.ValidationError, match="integer"):
+            fh.near(ctx, ctx.x0, k)
+
+    def test_integral_depth_of_any_type(self, ctx):
+        for k in (3, 3.0, np.int64(3)):
+            assert fh.near(ctx, ctx.x0, k) == fh.near(ctx, ctx.x0, 3)
+
 
 class TestNear1:
     def test_big_budget_immediate(self, ctx):
@@ -157,7 +167,9 @@ class TestNear1:
 
 class TestQueryInputs:
     @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, 0.0),
-                                   (0.0,), 0.0])
+                                   (0.0,), 0.0, "ab", "12", b"ab", [1 + 1j, 0.0],
+                                   {"x": 0.0, "y": 0.0}, {1.0, 2.0}, [[1.0, 2.0], [3.0]],
+                                   None])
     def test_point_must_be_finite_2_vector(self, ctx, x):
         with pytest.raises(fh.ValidationError, match="finite 2-vector"):
             fh.near(ctx, x, 1)
@@ -266,3 +278,169 @@ class TestWalkProperties:
             assert fh.near1(ctx, x, grow * level).hit
         for res in (deeper, shallow, fh.near1(ctx, x, level)):
             assert res.complete == invertible
+
+
+def reference_quick_inside(ctx, values, x, y):
+    """The quick test as the walk ran it before the annulus shortcut."""
+    dx = x - float(ctx.x0[0])
+    dy = y - float(ctx.x0[1])
+    dist = math.hypot(dx, dy)
+    if dist <= ctx.slack:
+        return True
+    n = len(values)
+    pos = (math.atan2(dy, dx) % (2.0 * math.pi)) * n / (2.0 * math.pi)
+    g0 = int(pos) % n
+    frac = pos - int(pos)
+    h = (1.0 - frac) * values[g0] + frac * values[(g0 + 1) % n]
+    return dist <= h + ctx.slack
+
+
+def reference_walk(ctx, x, budget, levels):
+    """``(hit, complete, depth)`` of the pull-back walk, one full quick test
+    per node, as ``near`` (budget -inf, levels k) and ``near1`` (budget l,
+    levels inf) ran it before the annulus shortcut."""
+    values = ctx.width.values.tolist()
+    max_depth = 0
+
+    def walk(px, py, budget, depth):
+        nonlocal max_depth
+        max_depth = max(max_depth, depth)
+        if not reference_quick_inside(ctx, values, px, py):
+            return False
+        if depth >= levels or budget >= ctx.c0_bound:
+            return True
+        for i11, i12, i21, i22, tx, ty, ci in ctx._coeff:
+            qx, qy = px - tx, py - ty
+            if walk(i11 * qx + i12 * qy, i21 * qx + i22 * qy, budget / ci, depth + 1):
+                return True
+        return False
+
+    hit = walk(float(x[0]), float(x[1]), budget, 0)
+    return hit, ctx.complete, max_depth
+
+
+def answer(res):
+    return res.hit, res.complete, res.depth
+
+
+@st.composite
+def walk_systems(draw):
+    """2-4 planar maps with c <= 0.9: a general system (a quarter of its
+    maps rank one), a point attractor (every map fixes one point) or a
+    segment (ratios times the identity, fixed points on one line)."""
+    kind = draw(st.sampled_from(["general", "point", "segment"]))
+    if kind == "general":
+        ifs, _ = draw(planar_systems().filter(lambda s: len(s[0]) >= 2))
+        return ifs
+    p = np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))])
+    th = draw(st.floats(0.0, 2 * math.pi))
+    u = np.array([math.cos(th), math.sin(th)])
+    maps = []
+    for _ in range(draw(st.integers(2, 4))):
+        r = draw(st.floats(0.1, 0.9))
+        if kind == "point":
+            ph = draw(st.floats(0.0, 2 * math.pi))
+            a = r * np.array([[math.cos(ph), -math.sin(ph)], [math.sin(ph), math.cos(ph)]])
+            maps.append((a, (np.eye(2) - a) @ p))
+        else:
+            q = p + draw(st.floats(-1.0, 1.0)) * u
+            maps.append((r * np.eye(2), (1.0 - r) * q))
+    return fh.validate_ifs(maps)
+
+
+class TestWalkMatchesReference:
+    """The annulus shortcut and the inlined test give the answers of the
+    full interpolated test at every node, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ifs=walk_systems(),
+           offsets=st.lists(st.tuples(st.floats(-1.3, 1.3), st.floats(-1.3, 1.3)),
+                            min_size=4, max_size=8),
+           words=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6),
+                          min_size=2, max_size=4),
+           k=st.integers(0, 5),
+           frac=st.floats(0.01, 1.0))
+    def test_near_and_near1_match_reference(self, ifs, offsets, words, k, frac):
+        w = fh.solve_width(ifs, 256, 1e-8)
+        ctx = fh.build_context(ifs, w)
+        points = [ctx.x0 + max(ctx.radius, 1e-3) * np.asarray(o) for o in offsets]
+        for word in words:  # images of a fixed point under a word lie in K
+            x = fh.map_fixed_point(ifs.maps[word[0] % len(ifs)])
+            for i in word[1:]:
+                x = ifs.maps[i % len(ifs)](x)
+            points.append(x)
+        level = frac * max(ctx.c0_bound, 1e-6)  # C0 is 0 for a point attractor
+        for x in points:
+            assert answer(fh.near(ctx, x, k)) == reference_walk(ctx, x, -math.inf, k)
+            assert answer(fh.near1(ctx, x, level)) == reference_walk(
+                ctx, x, level, math.inf)
+
+
+def flat_context(values, slack=0.0):
+    """A context over synthetic widths around x0 = 0.  Between two equal
+    values 0.9 (or 1.3, 1.7) the interpolant rounds below them for about
+    one fraction in eight (one in forty) and above for as many, so an
+    annulus edge without its margin decides some points wrongly."""
+    ifs = fh.validate_ifs([(0.5 * np.eye(2), (0.5, 0.0)), (0.5 * np.eye(2), (-0.5, 0.0))])
+    grid = fh.DirectionGrid(len(values))
+    w = fh.make_width_samples(grid, (0.0, 0.0), values, 0.0, slack)
+    ctx = fh.build_context(ifs, w)
+    assert ctx.x0.tolist() == [0.0, 0.0]
+    assert ctx.width.values.tolist() == list(values)
+    return ctx
+
+
+def annulus_contexts():
+    steps = np.where(np.arange(256) < 128, 0.9, 1.7)
+    yield "constant 0.9", flat_context(np.full(64, 0.9))
+    yield "constant 1.3", flat_context(np.full(128, 1.3))
+    yield "steps 0.9/1.7", flat_context(steps)
+    yield "steps with slack", flat_context(steps, slack=2.0**-40)
+    # subnormal widths, whose products round by absolute steps
+    yield "subnormal", flat_context(np.full(64, 3 * math.ulp(0.0)))
+    twindragon = fh.complex_base_ifs(1 + 1j, 2)
+    yield "twindragon", fh.build_context(twindragon, fh.solve_width(twindragon, 1024, 1e-8))
+    segment = fh.validate_ifs([(0.4 * np.eye(2), (0.6, 0.6)), (0.4 * np.eye(2), (0.0, 0.0))])
+    yield "segment", fh.build_context(segment, fh.solve_width(segment, 256, 1e-10))
+
+
+def ulps_around(r, count):
+    """r and the ``count`` floats on either side of it."""
+    out = [r]
+    for step in (-math.inf, math.inf):
+        d = r
+        for _ in range(count):
+            d = math.nextafter(d, step)
+            out.append(d)
+    return out
+
+
+# directions where the grid position rounds to n, or lands just below it
+WRAP_ANGLES = (-1e-300, -1e-17, -1e-12, 2 * math.pi - 1e-9)
+
+
+@pytest.mark.parametrize("name, ctx", list(annulus_contexts()),
+                         ids=[name for name, _ in annulus_contexts()])
+def test_quick_test_edges_decide_as_full_test(name, ctx):
+    """Points at r_in, r_out and the interpolated threshold and 1-3 ulps
+    either side, in 2048 directions and at the wrap of the grid: the quick
+    test (near at k = 0) gives the full test's decision."""
+    values = ctx.width.values.tolist()
+    n = len(values)
+    x0, y0 = ctx.x0.tolist()
+    angles = np.concatenate([np.linspace(0.0, 2 * math.pi, 2048, endpoint=False),
+                             WRAP_ANGLES])
+    reached = set()
+    for th in angles.tolist():
+        c, s = math.cos(th), math.sin(th)
+        pos = (th % (2 * math.pi)) * n / (2 * math.pi)
+        g0, frac = int(pos) % n, pos - int(pos)
+        h = (1.0 - frac) * values[g0] + frac * values[(g0 + 1) % n] + ctx.slack
+        for r in (*ctx._annulus, h):
+            for d in ulps_around(r, 3):
+                x, y = x0 + d * c, y0 + d * s
+                reached.add(math.hypot(x - x0, y - y0))
+                assert fh.near(ctx, (x, y), 0).hit == reference_quick_inside(
+                    ctx, values, x, y)
+    for r in ctx._annulus:
+        assert {d for d in ulps_around(r, 1) if d >= 0.0} <= reached

@@ -389,6 +389,18 @@ class TestSolveWidth:
         with pytest.raises(fh.ValidationError, match="positive finite"):
             fh.solve_width(twindragon_ifs, 64, tol)
 
+    def test_solves_of_one_size_share_a_read_only_grid(self, twindragon_ifs, square_ifs):
+        w = fh.solve_width(twindragon_ifs, 128, 1e-6)
+        again = fh.solve_width(square_ifs, 128.0, 1e-3)
+        assert again.grid is w.grid
+        assert fh.solve_width(twindragon_ifs, 256, 1e-6).grid.n == 256
+        fresh = fh.DirectionGrid(128)
+        assert np.array_equal(w.grid.directions, fresh.directions)
+        assert np.array_equal(w.grid.angles, fresh.angles)
+        for arr in (w.grid.angles, w.grid.directions):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
 
 class TestRebaseEval:
     def test_rebase_to_same_base(self, twindragon_width):
