@@ -26,6 +26,11 @@ the mean time of one call over a fixed mix of 256 probes drawn as
 perfbench's ``query`` workload draws them (half near images of fixed
 points under words of 1-8 maps, half anywhere in the disk of 1.2 R around
 x0; ``l`` cycling through 0.1, 0.01 and 0.001 R, ``k`` through 4 and 12).
+The closed-form rows time the complex-base hull polygons (two digits):
+``exact_polygon_s`` for the twindragon, |z| = 2 at phi = pi/3 and
+|z| = 1.2 at phi = pi/64 (k = 64, the largest denominator detected), and
+``irrational_polygon_s`` for |z| = 2 at phi = 1 (tol 1e-8) and |z| = 1.05
+at phi = 2 (tol 1e-6).
 
 Each ``label=SRC`` pair names a ``fractalhull`` source tree and the
 column its figures go to; a version without an operator plan reports
@@ -46,6 +51,7 @@ the subprocesses inherit it.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -103,10 +109,20 @@ QUERY_SYSTEMS = (
     SYSTEMS[0],
     (f"random 3-map affine (seed {RANDOM_SEED})", lambda fh: random_affine(fh, 3)),
 )
-# one row per (system, grid), one per render point count, one per query system
+# (name, base z, tol): tol None times exact_polygon, else irrational_polygon
+CLOSED_FORMS = (
+    ("twindragon", 1 + 1j, None),
+    ("|z|=2 phi=pi/3", cmath.rect(2.0, math.pi / 3), None),
+    ("|z|=1.2 phi=pi/64", cmath.rect(1.2, math.pi / 64), None),
+    ("|z|=2 phi=1", cmath.rect(2.0, 1.0), 1e-8),
+    ("|z|=1.05 phi=2", cmath.rect(1.05, 2.0), 1e-6),
+)
+# one row per (system, grid), one per render point count, one per query
+# system, one per closed form
 ROWS = ([("solve", s, n) for s in range(len(SYSTEMS)) for n in GRIDS]
         + [("render", None, k) for k in POINTS]
-        + [("query", q, QUERY_GRID) for q in range(len(QUERY_SYSTEMS))])
+        + [("query", q, QUERY_GRID) for q in range(len(QUERY_SYSTEMS))]
+        + [("closed", c, None) for c in range(len(CLOSED_FORMS))])
 
 
 def best_time(fn) -> float:
@@ -164,6 +180,14 @@ def measure_row(fh, width_mod, index: int) -> dict:
     kind, s, n = ROWS[index]
     if kind == "query":
         return measure_query_row(fh, s, n)
+    if kind == "closed":
+        name, z, tol = CLOSED_FORMS[s]
+        system = fh.complex_base_system(z, 2)
+        if tol is None:
+            fn, key = (lambda: fh.exact_polygon(system)[0]), "exact_polygon_s"
+        else:
+            fn, key = (lambda: fh.irrational_polygon(system, tol)), "irrational_polygon_s"
+        return {"system": name, "tol": tol, "vertices": len(fn()), key: best_time(fn)}
     if kind == "render":
         ifs = fh.complex_base_ifs(1 + 1j, 2)
         poly, _ = fh.exact_polygon(fh.complex_base_system(1 + 1j, 2))

@@ -8,10 +8,16 @@ bound.
 
 The planar complex-base family (maps ``x -> (x + i)/z`` for digits
 ``i = 0..n-1``, ``|z| = r > 1``, ``arg z = phi``) admits a full analysis:
-the attractor is centrally symmetric about ``(n-1)/(2(z-1))``, its centered
-width is the series ``h(a) = (n-1)/2 * sum_{j>0} r^-j |cos(a + j phi)|``,
-and when ``phi`` is a rational multiple of pi the series collapses to a
-finite form whose kinks build an explicit polygon, edge by edge.  Boundary
+the attractor is the set of digit expansions ``sum_{j>0} d_j z^-j``, so
+its hull is a Minkowski sum of segments, ``conv K = sum_j [0, (n-1) z^-j]``
+(``conv(A + B) = conv A + conv B``; Schneider, *Convex Bodies: The
+Brunn-Minkowski Theory*): centrally symmetric about ``(n-1)/(2(z-1))``,
+with centered width ``h(a) = (n-1)/2 * sum_{j>0} r^-j |cos(a + j phi)|``.
+One zonogon helper makes both hull polygons.  When ``phi = pi l / k``,
+``z^-k = +-r^-k`` folds the segments into k generators and the polygon is
+exact; otherwise the first J segments give the hull of the J-digit
+expansions, points of the attractor, so that polygon lies inside the hull
+and within the tail length ``(n-1) r^-J / (r-1) <= tol`` of it.  Boundary
 length is ``2(n-1)/(r-1)`` independently of ``phi``; the area series drives
 a nonnegativity audit of the induced trigonometric inequality
 ``sum_{j>0} |sin(j phi)| r^-j <= (r+1)/(pi (r-1))`` (isoperimetry: among
@@ -26,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FractalHullError, ValidationError
-from .hull import HullPolygon, _dedup_cyclic, _monotone_chain
-from .ifs import _readonly, operator_norm
+from .errors import ValidationError
+from .hull import HullPolygon
+from .ifs import _check_complex_base, _readonly, operator_norm
 from .width import _check_tol
 
 _RATIONAL_ANGLE_TOL = 1e-12
@@ -68,12 +74,8 @@ def complex_base_system(z: complex, n: int) -> ComplexBaseSystem:
     angles are never exactly rational).  An angle not found is treated as
     irrational.
     """
-    z = complex(z)
-    if abs(z) <= 1.0:
-        raise ValidationError("complex base needs |z| > 1")
-    if n != int(n) or int(n) < 2:
-        raise ValidationError("digit count n must be an integer >= 2")
-    return ComplexBaseSystem(z, int(n), _detect_rational_angle(cmath.phase(z)))
+    z, n = _check_complex_base(z, n)
+    return ComplexBaseSystem(z, n, _detect_rational_angle(cmath.phase(z)))
 
 
 def _detect_rational_angle(phi: float) -> tuple[int, int] | None:
@@ -136,7 +138,8 @@ def symmetry_center(sys: ComplexBaseSystem) -> np.ndarray:
 def _series_terms(pref: float, r: float, tol: float) -> int:
     """Smallest J >= 1 whose geometric tail ``pref * r^-J / (r-1)`` is <= tol."""
     _check_tol(tol)
-    return max(1, math.ceil(math.log(pref / (tol * (r - 1.0))) / math.log(r)))
+    ratio = pref / (tol * (r - 1.0))  # 0 when a huge r underflows it
+    return 1 if ratio <= r else math.ceil(math.log(ratio) / math.log(r))
 
 
 def _abs_cos_series(pref: float, sys: ComplexBaseSystem, alpha, terms: int):
@@ -184,135 +187,85 @@ class TriangleParams:
     c: float
 
 
-def _abs_cos_derivative(angle: float) -> float:
-    """d/da |cos(a)|, taken as 0 exactly at the cosine zeros (the kink's own
-    family there, accounted in the jump instead)."""
-    c = math.cos(angle)
-    if abs(c) < 1e-13:
-        return 0.0
-    return -math.sin(angle) * (1.0 if c > 0.0 else -1.0)
+def _zonogon(center, gens: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Counterclockwise vertices of ``center + sum_j [-1/2, 1/2] gens[j]``.
 
-
-def _edge_family(sys: ComplexBaseSystem, a_vals, inner: int,
-                 scale: float) -> list[TriangleParams]:
-    """Edges j = 1..len(a_vals) with normals ``pi/2 - j phi``.
-
-    ``a_vals`` holds the supporting distances.  Edge j has length
-    ``scale * r^-j``; its endpoint asymmetry b - c is ``scale`` times the
-    one-sided width derivative summed over the other families i = 1..inner.
+    The generators, turned into the upper half-plane and stable-sorted by
+    angle, are walked as ``+g`` then ``-g`` steps from ``center - sum(g)/2``
+    (Ziegler, *Lectures on Polytopes*, 7.3), starting at the edge of least
+    outward normal angle in [0, 2 pi).  ``normals[j]``, the closed-form
+    normal angle of the edge along ``-gens[j]``, decides that start where a
+    normal lies within rounding of 0.
     """
-    r, phi = sys.r, sys.phi
-    tris = []
-    for j, a_j in enumerate(a_vals, start=1):
-        ang = 0.5 * math.pi - j * phi
-        bc_sum = scale * r ** (-j)
-        s = 0.0
-        for i in range(1, inner + 1):
-            if i == j:
-                continue
-            s += r ** (-i) * _abs_cos_derivative(ang + i * phi)
-        bc_diff = scale * s
-        tris.append(TriangleParams(j, ang, float(a_j),
-                                   0.5 * (bc_sum + bc_diff),
-                                   0.5 * (bc_sum - bc_diff)))
-    return tris
+    flip = (gens[:, 1] < 0.0) | ((gens[:, 1] == 0.0) & (gens[:, 0] < 0.0))
+    up = np.where(flip[:, None], -gens, gens)
+    order = np.argsort(np.arctan2(up[:, 1], up[:, 0]), kind="stable")
+    steps = np.concatenate((up[order], -up[order]))
+    verts = center - 0.5 * up.sum(axis=0) + np.cumsum(steps, axis=0)
+    # a +g step runs along -gens[j] exactly when gens[j] was flipped
+    half = np.where(flip[order], 0.0, math.pi)
+    turn = np.tile(normals[order], 2) + np.concatenate((half, math.pi - half))
+    start = int(np.argmin(np.mod(turn, 2.0 * math.pi)))
+    # verts[i] ends step i, so step ``start`` begins at verts[start - 1]
+    return np.roll(verts, -start + 1, axis=0)
 
 
-def _chain_edges(tris: list[TriangleParams], center, angle_tol: float,
-                 close_tol: float | None, merge_tol: float) -> np.ndarray:
-    """Chain an edge family and its antipodes into the polygon's vertices.
-
-    Edges sharing a support line (normals within ``angle_tol``) merge
-    first.  Members of one family carry identical endpoint asymmetry b - c
-    (their smooth derivative sums coincide) while their lengths add up, so
-    the merged edge keeps the shared asymmetry and sums the lengths.
-    Needed whenever the infinite edge family is evaluated at a rational
-    angle, where infinitely many indices land on finitely many lines.
-    The merged edges, ordered by normal angle, then chain end to end;
-    raises if a declared-exact chain (``close_tol`` given) fails to close.
-    """
-    def merge(prev, a, b, c):
-        total = (prev[2] + prev[3]) + (b + c)
-        diff = prev[2] - prev[3]
-        prev[1] = max(prev[1], a)
-        prev[2] = 0.5 * (total + diff)
-        prev[3] = 0.5 * (total - diff)
-
-    edges = sorted((theta % (2.0 * math.pi), t.a, t.b, t.c)
-                   for t in tris for theta in (t.angle, t.angle + math.pi))
-    merged: list[list[float]] = []
-    for theta, a, b, c in edges:
-        if merged and theta - merged[-1][0] <= angle_tol:
-            merge(merged[-1], a, b, c)
-        else:
-            merged.append([theta, a, b, c])
-    if len(merged) > 1 and (merged[0][0] + 2.0 * math.pi - merged[-1][0]) <= angle_tol:
-        merge(merged[-1], *merged.pop(0)[1:])
-    points = []
-    for theta, a, b, c in merged:
-        u = np.array([math.cos(theta), math.sin(theta)])
-        uperp = np.array([-u[1], u[0]])
-        points.append(center + a * u - c * uperp)
-        points.append(center + a * u + b * uperp)
-    # each edge's start against the previous edge's end, cyclically
-    gaps = [float(np.linalg.norm(points[i] - points[i - 1]))
-            for i in range(0, len(points), 2)]
-    if close_tol is not None and max(gaps) > close_tol:
-        raise FractalHullError(
-            f"edge chain failed to close (worst gap {max(gaps):.3g} > {close_tol:.3g})"
-        )
-    return _dedup_cyclic(np.array(points), merge_tol)
+def _digit_generators(sys: ComplexBaseSystem, terms: int, scale: float):
+    """``scale * z^-j`` as vectors, and their edges' normals ``pi/2 - j phi``,
+    for j = 1..terms."""
+    j = np.arange(1, terms + 1)
+    jphi = j * sys.phi
+    gens = (scale * sys.r ** -j.astype(float))[:, None] * np.column_stack(
+        (np.cos(jphi), -np.sin(jphi)))
+    return gens, 0.5 * math.pi - jphi
 
 
 def exact_polygon(sys: ComplexBaseSystem) -> tuple[HullPolygon, list[TriangleParams]]:
-    """Exact hull polygon for a rational-angle system.
+    """Exact hull polygon for a rational angle ``phi = pi l / k``.
 
-    Emits the 2k edges with normals ``pi/2 - j phi`` (j = 1..k) and their
-    antipodes; endpoints follow from the supporting distance and the
-    one-sided width derivatives, and consecutive edges share endpoints by
-    construction (validated).  k edge families always suffice.  Also
-    returns the k edges in base-triangle form.
+    ``z^-(j+k) = +-r^-k z^-j`` folds the digit segments into k generators
+    ``G_j = (n-1)/(1-r^-k) z^-j``: the hull is the zonogon
+    ``center + sum_j [-1/2, 1/2] G_j``, with 2k vertices (2 when k = 1).
+    Also returns its k edges with normals ``pi/2 - j phi`` in base-triangle
+    form: ``a`` from :func:`rational_width`, ``b + c`` the edge length,
+    ``b - c`` the one-sided width derivatives of the other families.
     """
     if sys.rational_angle is None:
         raise ValidationError("exact_polygon needs a declared rational angle")
     _, k = sys.rational_angle
     r, phi, n = sys.r, sys.phi, sys.n
-    a_vals = [rational_width(sys, 0.5 * math.pi - j * phi) for j in range(1, k + 1)]
-    tris = _edge_family(sys, a_vals, k, (n - 1) / (1.0 - r ** (-k)))
+    scale = (n - 1) / (1.0 - r ** (-k))
+    gens, normals = _digit_generators(sys, k, scale)
     center = symmetry_center(sys)
-    scale = max(max(abs(t.a) for t in tris), max(t.b + t.c for t in tris))
-    verts = _chain_edges(tris, center, angle_tol=1e-12, close_tol=1e-9 * scale,
-                         merge_tol=1e-9 * scale)
+    verts = _zonogon(center, gens, normals)
+    j = np.arange(1, k + 1)
+    weights = r ** -j.astype(float)
+    # d/da |cos| at normal j of family i, i != j: its cosine is never 0
+    at = normals[:, None] + j * phi
+    slopes = -np.sin(at) * np.sign(np.cos(at))
+    np.fill_diagonal(slopes, 0.0)
+    lengths, diffs = scale * weights, scale * (slopes @ weights)
+    rows = zip(j.tolist(), normals.tolist(), rational_width(sys, normals).tolist(),
+               (0.5 * (lengths + diffs)).tolist(), (0.5 * (lengths - diffs)).tolist())
+    tris = [TriangleParams(*row) for row in rows]
     poly = HullPolygon(_readonly(verts), _readonly(center), method="exact",
                        outer_slack=0.0)
     return poly, tris
 
 
 def irrational_polygon(sys: ComplexBaseSystem, tol: float) -> HullPolygon:
-    """Hull polygon from the truncated infinite edge family.
+    """Hull of the J-digit expansions ``sum_{j<=J} d_j z^-j``, the zonogon
+    of the segments ``[0, (n-1) z^-j]``, j <= J.
 
-    Edge j has normal ``pi/2 - j phi`` and length ``(n-1) r^-j``; the family
-    is cut once the remaining total edge length ``(n-1) r^-J / (r-1)`` is
-    below ``tol``, so the support function of the result is within ``tol``
-    of the true width everywhere.  Rational systems are accepted too (their
-    sub-edges chain along shared support lines).
+    Those are points of the attractor, so the polygon lies inside the hull,
+    and within the left-out segments' total length ``(n-1) r^-J / (r-1)``,
+    J the least that makes it ``<= tol``.  Rational systems are accepted
+    too (their parallel edges follow one another).
     """
-    r, phi, n = sys.r, sys.phi, sys.n
-    terms = _series_terms(n - 1, r, tol)
-    inner_tol = min(tol * 1e-3, 1e-14 * (n - 1) / (r - 1.0)) + 1e-300
-    inner = max(terms, _series_terms(n - 1, r, inner_tol))
-    angles = 0.5 * math.pi - np.arange(1, terms + 1) * phi
-    a_vals = centered_width(sys, angles, tol=min(tol * 1e-3, 1e-14))
-    center = symmetry_center(sys)
-    tris = _edge_family(sys, a_vals, inner, n - 1)
-    scale = max(max(abs(t.a) for t in tris), 1e-300)
-    verts = _chain_edges(tris, center, angle_tol=1e-9, close_tol=None,
-                         merge_tol=1e-9 * scale)
-    # only strictly reflex points may go: collinear joints between short
-    # sub-edges carry real support and must survive the cleanup
-    verts = _monotone_chain(verts, eps_cross=0.0)
-    return HullPolygon(_readonly(verts), _readonly(center), method="series",
-                       outer_slack=float(tol))
+    gens, normals = _digit_generators(sys, _series_terms(sys.n - 1, sys.r, tol), sys.n - 1)
+    verts = _zonogon(0.5 * gens.sum(axis=0), gens, normals)
+    return HullPolygon(_readonly(verts), _readonly(symmetry_center(sys)),
+                       method="series", outer_slack=float(tol))
 
 
 def hull_perimeter(sys: ComplexBaseSystem) -> float:

@@ -203,6 +203,27 @@ def _monotone_chain(points: np.ndarray, eps_cross: float) -> np.ndarray:
     return np.array(hull) if len(hull) >= 2 else pts[:1]
 
 
+def _support_shortfall(verts: np.ndarray, w: WidthSamples) -> float:
+    """Largest excess of the values over the support, around ``w.base``, of
+    the polygon with counterclockwise vertices ``verts``, at the grid angles.
+
+    Vertex i + 1 supports the angles between the outward normals of edges
+    i and i + 1, so a search of the sorted normals splits the grid into
+    runs of one supporting vertex each.
+    """
+    rel = verts - w.base
+    edges = np.roll(verts, -1, axis=0) - verts
+    normals = np.mod(np.arctan2(-edges[:, 0], edges[:, 1]), TWO_PI)
+    order = np.argsort(normals)
+    ends = (order + 1) % len(verts)
+    runs = np.diff(np.searchsorted(w.grid.angles, normals[order]), prepend=0,
+                   append=w.grid.n)
+    # angles below the least normal belong to the vertex of the greatest
+    p = np.repeat(rel[np.concatenate((ends[-1:], ends))], runs, axis=0)
+    p *= w.grid.directions
+    return float(np.max(w.values - p[:, 0] - p[:, 1]))
+
+
 def extract_polygon(w: WidthSamples) -> HullPolygon:
     """Turn a solved width function into an explicit convex polygon.
 
@@ -215,6 +236,10 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     even when the boundary is curved, with the reported ``outer_slack``
     dilation certified to contain the hull.  With no kink every grid
     angle's supporting point is a candidate (method flag "dense").
+    ``outer_slack`` is ``2 slack + merge_tol``, raised to
+    ``max_g (h_g - p_g) + iter_error + 2 interp_slack`` where the
+    polygon's support p falls short of the values h at a grid angle by
+    more: the cleanup can drop a true vertex.
 
     The base may be any point, inside the hull or not: the width function
     around x, its kinks and the supporting points ``x + h u + h' u_perp``
@@ -223,9 +248,8 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     """
     ks = detect_kinks(w)
     r_est = max(float(w.values.max()), 0.0) + w.iter_error
-    merge_tol = max(1e-9 * r_est, 8.0 * (w.iter_error + w.interp_slack))
+    merge_tol = max(1e-9 * r_est, 8.0 * w.slack)
     eps_cross = 1e-12 * max(r_est, 1.0) ** 2
-    outer = 2.0 * (w.iter_error + w.interp_slack) + merge_tol
 
     derivs = _node_derivatives(w)
     dirs = w.grid.directions
@@ -253,6 +277,8 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
         pieces = [all_support]
     candidates = _dedup_cyclic(np.concatenate(pieces, axis=0), merge_tol)
     verts = _monotone_chain(candidates, eps_cross)
+    outer = max(2.0 * w.slack + merge_tol,
+                _support_shortfall(verts, w) + w.iter_error + 2.0 * w.interp_slack)
     return HullPolygon(_readonly(verts), _readonly(np.array(w.base)),
                        method="kinks" if ks else "dense", outer_slack=outer)
 

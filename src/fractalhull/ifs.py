@@ -175,6 +175,19 @@ def chaos_game_sample(ifs: IFS, count: int, seed: int) -> PointCloud:
     return PointCloud(_readonly(pts.reshape(-1, ifs.dim)[:count]))
 
 
+def _check_complex_base(z: complex, n: int) -> tuple[complex, int]:
+    """``(complex(z), int(n))`` for an integer ``n >= 2`` and a ``|z| > 1``
+    whose square is finite (beyond, ``1/z`` and ``(n-1)/(2(z-1))`` overflow)."""
+    z = complex(z)
+    if not math.isfinite(abs(z) * abs(z)):
+        raise ValidationError(f"complex base needs a finite |z|^2, got {z!r}")
+    if abs(z) <= 1.0:
+        raise ValidationError("complex base needs |z| > 1")
+    if n != int(n) or int(n) < 2:
+        raise ValidationError("digit count n must be an integer >= 2")
+    return z, int(n)
+
+
 def complex_base_ifs(z: complex, n: int) -> IFS:
     """Digit maps x -> (x + i)/z, i = 0..n-1, of a complex-base numeral system.
 
@@ -182,14 +195,10 @@ def complex_base_ifs(z: complex, n: int) -> IFS:
     with digits ``0..n-1``; all maps share the similarity matrix of ``1/z``,
     so the contraction factor is ``1/|z|``.
     """
-    z = complex(z)
-    if abs(z) <= 1.0:
-        raise ValidationError("complex base needs |z| > 1")
-    if n != int(n) or int(n) < 2:
-        raise ValidationError("digit count n must be an integer >= 2")
+    z, n = _check_complex_base(z, n)
     w = 1.0 / z
     a = np.array([[w.real, -w.imag], [w.imag, w.real]])
-    shifts = [i * w for i in range(int(n))]
+    shifts = [i * w for i in range(n)]
     return validate_ifs([(a, (s.real, s.imag)) for s in shifts])
 
 

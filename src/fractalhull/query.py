@@ -127,7 +127,7 @@ def build_context(ifs: IFS, w: WidthSamples, c0_mode: str = "paper") -> QueryCon
             float(inv[0, 0]), float(inv[0, 1]), float(inv[1, 0]), float(inv[1, 1]),
             float(m.t[0]), float(m.t[1]), float(m.c),
         ))
-    slack = w0.iter_error + w0.interp_slack
+    slack = w0.slack
     values = w0.values.tolist()
     values += values[:2]
     return QueryContext(

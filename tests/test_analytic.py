@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import fractalhull as fh
 from fractalhull.analytic import _series_terms
@@ -29,6 +31,12 @@ class TestComplexBaseSystem:
     def test_modulus_validated(self):
         with pytest.raises(fh.ValidationError):
             fh.complex_base_system(0.5 + 0.5j, 2)
+
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(math.nan, 0.0),
+                                   1e308 + 1e308j])
+    def test_non_finite_base_rejected(self, z):
+        with pytest.raises(fh.ValidationError, match="complex base needs a finite"):
+            fh.complex_base_system(z, 2)
 
     def test_forced_irrational(self):
         sys_ = fh.ComplexBaseSystem(1 + 1j, 2)
@@ -134,19 +142,68 @@ class TestWidthSeries:
             _series_terms(0.5, math.sqrt(2.0), tol)
 
 
+def digit_vertices(z: complex, n: int, families: int, terms: int) -> np.ndarray:
+    """Hull vertices of the expansions ``sum_{j<=terms} d_j z^-j``, d_j in
+    {0, n-1}, found without any polygon: the edge normals are the angles
+    of ``z^-j`` (j <= families) turned by +-pi/2, and the vertex between
+    two consecutive normals takes ``d_j = n-1`` exactly where ``z^-j``
+    points to the side of their bisector u.  Counterclockwise."""
+    normals = []
+    for j in range(1, families + 1):
+        phase = cmath.phase(z ** -j)
+        normals += [(phase + 0.5 * math.pi) % (2 * math.pi),
+                    (phase - 0.5 * math.pi) % (2 * math.pi)]
+    normals = np.sort(normals)
+    bisectors = 0.5 * (normals + np.roll(normals, 1))
+    bisectors[0] -= math.pi  # the cone across angle 0
+    powers = (1.0 / z) ** np.arange(1, terms + 1)
+    ahead = (np.outer(np.cos(bisectors), powers.real)
+             + np.outer(np.sin(bisectors), powers.imag)) > 0.0
+    sums = (n - 1) * (ahead @ powers)
+    return np.column_stack((sums.real, sums.imag))
+
+
+def assert_cyclic_close(got, expected, atol):
+    """Vertex lists equal up to where the cycle starts."""
+    assert got.shape == expected.shape
+    shift = int(np.argmin(np.linalg.norm(expected - got[0], axis=1)))
+    assert np.allclose(got, np.roll(expected, -shift, axis=0), rtol=0.0, atol=atol)
+
+
+def rational_base(r, k, l):
+    """``r exp(i pi l/k)`` with l/k in lowest terms."""
+    g = math.gcd(l, k)
+    return r * cmath.exp(1j * math.pi * (l // g) / (k // g)), k // g
+
+
 class TestExactPolygon:
     def test_twindragon_octagon_vertices(self, twindragon_sys):
         poly, tris = fh.exact_polygon(twindragon_sys)
         assert poly.method == "exact"
         assert len(poly) == 8
-        # chained by hand from the edge construction
         expected = np.array([
             [2 / 3, -1.0], [2 / 3, -1 / 3], [0.0, 1 / 3], [-1 / 3, 1 / 3],
             [-2 / 3, 0.0], [-2 / 3, -2 / 3], [0.0, -4 / 3], [1 / 3, -4 / 3],
         ])
-        start = np.argmin(np.linalg.norm(poly.vertices - expected[0], axis=1))
-        rolled = np.roll(poly.vertices, -start, axis=0)
-        assert np.allclose(rolled, expected, atol=1e-12)
+        # the cycle starts at the edge of least outward normal, here 0
+        assert np.allclose(poly.vertices, expected, rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.floats(1.05, 4.0), k=st.integers(1, 64), l=st.integers(0, 127),
+           n=st.integers(2, 5))
+    def test_vertices_are_digit_expansions(self, r, k, l, n):
+        z, k = rational_base(r, k, l)
+        sys_ = fh.complex_base_system(z, n)
+        assume(sys_.rational_angle is not None and sys_.rational_angle[1] == k)
+        poly, tris = fh.exact_polygon(sys_)
+        assert len(poly) == 2 * k and len(tris) == k  # a segment when k = 1
+        # enough digits that the left-out tail is below 1e-13 of the hull
+        terms = math.ceil(math.log(1e13 * r / (r - 1.0)) / math.log(r))
+        scale = (n - 1) / (r - 1.0)
+        assert_cyclic_close(poly.vertices, digit_vertices(z, n, k, terms), 1e-10 * scale)
+        assert fh.polygon_perimeter(poly) == pytest.approx(fh.hull_perimeter(sys_), rel=1e-9)
+        assert fh.polygon_area(poly) == pytest.approx(fh.hull_area(sys_), rel=1e-9,
+                                                      abs=1e-12 * scale ** 2)
 
     def test_twindragon_measures(self, twindragon_sys):
         poly, _ = fh.exact_polygon(twindragon_sys)
@@ -192,6 +249,26 @@ class TestExactPolygon:
 
 
 class TestIrrationalPolygon:
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.floats(1.05, 4.0), phi=st.floats(-3.1, 3.1), n=st.integers(2, 5),
+           tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    def test_hull_of_digit_expansions(self, r, phi, n, tol):
+        z = r * cmath.exp(1j * phi)
+        sys_ = fh.complex_base_system(z, n)
+        assume(sys_.rational_angle is None)
+        poly = fh.irrational_polygon(sys_, tol)
+        terms = _series_terms(n - 1, r, tol)
+        assert len(poly) == 2 * terms and poly.outer_slack == tol
+        scale = (n - 1) / (r - 1.0)
+        assert_cyclic_close(poly.vertices, digit_vertices(z, n, terms, terms), 1e-10 * scale)
+        # points of the attractor: inside the hull, and within the left-out
+        # segments' total length of it
+        angles = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
+        sup = fh.polygon_width(poly, angles)
+        ref = fh.centered_width(sys_, angles, 1e-14)
+        assert np.all(sup <= ref + 1e-12 * scale)
+        assert np.all(sup >= ref - tol)
+
     def test_huge_tol_keeps_dominant_edges(self):
         z = 2 * complex(math.cos(1.0), math.sin(1.0))
         sys_ = fh.ComplexBaseSystem(z, 2)

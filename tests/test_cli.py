@@ -124,6 +124,13 @@ BAD_VALUES = [
     "query --input {twindragon} --grid 64 --point=nan,0 --k 1",
     # 0 is in the attractor, so the walk goes past the recursion limit
     "query --input {twindragon} --grid 64 --point 0,0 --k 100000",
+    # JSON admits Infinity and NaN; |z|^2 overflows for 1e308 + 1e308i
+    "hull --input {infbase}",
+    "exact --input {infbase}",
+    "render --input {nanbase}",
+    "exact --input {nanbase}",
+    "hull --input {overbase}",
+    "exact --input {overbase}",
 ]
 
 
@@ -141,6 +148,9 @@ def inputs(tmp_path):
         # |z| = 2 at phi = 1: an irrational angle, so no edge table
         "zphi": json.dumps({"complex_base": {"z": [2 * math.cos(1.0), 2 * math.sin(1.0)],
                                              "n": 2}}),
+        "infbase": '{"complex_base": {"z": [Infinity, 0], "n": 2}}',
+        "nanbase": '{"complex_base": {"z": [NaN, 0], "n": 2}}',
+        "overbase": '{"complex_base": {"z": [1e308, 1e308], "n": 2}}',
     }
     paths = {}
     for name, doc in docs.items():
@@ -300,10 +310,30 @@ class TestExact:
         assert "width(1.570796) = 0.833333333" in out
         assert "triangles (j, angle, a, b, c):" in out
 
+    def test_twindragon_table_bytes(self, twindragon_file, capsys):
+        assert main(["exact", "--input", twindragon_file]) == 0
+        assert capsys.readouterr().out == (
+            "center = (0.000000, -0.500000) (exact)\n"
+            "perimeter = 4.828427 (exact)\n"
+            "area = 1.666667 +- 1e-09\n"
+            "triangles (j, angle, a, b, c):\n"
+            "  1  0.785398  0.589255651  0.589255651  0.353553391\n"
+            "  2  0.000000  0.666666667  0.166666667  0.500000000\n"
+            "  3  5.497787  0.824957911  0.117851130  0.353553391\n"
+            "  4  4.712389  0.833333333  0.333333333  0.000000000\n"
+        )
+
     def test_requires_complex_base(self, tmp_path):
         path = tmp_path / "square.json"
         path.write_text(SQUARE_DOC)
         assert main(["exact", "--input", str(path)]) == 1
+
+    def test_huge_base(self, tmp_path, capsys):
+        # the series bounds' ratio underflows to 0 here: one term is enough
+        path = tmp_path / "huge.json"
+        path.write_text('{"complex_base": {"z": [1e150, 1e150], "n": 3}}')
+        assert main(["exact", "--input", str(path)]) == 0
+        assert "area = 0.000000" in capsys.readouterr().out
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_rejected(self, twindragon_file, capsys, tol):

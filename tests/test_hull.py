@@ -7,13 +7,23 @@ from hypothesis import example, given, settings, strategies as st
 
 import fractalhull as fh
 from conftest import disk_width
-from fractalhull.hull import _dedup_cyclic, _monotone_chain, _node_derivatives
+from fractalhull.hull import (_dedup_cyclic, _monotone_chain, _node_derivatives,
+                              _support_shortfall)
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
 # three of the unit square's four maps, moved so the attractor's hull is the
 # triangle (4, 4), (5, 4), (4, 5), far from the origin
 SHIFTED_TRIANGLE = [(0.5 * np.eye(2), t) for t in ((2.0, 2.0), (2.5, 2.0), (2.0, 2.5))]
+# two rank-one maps whose hull tip the kink path drops at n = 1024: the
+# polygon misses exact word images by 0.076, more than the a-priori slack
+# 2 (iter_error + interp_slack) + merge_tol = 0.073
+DROPPED_TIP = [
+    (np.array([[0.02507857, -0.04715763], [-0.03969515, 0.0746426]]),
+     (1.638671875, -1.42578125)),
+    (np.array([[-0.2636541, -0.14968441], [-0.22615306, -0.12839393]]),
+     (1.638671875, -0.1026330724832607)),
+]
 
 
 def polygon_from_vertices(vertices, base=(0.0, 0.0)):
@@ -201,6 +211,7 @@ class TestAnyBase:
     @settings(max_examples=80, deadline=None)
     @given(maps=planar_maps())
     @example(maps=SHIFTED_TRIANGLE)
+    @example(maps=DROPPED_TIP)
     def test_word_images_within_outer_slack(self, maps):
         ifs = fh.validate_ifs(maps)
         w = fh.solve_width(ifs, 1024, 1e-8)
@@ -484,6 +495,20 @@ class TestExtractionHelpers:
             got = _dedup_cyclic(points, tol)
             assert np.array_equal(got, reference_dedup_hypot(points, tol))
             assert got.shape[0] == (2 if kept else 1)
+
+    def test_support_shortfall_matches_polygon_width(self):
+        rng = np.random.default_rng(5)
+        for count in (1, 2, 3, 7, 40):
+            pts = rng.normal(size=(count, 2))
+            if count == 2:
+                pts[1] = pts[0] + (1.0, 0.0)  # a horizontal segment
+            verts = _monotone_chain(pts, 0.0)
+            grid = fh.DirectionGrid(256)
+            w = fh.make_width_samples(grid, rng.normal(size=2), rng.uniform(-1, 3, 256),
+                                      0.0, 0.0)
+            width = fh.polygon_width(polygon_from_vertices(verts, w.base), grid.angles)
+            assert _support_shortfall(verts, w) == pytest.approx(
+                np.max(w.values - width), abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(lattice=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),

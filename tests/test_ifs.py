@@ -188,7 +188,8 @@ class TestComplexBaseIfs:
     def test_contraction_is_reciprocal_modulus(self):
         assert fh.complex_base_ifs(1 + 1j, 2).c == pytest.approx(1 / math.sqrt(2))
 
-    @pytest.mark.parametrize("z", [1.0, 0.5 + 0.5j, -1.0])
+    @pytest.mark.parametrize("z", [1.0, 0.5 + 0.5j, -1.0, complex(math.inf, 0.0),
+                                   complex(0.0, math.nan), 1e308 + 1e308j])
     def test_small_base_rejected(self, z):
         with pytest.raises(fh.ValidationError):
             fh.complex_base_ifs(z, 2)
