@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fractalhull as fh
 from fractalhull.analytic import _series_terms
@@ -164,9 +164,13 @@ def digit_vertices(z: complex, n: int, families: int, terms: int) -> np.ndarray:
 
 
 def assert_cyclic_close(got, expected, atol):
-    """Vertex lists equal up to where the cycle starts."""
+    """Vertex lists equal up to where the cycle starts.  The start is the
+    rotation that fits the whole cycle best: edges far below rounding
+    (|z|^-j for large j) leave runs of equal vertices, so the vertex
+    nearest ``got[0]`` does not fix it."""
     assert got.shape == expected.shape
-    shift = int(np.argmin(np.linalg.norm(expected - got[0], axis=1)))
+    shift = int(np.argmin([np.max(np.abs(got - np.roll(expected, -s, axis=0)))
+                           for s in range(len(expected))]))
     assert np.allclose(got, np.roll(expected, -shift, axis=0), rtol=0.0, atol=atol)
 
 
@@ -191,6 +195,7 @@ class TestExactPolygon:
     @settings(max_examples=60, deadline=None)
     @given(r=st.floats(1.05, 4.0), k=st.integers(1, 64), l=st.integers(0, 127),
            n=st.integers(2, 5))
+    @example(r=4.0, k=30, l=37, n=2)  # edges of 4^-30 leave runs of equal vertices
     def test_vertices_are_digit_expansions(self, r, k, l, n):
         z, k = rational_base(r, k, l)
         sys_ = fh.complex_base_system(z, n)
