@@ -35,7 +35,7 @@ from .hull import extract_polygon, polygon_area, polygon_json, polygon_perimeter
 from .ifs import chaos_game_sample, load_ifs_file
 from .query import build_context, near, near1
 from .render import render_svg
-from .width import _check_tol, solve_width, width_csv
+from .width import _check_grid, _check_tol, solve_width, width_csv
 
 
 class _UsageError(Exception):
@@ -128,6 +128,8 @@ def _cmd_solve(args) -> int:
 
 
 def _polygon_for(doc, args):
+    _check_tol(args.tol)  # the exact route reads neither, yet both must be valid
+    _check_grid(args.grid)
     if doc.complex_base is not None:
         sys_ = complex_base_system(*doc.complex_base)
         if sys_.rational_angle is not None:

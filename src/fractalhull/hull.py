@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ifs import _readonly
-from .width import TWO_PI, WidthSamples, eval_width
+from .width import TWO_PI, WidthSamples, _radius_bound, eval_width
 
 _KINK_BUFFER_CELLS = 2
 # points _dedup_cyclic tests one by one before it screens a run in blocks
@@ -67,8 +67,7 @@ def _jump_threshold(w: WidthSamples) -> float:
     absorbed into vertex arcs.
     """
     step = w.grid.step
-    r_est = max(float(w.values.max()), 0.0) + w.iter_error
-    return 8.0 * (step * r_est + w.iter_error / step)
+    return 8.0 * (step * _radius_bound(w.values, w.iter_error) + w.iter_error / step)
 
 
 def _one_sided_derivatives(values: np.ndarray, g: int, step: float) -> tuple[float, float]:
@@ -247,7 +246,7 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     from x to the hull, the ``R`` of ``interp_slack``.
     """
     ks = detect_kinks(w)
-    r_est = max(float(w.values.max()), 0.0) + w.iter_error
+    r_est = _radius_bound(w.values, w.iter_error)
     merge_tol = max(1e-9 * r_est, 8.0 * w.slack)
     eps_cross = 1e-12 * max(r_est, 1.0) ** 2
 

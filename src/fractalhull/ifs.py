@@ -156,10 +156,12 @@ def chaos_game_sample(ifs: IFS, count: int, seed: int) -> PointCloud:
     step once a burn-in of 64 steps has passed.  ``min(1024, count // 64)``
     chains (at least 1) keep the burn-in work no larger than the recorded
     work.  Output is bit-for-bit reproducible for identical
-    ``(ifs, count, seed)``.
+    ``(ifs, count, seed)``, for Python or numpy integers count >= 1, seed >= 0.
     """
-    if count < 1:
-        raise ValidationError("count must be at least 1")
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValidationError("count must be an integer >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError("seed must be an integer >= 0")
     chains = max(1, min(_MAX_CHAINS, count // _BURN_IN))
     steps = _BURN_IN + -(-count // chains)
     rng = np.random.default_rng(seed)

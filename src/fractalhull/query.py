@@ -30,11 +30,10 @@ full test would decide, and only points between the two circles pay for
 
 Both predicates take a finite 2-vector x (else :class:`ValidationError`,
 also for strings, complex numbers and other non-numbers).
-The walk recurses once per level, so one that goes deeper than Python's
-recursion limit (large k, or a tiny l with c near 1) raises
-:class:`FractalHullError` naming the level it reached.
+The walk is one loop over an explicit stack, so a deep walk (large k, or
+a tiny l with c near 1) answers like a shallow one.
 
-Singular maps cannot be inverted and are skipped, as the recursion demands;
+Singular maps cannot be inverted and are skipped, as the pull-back demands;
 results then carry ``complete=False`` to flag that a false answer may be
 spurious.
 """
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FractalHullError, ValidationError
+from .errors import ValidationError
 from .ifs import IFS, map_fixed_point
 from .width import TWO_PI, WidthSamples, circumradius, rebase_width
 
@@ -71,7 +70,7 @@ class QueryContext:
     complete: bool       # False when singular maps had to be skipped
     slack: float         # width uncertainty granted on the permissive side
 
-    # flat copies for the recursion hot path: x0, the values with their
+    # flat copies for the walk's hot path: x0, the values with their
     # first two repeated at the end (so a cell never wraps), the inverse
     # maps, and the annulus (r_in, r_out) that settles most quick tests
     _xy: tuple[float, float] = (0.0, 0.0)
@@ -85,8 +84,8 @@ class QueryResult:
     """Predicate outcome with soundness metadata.
 
     ``complete=False`` warns that singular maps were skipped, so a false
-    answer may be spurious; ``depth`` is the deepest recursion level
-    reached.  Truthiness follows ``hit``.
+    answer may be spurious; ``depth`` is the deepest level of the walk
+    visited.  Truthiness follows ``hit``.
     """
 
     hit: bool
@@ -95,10 +94,6 @@ class QueryResult:
 
     def __bool__(self) -> bool:
         return self.hit
-
-
-def _min_singular_value(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 def build_context(ifs: IFS, w: WidthSamples, c0_mode: str = "paper") -> QueryContext:
@@ -120,7 +115,7 @@ def build_context(ifs: IFS, w: WidthSamples, c0_mode: str = "paper") -> QueryCon
     c0 = radius / math.sqrt(2.0) if c0_mode == "paper" else 2.0 * radius
     coeff = []
     for m in ifs.maps:
-        if _min_singular_value(m.a) <= _SINGULAR_RTOL * max(m.c, 1e-300):
+        if np.linalg.svd(m.a, compute_uv=False)[-1] <= _SINGULAR_RTOL * max(m.c, 1e-300):
             continue
         inv = np.linalg.inv(m.a)
         coeff.append((
@@ -165,27 +160,27 @@ def _walk(ctx: QueryContext, x, budget: float, levels: float) -> QueryResult:
     """Depth-first pull-back walk: a point passing the quick test ends it
     with true once ``depth >= levels`` or ``budget >= C0``; each level
     divides the budget by the map's contraction factor."""
-    try:
-        x = np.asarray(x, dtype=float)
+    try:  # any shape but (2,) fails to unpack, or to pass isfinite
+        px, py = np.asarray(x, dtype=float).tolist()
+        finite = math.isfinite(px) and math.isfinite(py)
     except (TypeError, ValueError):
-        raise ValidationError("query point must be a finite 2-vector") from None
-    if x.shape != (2,):
-        raise ValidationError("query point must be a finite 2-vector")
-    px, py = x.tolist()
-    if not (math.isfinite(px) and math.isfinite(py)):
+        finite = False
+    if not finite:
         raise ValidationError("query point must be a finite 2-vector")
     x0, y0 = ctx._xy
     r_in, r_out = ctx._annulus
     slack = ctx.slack
     values = ctx._values
     n = len(values) - 2
-    coeff = ctx._coeff
     c0 = ctx.c0_bound
     hypot, atan2 = math.hypot, math.atan2
+    # children are pushed last map first, so map 0's subtree is walked first
+    coeff = ctx._coeff[::-1]
+    stack = [(px, py, budget, 0)]
+    pop, push = stack.pop, stack.append
     max_depth = 0
-
-    def walk(px: float, py: float, budget: float, depth: int) -> bool:
-        nonlocal max_depth
+    while stack:
+        px, py, budget, depth = pop()
         if depth > max_depth:
             max_depth = depth
         dx = px - x0
@@ -195,28 +190,20 @@ def _walk(ctx: QueryContext, x, budget: float, levels: float) -> QueryResult:
         # NaN falls through to the interpolated test as any other distance
         if not dist <= r_in:
             if dist > r_out:
-                return False
+                continue
             pos = (atan2(dy, dx) % TWO_PI) * n / TWO_PI
             g0 = int(pos)  # n when pos rounds up to n: values wraps there
             frac = pos - g0
             if not dist <= (1.0 - frac) * values[g0] + frac * values[g0 + 1] + slack:
-                return False
+                continue
         if depth >= levels or budget >= c0:
-            return True
+            return QueryResult(True, ctx.complete, max_depth)
+        depth += 1
         for i11, i12, i21, i22, tx, ty, ci in coeff:
             qx = px - tx
             qy = py - ty
-            if walk(i11 * qx + i12 * qy, i21 * qx + i22 * qy, budget / ci, depth + 1):
-                return True
-        return False
-
-    try:
-        hit = walk(px, py, budget, 0)
-    except RecursionError:
-        raise FractalHullError(
-            f"pull-back walk reached level {max_depth}, past the recursion "
-            f"limit ({sys.getrecursionlimit()})") from None
-    return QueryResult(hit, ctx.complete, max_depth)
+            push((i11 * qx + i12 * qy, i21 * qx + i22 * qy, budget / ci, depth))
+    return QueryResult(False, ctx.complete, max_depth)
 
 
 def near(ctx: QueryContext, x, k: int) -> QueryResult:
@@ -238,7 +225,7 @@ def near1(ctx: QueryContext, x, l: float) -> QueryResult:
     """Is x certifiably within distance l of the attractor?
 
     Exact transcription of the threshold recursion: fail the quick test ->
-    false; budget ``l >= C0`` -> true; otherwise recurse into each
+    false; budget ``l >= C0`` -> true; otherwise descend into each
     invertible map with the budget inflated to ``l / c_i``.  A true answer
     certifies dist(x, attractor) <= l + slack under the configured C0
     bound.  Budgets grow by at least 1/c per level, so the depth never

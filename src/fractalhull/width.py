@@ -62,18 +62,28 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _check_grid(n: int) -> int:
+    """Return ``int(n)`` if it is an even grid size of at least 64, else raise."""
+    n = int(n)
+    if n < 64:
+        raise ValidationError("direction grid needs at least 64 angles")
+    if n % 2:
+        raise ValidationError("direction grid size must be even")
+    return n
+
+
+def _radius_bound(values: np.ndarray, iter_error: float) -> float:
+    """``R``, the largest distance from the base to the hull, bounded."""
+    return max(float(values.max()), 0.0) + iter_error
+
+
 class DirectionGrid:
     """Uniform angle grid on the circle; even size keeps antipodes on-grid."""
 
     __slots__ = ("n", "angles", "directions")
 
     def __init__(self, n: int):
-        n = int(n)
-        if n < 64:
-            raise ValidationError("direction grid needs at least 64 angles")
-        if n % 2:
-            raise ValidationError("direction grid size must be even")
-        self.n = n
+        self.n = n = _check_grid(n)
         self.angles = _readonly(TWO_PI * np.arange(n) / n)
         self.directions = _readonly(
             np.stack([np.cos(self.angles), np.sin(self.angles)], axis=1)
@@ -352,8 +362,7 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
             f"width iteration did not converge within {_ITERATION_CAP} steps"
         )
     iter_error = delta * c / (1.0 - c)
-    r_bound = max(float(values.max()), 0.0) + iter_error
-    interp_slack = r_bound * math.pi / grid.n
+    interp_slack = _radius_bound(values, iter_error) * math.pi / grid.n
     return WidthSamples(grid, _readonly(np.zeros(2)), _readonly(values),
                         iter_error, interp_slack, iterations)
 

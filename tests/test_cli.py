@@ -122,8 +122,13 @@ BAD_VALUES = [
     "exact --input {twindragon} --angles 0,inf",
     "query --input {twindragon} --grid 64 --point 0,0 --dist nan",
     "query --input {twindragon} --grid 64 --point=nan,0 --k 1",
-    # 0 is in the attractor, so the walk goes past the recursion limit
-    "query --input {twindragon} --grid 64 --point 0,0 --k 100000",
+    # the exact route for a rational angle checks --grid and --tol too
+    "hull --input {twindragon} --tol -1",
+    "hull --input {twindragon} --tol nan",
+    "hull --input {twindragon} --grid 7",
+    "render --input {twindragon} --grid 3",
+    "render --input {twindragon} --tol inf",
+    "render --input {twindragon} --seed -1",
     # JSON admits Infinity and NaN; |z|^2 overflows for 1e308 + 1e308i
     "hull --input {infbase}",
     "exact --input {infbase}",
@@ -285,6 +290,12 @@ class TestQuery:
                      "--point", "5,5", "--k", "2"])
         assert code == 0
         assert capsys.readouterr().out.startswith("false ")
+
+    def test_deep_walk_answers(self, twindragon_file, capsys):
+        # 0 is the fixed point of the first map, so every level passes
+        assert main(["query", "--input", twindragon_file, "--grid", "64",
+                     "--point", "0,0", "--k", "100000"]) == 0
+        assert capsys.readouterr().out.startswith("true depth=100000 ")
 
     def test_needs_exactly_one_mode(self, twindragon_file):
         assert main(["query", "--input", twindragon_file,

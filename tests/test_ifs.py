@@ -168,6 +168,17 @@ class TestChaosGame:
         with pytest.raises(fh.ValidationError):
             fh.chaos_game_sample(twindragon_ifs, 0, seed=1)
 
+    @pytest.mark.parametrize("count,seed", [(10, 1.5), (2.5, 0), (10, -1),
+                                            (10, "1"), (10, None), ("10", 0)])
+    def test_count_and_seed_must_be_integers(self, twindragon_ifs, count, seed):
+        with pytest.raises(fh.ValidationError, match="count must be|seed must be"):
+            fh.chaos_game_sample(twindragon_ifs, count, seed)
+
+    def test_numpy_integers_accepted(self, twindragon_ifs):
+        a = fh.chaos_game_sample(twindragon_ifs, np.int64(100), np.uint32(5))
+        b = fh.chaos_game_sample(twindragon_ifs, 100, 5)
+        assert np.array_equal(a.points, b.points)
+
 
 class TestComplexBaseIfs:
     def test_twindragon_maps(self):
