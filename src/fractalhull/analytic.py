@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .hull import HullPolygon
-from .ifs import _check_complex_base, _readonly, operator_norm
+from .ifs import (_check_complex_base, _check_finite, _check_int, _check_square,
+                  _readonly, operator_norm)
 from .width import _check_tol
 
 _RATIONAL_ANGLE_TOL = 1e-12
@@ -93,17 +94,20 @@ def equal_maps_width(a, ts, d, tol: float = 1e-12) -> float:
     Evaluates ``sum_{i>=0} |B^i d| h*(dir(B^i d))`` with ``B = A^T`` and
     ``h*(e) = max_j t_j^T e``, truncated once the geometric tail
     ``c^J max|t| / (1 - c)`` drops below ``tol``; the result is certified
-    within ``tol``.  Works in any dimension.
+    within ``tol``.  Works in any dimension: ``a`` is a finite square
+    matrix, ``ts`` finite rows of its dimension and ``d`` a finite nonzero
+    vector of it.
     """
-    a = np.asarray(a, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 2 or ts.shape[1] != a.shape[0]:
-        raise ValidationError("translations must be rows matching the matrix dimension")
+    a = _check_square(a)
+    m = a.shape[0]
+    ts = _check_finite(ts, "translations", (None, m))
+    if not len(ts):
+        raise ValidationError("equal_maps_width needs at least one translation")
     _check_tol(tol)
     c = operator_norm(a)
     if c >= 1.0:
         raise ValidationError(f"matrix is not contracting, c={c:.6g}")
-    d = np.asarray(d, dtype=float)
+    d = _check_finite(d, "direction", (m,))
     nd = float(np.linalg.norm(d))
     if nd == 0.0:
         raise ValidationError("direction must be nonzero")
@@ -111,10 +115,10 @@ def equal_maps_width(a, ts, d, tol: float = 1e-12) -> float:
     tmax = float(np.max(np.linalg.norm(ts, axis=1)))
     if tmax == 0.0:
         return 0.0
-    if c == 0.0:
-        terms = 1
-    else:
-        terms = max(1, math.ceil(math.log(tol * (1.0 - c) / tmax) / math.log(c)))
+    # one term when its tail already meets tol (and always for c = 0),
+    # which also keeps 1/c finite for a tiny c
+    terms = (1 if c * tmax <= tol * (1.0 - c)
+             else _series_terms(tmax / c, 1.0 / c, tol))
     b = a.T
     total = 0.0
     scale = 1.0
@@ -143,14 +147,14 @@ def _series_terms(pref: float, r: float, tol: float) -> int:
 
 
 def _abs_cos_series(pref: float, sys: ComplexBaseSystem, alpha, terms: int):
-    """``pref * sum_{j=1..terms} r^-j |cos(alpha + j phi)|`` for a scalar
-    angle (returns a float) or an array of angles."""
+    """``pref * sum_{j=1..terms} r^-j |cos(alpha + j phi)|`` for a finite
+    scalar angle (returns a float) or an array of finite angles."""
     r, phi = sys.r, sys.phi
     j = np.arange(1, terms + 1)
-    alpha_arr = np.asarray(alpha, dtype=float)
-    angles = alpha_arr[..., None] + j * phi
+    alpha = _check_finite(alpha, "angle")
+    angles = alpha[..., None] + j * phi
     out = pref * np.sum(np.abs(np.cos(angles)) * r ** (-j), axis=-1)
-    if np.ndim(alpha) == 0:
+    if alpha.ndim == 0:
         return float(out)
     return out
 
@@ -160,7 +164,7 @@ def centered_width(sys: ComplexBaseSystem, alpha, tol: float = 1e-12):
     ``(n-1)/2 * sum_{j>=1} r^-j |cos(alpha + j phi)|``.
 
     Truncated at J with tail ``(n-1)/2 * r^-J / (r-1) <= tol``.  Accepts a
-    scalar angle or an array.
+    finite scalar angle or an array of finite angles.
     """
     pref = 0.5 * (sys.n - 1)
     return _abs_cos_series(pref, sys, alpha, _series_terms(pref, sys.r, tol))
@@ -168,7 +172,8 @@ def centered_width(sys: ComplexBaseSystem, alpha, tol: float = 1e-12):
 
 def rational_width(sys: ComplexBaseSystem, alpha):
     """Exact finite width form for rational angles:
-    ``h(a) = (n-1)/(2(1-r^-k)) * sum_{j=1..k} r^-j |cos(a + j phi)|``."""
+    ``h(a) = (n-1)/(2(1-r^-k)) * sum_{j=1..k} r^-j |cos(a + j phi)|``.
+    Accepts a finite scalar angle or an array of finite angles."""
     if sys.rational_angle is None:
         raise ValidationError("rational_width needs a declared rational angle")
     _, k = sys.rational_angle
@@ -285,15 +290,18 @@ def hull_area(sys: ComplexBaseSystem, tol: float = 1e-12) -> float:
 def isodiametric_gap(r: float, phi):
     """Slack of the induced trigonometric inequality at (r, phi):
     ``(r+1)/(pi (r-1)) - sum_{j>0} |sin(j phi)| r^-j`` (machine-tail
-    truncation); isoperimetry puts it at >= 0.  Accepts a scalar angle
-    (returns a float) or an array of angles."""
+    truncation); isoperimetry puts it at >= 0.  ``r`` must be a finite
+    number > 1.  Accepts a finite scalar angle (returns a float) or an
+    array of finite angles."""
+    r = float(_check_finite(r, "r", ()))
     if r <= 1.0:
         raise ValidationError("r must exceed 1")
+    phi = _check_finite(phi, "angle")
     bound = (r + 1.0) / (math.pi * (r - 1.0))
     target = 1e-16 * max(1.0, 1.0 / (r - 1.0))
     j = np.arange(1, _series_terms(1.0, r, target) + 1)
     gaps = bound - np.abs(np.sin(np.outer(phi, j))) @ (r ** (-j.astype(float)))
-    if np.ndim(phi) == 0:
+    if phi.ndim == 0:
         return float(gaps[0])
     return gaps
 
@@ -301,9 +309,9 @@ def isodiametric_gap(r: float, phi):
 def isodiametric_audit(r_count: int = 60, phi_count: int = 720):
     """Gap values over a log-spaced r grid in [1.05, 4] and a uniform phi
     grid in [0, 2 pi).  Returns (r values, phi values, gap matrix).  Both
-    counts must be at least 1."""
-    if r_count < 1 or phi_count < 1:
-        raise ValidationError("audit grid counts must be at least 1")
+    counts must be integers >= 1 (an integral float counts)."""
+    r_count = _check_int(r_count, "r_count", 1)
+    phi_count = _check_int(phi_count, "phi_count", 1)
     rs = np.geomspace(1.05, 4.0, r_count)
     phis = np.arange(phi_count) * (2.0 * math.pi / phi_count)
     gaps = np.empty((r_count, phi_count))

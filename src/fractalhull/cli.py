@@ -32,7 +32,7 @@ from .analytic import (
 )
 from .errors import FractalHullError, ValidationError
 from .hull import extract_polygon, polygon_area, polygon_json, polygon_perimeter
-from .ifs import chaos_game_sample, load_ifs_file
+from .ifs import _check_finite, chaos_game_sample, load_ifs_file
 from .query import build_context, near, near1
 from .render import render_svg
 from .width import _check_grid, _check_tol, solve_width, width_csv
@@ -189,8 +189,7 @@ def _cmd_exact(args) -> int:
         angles = [float(tok) for tok in args.angles.split(",")] if args.angles else []
     except ValueError:
         raise ValidationError("--angles must be comma-separated numbers") from None
-    if not all(math.isfinite(ang) for ang in angles):
-        raise ValidationError("--angles must be finite")
+    _check_finite(angles, "--angles")
     center = symmetry_center(sys_)
     lines = [f"center = ({center[0]:.6f}, {center[1]:.6f}) (exact)"]
     lines.append(f"perimeter = {hull_perimeter(sys_):.6f} (exact)")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import _readonly
+from .ifs import _check_finite, _readonly
 from .width import TWO_PI, WidthSamples, _radius_bound, eval_width
 
 _KINK_BUFFER_CELLS = 2
@@ -300,8 +300,9 @@ def polygon_perimeter(p: HullPolygon) -> float:
 
 
 def polygon_width(p: HullPolygon, angles) -> np.ndarray:
-    """Support values of the polygon around its base at the given angles."""
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    """Support values of the polygon around its base at the given finite
+    angles (a scalar or an array)."""
+    angles = np.atleast_1d(_check_finite(angles, "angle"))
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     rel = p.vertices - p.base
     return np.max(dirs @ rel.T, axis=1)

@@ -30,11 +30,42 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_square(a: np.ndarray) -> None:
+def _check_int(value, what: str, least: int) -> int:
+    """``value`` as an int, if it is a Python or numpy integer or an
+    integral float (not a bool), finite and at least ``least``; else raise."""
+    if type(value) is int and value >= least:
+        return value
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value)
+            and value == int(value) and value >= least):
+        return int(value)
+    raise ValidationError(f"{what} must be a finite integer >= {least}, got {value!r}")
+
+
+def _check_finite(x, what: str, shape=None) -> np.ndarray:
+    """``x`` as a float array, if its dtype is numeric (bool, integer or
+    float: not strings, objects or complex numbers), every entry is finite
+    and it has ``shape`` (``None`` in it matches any length, and
+    ``shape=None`` any shape); else raise."""
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError):  # ragged nesting
+        arr = np.array(None)
+    if (arr.dtype.kind not in "biuf"
+            or shape is not None and (arr.ndim != len(shape) or any(
+                s not in (None, d) for s, d in zip(shape, arr.shape)))
+            or not np.isfinite(arr).all()):
+        raise ValidationError(
+            f"{what} must be finite numbers{'' if shape is None else f' of shape {shape}'}"
+            f", got {arr.dtype} of shape {arr.shape}")
+    return arr.astype(float, copy=False)
+
+
+def _check_square(a) -> np.ndarray:
+    a = _check_finite(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix entries must be finite")
+    return a
 
 
 def operator_norm(a) -> float:
@@ -43,8 +74,7 @@ def operator_norm(a) -> float:
     Closed-form largest singular value for 1x1 and 2x2 matrices; LAPACK's
     singular values (``numpy.linalg.norm(a, 2)``) for anything larger.
     """
-    a = np.asarray(a, dtype=float)
-    _check_square(a)
+    a = _check_square(a)
     m = a.shape[0]
     if m == 1:
         return abs(float(a[0, 0]))
@@ -73,19 +103,14 @@ class AffineMap:
 
 
 def affine_map(a, t) -> AffineMap:
-    """Validate and build an :class:`AffineMap`, caching its operator norm."""
-    try:
-        a = _readonly(np.array(a, dtype=float))
-        t = _readonly(np.array(t, dtype=float))
-    except (TypeError, ValueError):
-        raise ValidationError("matrix and translation must be arrays of numbers") from None
-    _check_square(a)
-    if t.shape != (a.shape[0],):
-        raise ValidationError(
-            f"translation shape {t.shape} does not match matrix dimension {a.shape[0]}"
-        )
-    if not np.all(np.isfinite(t)):
-        raise ValidationError("translation entries must be finite")
+    """Validate and build an :class:`AffineMap`, caching its operator norm.
+
+    ``a`` must be a finite square matrix and ``t`` a finite vector of its
+    dimension, both of numbers (strings are refused).  Both are copied, so
+    the caller's arrays stay writeable.
+    """
+    a = _readonly(_check_square(a).copy())
+    t = _readonly(_check_finite(t, "translation", (a.shape[0],)).copy())
     c = operator_norm(a)
     if c >= 1.0:
         raise NotContractingError(f"map is not contracting, c={c:.6g}")
@@ -119,7 +144,7 @@ def validate_ifs(maps) -> IFS:
         try:
             built.append(affine_map(a, t))
         except NotContractingError:
-            c = operator_norm(np.asarray(a, dtype=float))
+            c = operator_norm(a)
             raise NotContractingError(
                 f"map {i} is not contracting, c_{i}={c:.6g}"
             ) from None
@@ -156,12 +181,11 @@ def chaos_game_sample(ifs: IFS, count: int, seed: int) -> PointCloud:
     step once a burn-in of 64 steps has passed.  ``min(1024, count // 64)``
     chains (at least 1) keep the burn-in work no larger than the recorded
     work.  Output is bit-for-bit reproducible for identical
-    ``(ifs, count, seed)``, for Python or numpy integers count >= 1, seed >= 0.
+    ``(ifs, count, seed)``; count >= 1 and seed >= 0 are Python or numpy
+    integers or integral floats.
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValidationError("count must be an integer >= 1")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError("seed must be an integer >= 0")
+    count = _check_int(count, "count", 1)
+    seed = _check_int(seed, "seed", 0)
     chains = max(1, min(_MAX_CHAINS, count // _BURN_IN))
     steps = _BURN_IN + -(-count // chains)
     rng = np.random.default_rng(seed)
@@ -178,16 +202,15 @@ def chaos_game_sample(ifs: IFS, count: int, seed: int) -> PointCloud:
 
 
 def _check_complex_base(z: complex, n: int) -> tuple[complex, int]:
-    """``(complex(z), int(n))`` for an integer ``n >= 2`` and a ``|z| > 1``
-    whose square is finite (beyond, ``1/z`` and ``(n-1)/(2(z-1))`` overflow)."""
+    """``(complex(z), int(n))`` for an integer ``n >= 2`` (an integral float
+    counts) and a ``|z| > 1`` whose square is finite (beyond, ``1/z`` and
+    ``(n-1)/(2(z-1))`` overflow)."""
     z = complex(z)
     if not math.isfinite(abs(z) * abs(z)):
         raise ValidationError(f"complex base needs a finite |z|^2, got {z!r}")
     if abs(z) <= 1.0:
         raise ValidationError("complex base needs |z| > 1")
-    if n != int(n) or int(n) < 2:
-        raise ValidationError("digit count n must be an integer >= 2")
-    return z, int(n)
+    return z, _check_int(n, "digit count n", 2)
 
 
 def complex_base_ifs(z: complex, n: int) -> IFS:
@@ -210,13 +233,6 @@ class IFSDocument:
 
     ifs: IFS
     complex_base: tuple[complex, int] | None = None
-
-
-def _json_int(value, what: str) -> int:
-    """An integral JSON number (2 or 2.0) as an int; anything else is rejected."""
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def parse_ifs_document(text: str) -> IFSDocument:
@@ -245,7 +261,7 @@ def parse_ifs_document(text: str) -> IFSDocument:
             raise ValidationError(
                 'complex_base needs {"z": [re, im], "n": n} with numbers re, im'
             ) from None
-        n = _json_int(n, "complex_base n")
+        n = _check_int(n, "complex_base n", 2)
         return IFSDocument(complex_base_ifs(z, n), complex_base=(z, n))
     if "maps" not in doc:
         raise ValidationError('expected a "maps" or "complex_base" key')
@@ -258,7 +274,7 @@ def parse_ifs_document(text: str) -> IFSDocument:
         except (KeyError, TypeError):
             raise ValidationError('each map needs "A" and "t"') from None
     ifs = validate_ifs(pairs)
-    if "dim" in doc and _json_int(doc["dim"], "dim") != ifs.dim:
+    if "dim" in doc and _check_int(doc["dim"], "dim", 1) != ifs.dim:
         raise ValidationError(
             f'declared dim {doc["dim"]} does not match maps of dimension {ifs.dim}'
         )

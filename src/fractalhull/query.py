@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .ifs import IFS, map_fixed_point
+from .ifs import IFS, _check_int, map_fixed_point
 from .width import TWO_PI, WidthSamples, circumradius, rebase_width
 
 _SINGULAR_RTOL = 1e-12
@@ -160,8 +160,9 @@ def _walk(ctx: QueryContext, x, budget: float, levels: float) -> QueryResult:
     """Depth-first pull-back walk: a point passing the quick test ends it
     with true once ``depth >= levels`` or ``budget >= C0``; each level
     divides the budget by the map's contraction factor."""
-    try:  # any shape but (2,) fails to unpack, or to pass isfinite
-        px, py = np.asarray(x, dtype=float).tolist()
+    try:  # any shape but (2,) or a dtype _check_finite refuses fails to unpack
+        x = np.asarray(x)
+        px, py = x.tolist() if x.dtype.kind in "biuf" else ()
         finite = math.isfinite(px) and math.isfinite(py)
     except (TypeError, ValueError):
         finite = False
@@ -211,14 +212,12 @@ def near(ctx: QueryContext, x, k: int) -> QueryResult:
 
     A true answer means x lies in the k-fold image of the quick-test set
     (within slack), hence within ``C0 * c^k`` of the attractor.  ``k`` is
-    a nonnegative integer (an integral float counts); the walk
+    a nonnegative Python or numpy integer, or an integral float; the walk
     tries maps in index order and short-circuits on the first success;
     levels beyond k are never visited.
     """
-    if not 0 <= k < math.inf or k != int(k):  # the first also rejects NaN
-        raise ValidationError("k must be a nonnegative finite integer")
     # a budget of -inf never reaches C0, even a C0 of zero
-    return _walk(ctx, x, -math.inf, int(k))
+    return _walk(ctx, x, -math.inf, _check_int(k, "k", 0))
 
 
 def near1(ctx: QueryContext, x, l: float) -> QueryResult:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
 from .hull import HullPolygon
+from .ifs import _check_finite
 
 
 def _flipped(points: np.ndarray) -> list[float]:
@@ -39,12 +39,9 @@ def render_svg(polygon: HullPolygon, cloud) -> str:
     when the base lies inside the viewport.
 
     Raises ``ValidationError`` unless ``cloud`` is a (k, 2) array of
-    finite values.
+    finite numbers (strings are refused).
     """
-    pts = np.asarray(cloud, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or not np.isfinite(pts).all():
-        raise ValidationError(
-            f"cloud must be a finite (k, 2) array, got shape {pts.shape}")
+    pts = _check_finite(cloud, "cloud", (None, 2))
     cx, cy = float(polygon.base[0]), float(polygon.base[1])
     if len(polygon):
         centre = (polygon.vertices.min(axis=0) + polygon.vertices.max(axis=0)) / 2.0

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .ifs import IFS, _readonly
+from .ifs import IFS, _check_finite, _check_int, _readonly
 
 TWO_PI = 2.0 * math.pi
 _ITERATION_CAP = 1_000_000
@@ -63,10 +63,9 @@ def _check_tol(tol: float) -> float:
 
 
 def _check_grid(n: int) -> int:
-    """Return ``int(n)`` if it is an even grid size of at least 64, else raise."""
-    n = int(n)
-    if n < 64:
-        raise ValidationError("direction grid needs at least 64 angles")
+    """Return ``n`` as an int if it is an even integer of at least 64 (an
+    integral float counts), else raise."""
+    n = _check_int(n, "direction grid size", 64)
     if n % 2:
         raise ValidationError("direction grid size must be even")
     return n
@@ -159,20 +158,19 @@ def _interp_periodic(values: np.ndarray, angles):
 
 def make_width_samples(grid: DirectionGrid, base, values,
                        iter_error: float, interp_slack: float) -> WidthSamples:
-    """Assemble width samples from raw arrays, checking basic invariants."""
-    base = _readonly(np.array(base, dtype=float))
-    values = _readonly(np.array(values, dtype=float))
-    if base.shape != (2,):
-        raise ValidationError("base point must be a 2-vector")
-    if values.shape != (grid.n,):
-        raise ValidationError(
-            f"expected {grid.n} samples, got shape {values.shape}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("width samples must be finite")
+    """Assemble width samples from raw arrays, checking basic invariants.
+
+    ``base`` must be a finite 2-vector, ``values`` ``grid.n`` finite
+    numbers and both error bounds finite and nonnegative.  The arrays are
+    copied, so the caller's stay writeable.
+    """
+    base = _readonly(_check_finite(base, "base point", (2,)).copy())
+    values = _readonly(_check_finite(values, "width samples", (grid.n,)).copy())
+    iter_error, interp_slack = _check_finite(
+        (iter_error, interp_slack), "error bounds", (2,)).tolist()
     if iter_error < 0.0 or interp_slack < 0.0:
         raise ValidationError("error bounds must be nonnegative")
-    return WidthSamples(grid, base, values, float(iter_error), float(interp_slack))
+    return WidthSamples(grid, base, values, iter_error, interp_slack)
 
 
 class _OperatorPlan:
@@ -304,7 +302,8 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
     ifs : IFS
         Two-dimensional system to solve.
     n_grid : int
-        Number of grid angles (even, >= 64).
+        Number of grid angles: an even integer >= 64 (an integral float
+        counts; any other float, a string or a bool is refused).
     tol : float
         Target for the a-posteriori bound: iteration stops once
         ``step * c / (1 - c) <= tol``, or once the step is within rounding
@@ -333,7 +332,7 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
     if ifs.dim != 2:
         raise ValidationError("the width solver is two-dimensional only")
     _check_tol(tol)
-    grid = _shared_grid(int(n_grid))
+    grid = _shared_grid(_check_grid(n_grid))
     plan = _OperatorPlan(ifs, grid)
     c = ifs.c
     if _shares_similarity(ifs):
@@ -368,8 +367,12 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
 
 
 def rebase_width(w: WidthSamples, new_base) -> WidthSamples:
-    """Translate the base point: h_new(d) = h_old(d) + (old - new)^T d."""
-    new_base = np.asarray(new_base, dtype=float)
+    """Translate the base point: h_new(d) = h_old(d) + (old - new)^T d.
+
+    ``new_base`` must be a finite 2-vector; it is copied, so the caller's
+    array stays writeable.
+    """
+    new_base = _check_finite(new_base, "base point", (2,))
     shift = w.grid.directions @ (w.base - new_base)
     return replace(w, base=_readonly(new_base.copy()),
                    values=_readonly(w.values + shift))
@@ -379,10 +382,11 @@ def eval_width(w: WidthSamples, angle):
     """Width at an arbitrary angle by periodic linear interpolation.
 
     Point uncertainty is ``w.iter_error + w.interp_slack``.  Accepts a
-    scalar or an array of angles.
+    finite scalar angle (returns a float) or an array of finite angles.
     """
+    angle = _check_finite(angle, "angle")
     out = _interp_periodic(w.values, angle)
-    if np.isscalar(angle) or np.ndim(angle) == 0:
+    if angle.ndim == 0:
         return float(out)
     return out
 
@@ -401,10 +405,12 @@ def hull_contains(w: WidthSamples, x, slack: float = 0.0):
     """Full-direction membership test against the sampled hull.
 
     True iff ``(x - base)^T e <= h(e) + iter_error + slack`` for every grid
-    direction e.  Accepts one point of shape (2,) or a batch of shape
-    (k, 2); the batch form returns a boolean array.
+    direction e.  Accepts one finite point of shape (2,) or a batch of
+    shape (k, 2); the batch form returns a boolean array.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_finite(x, "x")
+    if x.shape != (2,):
+        x = _check_finite(x, "x", (None, 2))
     budget = w.values + (w.iter_error + slack)
     if x.ndim == 1:
         proj = w.grid.directions @ (x - w.base)

@@ -91,6 +91,25 @@ class TestEqualMapsWidth:
         with pytest.raises(fh.ValidationError, match="positive finite"):
             fh.equal_maps_width(0.5 * np.eye(2), [(1.0, 0.0)], (1.0, 0.0), tol)
 
+    @pytest.mark.parametrize("ts,d", [
+        ([(1.0, 0.0)], (math.nan, 0.0)),
+        ([(1.0, 0.0)], (math.inf, 0.0)),
+        ([(math.nan, 0.0)], (1.0, 0.0)),
+        ([(1.0, 0.0)], (1.0, 0.0, 0.0)),
+        ([(1.0, 0.0, 0.0)], (1.0, 0.0)),
+        ([1.0, 0.0], (1.0, 0.0)),
+        (np.zeros((0, 2)), (1.0, 0.0)),
+        ([(1.0, 0.0)], (0.0, 0.0)),
+    ], ids=["d-nan", "d-inf", "t-nan", "d-3", "t-rows-3", "t-flat", "t-empty", "d-zero"])
+    def test_rejects_malformed_inputs(self, ts, d):
+        with pytest.raises(fh.ValidationError):
+            fh.equal_maps_width(0.5 * np.eye(2), ts, d)
+
+    def test_tiny_contraction_takes_one_term(self):
+        # 1/c overflows for c = 1e-320: the one-term case must not need it
+        val = fh.equal_maps_width(1e-320 * np.eye(2), [(1.0, 0.0)], (1.0, 0.0))
+        assert val == 1.0
+
 
 class TestSymmetryCenter:
     def test_twindragon(self, twindragon_sys):
@@ -135,6 +154,12 @@ class TestWidthSeries:
         sys_ = fh.ComplexBaseSystem(1 + 1j, 2)
         with pytest.raises(fh.ValidationError):
             fh.rational_width(sys_, 0.0)
+
+    @pytest.mark.parametrize("form", ["centered_width", "rational_width"])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, np.array([0.0, math.nan])])
+    def test_angle_must_be_finite(self, twindragon_sys, form, alpha):
+        with pytest.raises(fh.ValidationError, match="angle"):
+            getattr(fh, form)(twindragon_sys, alpha)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_series_terms_rejects_non_finite_tol(self, tol):
@@ -359,6 +384,22 @@ class TestIsodiametricGap:
     def test_rejects_small_modulus(self):
         with pytest.raises(fh.ValidationError):
             fh.isodiametric_gap(1.0, 0.5)
+
+    @pytest.mark.parametrize("r,phi", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan),
+                                       (2.0, np.array([0.0, math.inf]))])
+    def test_rejects_non_finite_inputs(self, r, phi):
+        with pytest.raises(fh.ValidationError):
+            fh.isodiametric_gap(r, phi)
+
+    @pytest.mark.parametrize("counts", [(1.5, 2), (2, 0.5), (2, True), (0, 2)])
+    def test_audit_counts_must_be_integers(self, counts):
+        with pytest.raises(fh.ValidationError, match="count must be a finite integer"):
+            fh.isodiametric_audit(*counts)
+
+    def test_audit_integral_float_counts(self):
+        got = fh.isodiametric_audit(3.0, np.int64(4))
+        want = fh.isodiametric_audit(3, 4)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_audit_grid_shape_and_sign(self):
         rs, phis, gaps = fh.isodiametric_audit(12, 64)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fractalhull as fh
 from fractalhull import cli
 from fractalhull.cli import main
 
@@ -333,6 +334,16 @@ class TestExact:
             "  3  5.497787  0.824957911  0.117851130  0.353553391\n"
             "  4  4.712389  0.833333333  0.333333333  0.000000000\n"
         )
+
+    def test_irrational_base_widths(self, inputs, capsys):
+        # |z| = 2 at phi = 1: widths come from the series, within the tol
+        assert main(["exact", "--input", inputs["zphi"], "--angles", "0,1"]) == 0
+        out = capsys.readouterr().out
+        sys_ = fh.complex_base_system(2 * complex(math.cos(1.0), math.sin(1.0)), 2)
+        for ang in (0.0, 1.0):
+            want = fh.centered_width(sys_, ang, 1e-9)
+            assert f"width({ang:.6f}) = {want:.9f} +- 1e-09\n" in out
+        assert "no finite edge table" in out
 
     def test_requires_complex_base(self, tmp_path):
         path = tmp_path / "square.json"

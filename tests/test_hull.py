@@ -129,6 +129,12 @@ class TestExtractPolygon:
         tol = w.iter_error + w.interp_slack + poly.outer_slack
         assert np.max(np.abs(sup - w.values)) <= tol
 
+    @pytest.mark.parametrize("angles", [math.nan, [0.0, math.inf], "1"])
+    def test_polygon_width_rejects_non_finite_angle(self, twindragon_width, angles):
+        poly = fh.extract_polygon(twindragon_width)
+        with pytest.raises(fh.ValidationError, match="angle"):
+            fh.polygon_width(poly, angles)
+
     def test_cloud_inside_dilated_polygon(self, twindragon_width, twindragon_cloud):
         poly = fh.extract_polygon(twindragon_width)
         angles = np.linspace(0, 2 * math.pi, 512, endpoint=False)

@@ -98,6 +98,27 @@ class TestValidateIfs:
         assert twindragon_ifs.c == pytest.approx(1.0 / math.sqrt(2.0))
 
 
+class TestAffineMap:
+    @pytest.mark.parametrize("t", [(0.0, 0.0, 0.0), (0.0,), [[0.0, 0.0]],
+                                   (math.nan, 0.0), (0.0, -math.inf), ("0.1", "0"),
+                                   [0.0, [1.0]], None])
+    def test_rejects_malformed_translation(self, t):
+        with pytest.raises(fh.ValidationError, match="translation"):
+            fh.affine_map(0.5 * np.eye(2), t)
+
+    @pytest.mark.parametrize("a", [[["0.5", "0"], ["0", "0.5"]], [[0.5, 0.0], [0.0]],
+                                   np.zeros((2, 3)), [[math.nan, 0.0], [0.0, 0.5]]])
+    def test_rejects_malformed_matrix(self, a):
+        with pytest.raises(fh.ValidationError):
+            fh.affine_map(a, (0.0, 0.0))
+
+    def test_caller_arrays_stay_writeable(self):
+        a, t = 0.5 * np.eye(2), np.array([0.1, 0.2])
+        m = fh.affine_map(a, t)
+        assert a.flags.writeable and t.flags.writeable
+        assert not m.a.flags.writeable and not m.t.flags.writeable
+
+
 class TestMapFixedPoint:
     def test_pure_translation(self):
         m = fh.affine_map(np.zeros((2, 2)), (1.0, 2.0))
@@ -169,7 +190,8 @@ class TestChaosGame:
             fh.chaos_game_sample(twindragon_ifs, 0, seed=1)
 
     @pytest.mark.parametrize("count,seed", [(10, 1.5), (2.5, 0), (10, -1),
-                                            (10, "1"), (10, None), ("10", 0)])
+                                            (10, "1"), (10, None), ("10", 0),
+                                            (True, 0), (10, math.inf)])
     def test_count_and_seed_must_be_integers(self, twindragon_ifs, count, seed):
         with pytest.raises(fh.ValidationError, match="count must be|seed must be"):
             fh.chaos_game_sample(twindragon_ifs, count, seed)
@@ -177,6 +199,11 @@ class TestChaosGame:
     def test_numpy_integers_accepted(self, twindragon_ifs):
         a = fh.chaos_game_sample(twindragon_ifs, np.int64(100), np.uint32(5))
         b = fh.chaos_game_sample(twindragon_ifs, 100, 5)
+        assert np.array_equal(a.points, b.points)
+
+    def test_integral_floats_accepted(self, twindragon_ifs):
+        a = fh.chaos_game_sample(twindragon_ifs, 10.0, 0.0)
+        b = fh.chaos_game_sample(twindragon_ifs, 10, 0)
         assert np.array_equal(a.points, b.points)
 
 
@@ -252,7 +279,12 @@ class TestIfsDocuments:
         '{"complex_base": {"z": ["a", 1], "n": 2}}',
         '{"complex_base": {"z": [1, 1], "n": 2.5}}',
         '{"maps": [{"A": [[0.5, "x"], [0, 0.5]], "t": [0, 0]}]}',
+        '{"maps": [{"A": [["0.5", 0], [0, 0.5]], "t": [0, 0]}]}',
         '{"maps": 5}',
+        '[{"A": [[0.5]], "t": [0]}]',
+        '{"maps": [{"A": [[0.5]]}]}',
+        '{"maps": [{"t": [0]}]}',
+        '{"maps": [[0.5]]}',
     ])
     def test_rejects_malformed_values(self, text):
         with pytest.raises(fh.ValidationError):

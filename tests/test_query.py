@@ -49,6 +49,17 @@ class TestBuildContext:
         with pytest.raises(fh.ValidationError):
             fh.build_context(twindragon_ifs, twindragon_width, c0_mode="bogus")
 
+    def test_rejects_other_dimensions(self, twindragon_width):
+        ifs = fh.validate_ifs([(0.5 * np.eye(3), np.zeros(3))])
+        with pytest.raises(fh.ValidationError, match="two-dimensional"):
+            fh.build_context(ifs, twindragon_width)
+
+    def test_result_truthiness_follows_hit(self, ctx):
+        hit = fh.near(ctx, ctx.x0, 0)
+        miss = fh.near(ctx, ctx.x0 + np.array([2 * ctx.radius, 0.0]), 0)
+        assert hit.hit and bool(hit)
+        assert not miss.hit and not bool(miss)
+
 
 class TestQuickReject:
     def test_base_point_passes(self, ctx):
@@ -104,6 +115,10 @@ class TestNear:
         # int() would silently run 2 of 2.5 levels
         with pytest.raises(fh.ValidationError, match="integer"):
             fh.near(ctx, ctx.x0, k)
+
+    def test_rejects_bool_depth(self, ctx):
+        with pytest.raises(fh.ValidationError, match="integer"):
+            fh.near(ctx, ctx.x0, True)
 
     def test_integral_depth_of_any_type(self, ctx):
         for k in (3, 3.0, np.int64(3)):
@@ -169,7 +184,7 @@ class TestQueryInputs:
     @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, 0.0),
                                    (0.0,), 0.0, "ab", "12", b"ab", [1 + 1j, 0.0],
                                    {"x": 0.0, "y": 0.0}, {1.0, 2.0}, [[1.0, 2.0], [3.0]],
-                                   None])
+                                   None, ("0.1", "0.2")])
     def test_point_must_be_finite_2_vector(self, ctx, x):
         with pytest.raises(fh.ValidationError, match="finite 2-vector"):
             fh.near(ctx, x, 1)

@@ -131,7 +131,8 @@ class TestRenderSvg:
         np.array([[0.0, 0.0], [np.nan, 1.0]]),
         np.array([[np.inf, 0.0]]),
         np.array([[0.0, -np.inf]]),
-    ], ids=["k-by-3", "flat", "3d", "nan", "inf", "-inf"])
+        np.array([["0.1", "0.2"]]),
+    ], ids=["k-by-3", "flat", "3d", "nan", "inf", "-inf", "strings"])
     def test_rejects_malformed_cloud(self, cloud):
         with pytest.raises(fh.ValidationError):
             fh.render_svg(polygon(TRIANGLE), cloud)

@@ -29,6 +29,32 @@ class TestDirectionGrid:
         assert np.allclose(grid.directions[64], -grid.directions[0])
 
 
+class TestMakeWidthSamples:
+    @pytest.mark.parametrize("base,values,iter_error,interp_slack", [
+        ((0.0, 0.0, 0.0), None, 0.0, 0.0),
+        ((math.nan, 0.0), None, 0.0, 0.0),
+        ((0.0, 0.0), np.ones(63), 0.0, 0.0),
+        ((0.0, 0.0), np.full(64, math.inf), 0.0, 0.0),
+        ((0.0, 0.0), np.array(["1"] * 64), 0.0, 0.0),
+        ((0.0, 0.0), None, -1.0, 0.0),
+        ((0.0, 0.0), None, 0.0, -1.0),
+        ((0.0, 0.0), None, math.nan, 0.0),
+        ((0.0, 0.0), None, 0.0, math.inf),
+    ], ids=["base-3", "base-nan", "values-63", "values-inf", "values-strings",
+            "iter-negative", "slack-negative", "iter-nan", "slack-inf"])
+    def test_rejects_malformed(self, base, values, iter_error, interp_slack):
+        grid = fh.DirectionGrid(64)
+        values = np.ones(64) if values is None else values
+        with pytest.raises(fh.ValidationError):
+            fh.make_width_samples(grid, base, values, iter_error, interp_slack)
+
+    def test_caller_arrays_stay_writeable(self):
+        base, values = np.zeros(2), np.ones(64)
+        w = fh.make_width_samples(fh.DirectionGrid(64), base, values, 0.0, 0.0)
+        assert base.flags.writeable and values.flags.writeable
+        assert not w.base.flags.writeable and not w.values.flags.writeable
+
+
 class TestSelfsimOperator:
     def test_zero_matrices_fix_translation_support(self):
         # with all A_i = 0 the operator output is max_i t_i^T d, fixed thereafter
@@ -389,6 +415,17 @@ class TestSolveWidth:
         with pytest.raises(fh.ValidationError, match="positive finite"):
             fh.solve_width(twindragon_ifs, 64, tol)
 
+    @pytest.mark.parametrize("n", [100.7, "128", True, math.nan])
+    def test_grid_size_must_be_an_integer(self, twindragon_ifs, n):
+        # int() solved 100.7 at n = 100 and parsed "128"
+        with pytest.raises(fh.ValidationError, match="grid size must be a finite integer"):
+            fh.solve_width(twindragon_ifs, n)
+
+    def test_rejects_other_dimensions(self):
+        ifs = fh.validate_ifs([(0.5 * np.eye(3), np.zeros(3))])
+        with pytest.raises(fh.ValidationError, match="two-dimensional"):
+            fh.solve_width(ifs, 64)
+
     def test_solves_of_one_size_share_a_read_only_grid(self, twindragon_ifs, square_ifs):
         w = fh.solve_width(twindragon_ifs, 128, 1e-6)
         again = fh.solve_width(square_ifs, 128.0, 1e-3)
@@ -441,6 +478,24 @@ class TestRebaseEval:
         query = 0.1234
         assert abs(fh.eval_width(w, query) - math.cos(query)) <= w.interp_slack
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf,
+                                       np.array([0.0, math.nan]), "0.3"])
+    def test_eval_rejects_non_finite_angle(self, angle):
+        # NaN and inf indexed the samples at -2**63
+        with pytest.raises(fh.ValidationError, match="angle"):
+            fh.eval_width(disk_width(), angle)
+
+    @pytest.mark.parametrize("base", [(math.nan, 0.0), (0.0, math.inf), (1.0, 2.0, 3.0),
+                                      ("1", "0")])
+    def test_rebase_rejects_malformed_base(self, base):
+        with pytest.raises(fh.ValidationError, match="base point"):
+            fh.rebase_width(disk_width(), base)
+
+    def test_rebase_keeps_caller_array_writeable(self):
+        base = np.array([0.5, 0.0])
+        w = fh.rebase_width(disk_width(), base)
+        assert base.flags.writeable and not w.base.flags.writeable
+
 
 class TestRadiusAndContainment:
     def test_circumradius_unit_ball(self):
@@ -473,6 +528,13 @@ class TestRadiusAndContainment:
         batch = fh.hull_contains(twindragon_width, pts, slack=1e-4)
         single = [fh.hull_contains(twindragon_width, p, slack=1e-4) for p in pts]
         assert batch.tolist() == single
+
+    @pytest.mark.parametrize("x", [(math.nan, 0.0), [(0.0, 0.0), (math.nan, 0.0)],
+                                   (1.0, 2.0, 3.0), np.zeros((4, 3)), ("0", "0")])
+    def test_contains_rejects_malformed_points(self, x):
+        # a NaN point or row read as outside; a wrong shape failed to broadcast
+        with pytest.raises(fh.ValidationError):
+            fh.hull_contains(disk_width(), x)
 
     def test_cloud_and_images_contained(self, twindragon_ifs, twindragon_width,
                                         twindragon_cloud):
