@@ -254,7 +254,7 @@ def exact_polygon(sys: ComplexBaseSystem) -> tuple[HullPolygon, list[TrianglePar
                (0.5 * (lengths + diffs)).tolist(), (0.5 * (lengths - diffs)).tolist())
     tris = [TriangleParams(*row) for row in rows]
     poly = HullPolygon(_readonly(verts), _readonly(center), method="exact",
-                       outer_slack=0.0)
+                       outer_slack=1e-12)
     return poly, tris
 
 

@@ -133,16 +133,14 @@ def _polygon_for(doc, args):
     if doc.complex_base is not None:
         sys_ = complex_base_system(*doc.complex_base)
         if sys_.rational_angle is not None:
-            poly, _ = exact_polygon(sys_)
-            return poly, 1e-12
-    w = solve_width(doc.ifs, args.grid, args.tol)
-    poly = extract_polygon(w)
-    return poly, poly.outer_slack
+            return exact_polygon(sys_)[0]
+    return extract_polygon(solve_width(doc.ifs, args.grid, args.tol))
 
 
 def _cmd_hull(args) -> int:
     doc = load_ifs_file(args.input)
-    poly, slack = _polygon_for(doc, args)
+    poly = _polygon_for(doc, args)
+    slack = poly.outer_slack
     _write_out(args, polygon_json(poly) + "\n")
     perim = polygon_perimeter(poly)
     _info(args, f"method={poly.method} vertices={len(poly)}")
@@ -153,7 +151,7 @@ def _cmd_hull(args) -> int:
 
 def _cmd_render(args) -> int:
     doc = load_ifs_file(args.input)
-    poly, _ = _polygon_for(doc, args)
+    poly = _polygon_for(doc, args)
     cloud = chaos_game_sample(doc.ifs, args.points, args.seed)
     _write_out(args, render_svg(poly, cloud.points))
     return 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ifs import _check_finite, _readonly
-from .width import TWO_PI, WidthSamples, _radius_bound, eval_width
+from .width import TWO_PI, WidthSamples, eval_width
 
 _KINK_BUFFER_CELLS = 2
 # points _dedup_cyclic tests one by one before it screens a run in blocks
@@ -40,8 +40,8 @@ class HullPolygon:
     """Ordered convex polygon (counterclockwise vertices) for conv(K).
 
     ``method`` records how the polygon was obtained ("kinks", "dense",
-    "exact", "series"); ``outer_slack`` is the reported dilation radius
-    within which the true hull is certified to lie.
+    "exact", "series"); ``outer_slack`` is the dilation radius within which
+    the true hull is certified to lie (for "exact", 1e-12 covers rounding).
     """
 
     vertices: np.ndarray  # (k, 2)
@@ -62,12 +62,12 @@ def _jump_threshold(w: WidthSamples) -> float:
     """Smallest derivative jump distinguishable from discretization noise.
 
     The second-difference jump estimator sees curvature noise of order
-    step * R on smooth cosine arcs and value noise of order
-    iter_error / step; jumps below a safety factor of 8 over that floor are
-    absorbed into vertex arcs.
+    step * radius on smooth cosine arcs and, from the solver's own step,
+    value noise of order iter_error / step; jumps below a safety factor of
+    8 over that floor are absorbed into vertex arcs.
     """
     step = w.grid.step
-    return 8.0 * (step * _radius_bound(w.values, w.iter_error) + w.iter_error / step)
+    return 8.0 * (step * w.radius + w.iter_error / step)
 
 
 def _one_sided_derivatives(values: np.ndarray, g: int, step: float) -> tuple[float, float]:
@@ -236,17 +236,17 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     dilation certified to contain the hull.  With no kink every grid
     angle's supporting point is a candidate (method flag "dense").
     ``outer_slack`` is ``2 slack + merge_tol``, raised to
-    ``max_g (h_g - p_g) + iter_error + 2 interp_slack`` where the
+    ``max_g (h_g - p_g) + bound + 2 interp_slack`` where the
     polygon's support p falls short of the values h at a grid angle by
     more: the cleanup can drop a true vertex.
 
     The base may be any point, inside the hull or not: the width function
     around x, its kinks and the supporting points ``x + h u + h' u_perp``
     are defined for every x, and ``|h'|`` stays below the largest distance
-    from x to the hull, the ``R`` of ``interp_slack``.
+    from x to the hull, ``w.radius``.
     """
     ks = detect_kinks(w)
-    r_est = _radius_bound(w.values, w.iter_error)
+    r_est = w.radius
     merge_tol = max(1e-9 * r_est, 8.0 * w.slack)
     eps_cross = 1e-12 * max(r_est, 1.0) ** 2
 
@@ -277,7 +277,7 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     candidates = _dedup_cyclic(np.concatenate(pieces, axis=0), merge_tol)
     verts = _monotone_chain(candidates, eps_cross)
     outer = max(2.0 * w.slack + merge_tol,
-                _support_shortfall(verts, w) + w.iter_error + 2.0 * w.interp_slack)
+                _support_shortfall(verts, w) + w.bound + 2.0 * w.interp_slack)
     return HullPolygon(_readonly(verts), _readonly(np.array(w.base)),
                        method="kinks" if ks else "dense", outer_slack=outer)
 
@@ -313,7 +313,7 @@ def polygon_width_samples(p: HullPolygon, grid) -> WidthSamples:
     values = polygon_width(p, grid.angles)
     r = float(np.max(np.linalg.norm(p.vertices - p.base, axis=1))) if len(p) else 0.0
     return WidthSamples(grid, _readonly(np.array(p.base)), _readonly(values),
-                        iter_error=0.0, interp_slack=r * math.pi / grid.n)
+                        0.0, r * math.pi / grid.n)
 
 
 def polygon_json(p: HullPolygon) -> str:

@@ -133,14 +133,19 @@ def validate_ifs(maps) -> IFS:
     """Check a family of ``(A, t)`` pairs and assemble an :class:`IFS`.
 
     Each pair becomes an :class:`AffineMap` through :func:`affine_map`.
-    Rejects an empty family, mixed dimensions, and any non-contracting
-    member (the error names the 1-based index and the offending norm).
+    Rejects an empty family, an item that is not a pair, mixed dimensions,
+    and any non-contracting member (the error names the 1-based index and
+    the offending norm).
     """
     items = list(maps)
     if not items:
         raise ValidationError("an IFS needs at least one map")
     built: list[AffineMap] = []
-    for i, (a, t) in enumerate(items, start=1):
+    for i, item in enumerate(items, start=1):
+        try:
+            a, t = item
+        except (TypeError, ValueError):
+            raise ValidationError(f"map {i} must be an (A, t) pair") from None
         try:
             built.append(affine_map(a, t))
         except NotContractingError:
@@ -203,9 +208,13 @@ def chaos_game_sample(ifs: IFS, count: int, seed: int) -> PointCloud:
 
 def _check_complex_base(z: complex, n: int) -> tuple[complex, int]:
     """``(complex(z), int(n))`` for an integer ``n >= 2`` (an integral float
-    counts) and a ``|z| > 1`` whose square is finite (beyond, ``1/z`` and
+    counts) and a number ``z`` (of a numeric dtype, complex allowed: not a
+    string) with ``|z| > 1`` whose square is finite (beyond, ``1/z`` and
     ``(n-1)/(2(z-1))`` overflow)."""
-    z = complex(z)
+    arr = np.asarray(z)
+    if arr.shape or arr.dtype.kind not in "biufc":
+        raise ValidationError(f"complex base must be a number, got {z!r}")
+    z = complex(arr)
     if not math.isfinite(abs(z) * abs(z)):
         raise ValidationError(f"complex base needs a finite |z|^2, got {z!r}")
     if abs(z) <= 1.0:
@@ -256,7 +265,7 @@ def parse_ifs_document(text: str) -> IFSDocument:
         try:
             re_, im_ = spec["z"]
             n = spec["n"]
-            z = complex(float(re_), float(im_))
+            z = complex(re_, im_)  # refuses strings; float() would parse them
         except (KeyError, TypeError, ValueError, OverflowError):
             raise ValidationError(
                 'complex_base needs {"z": [re, im], "n": n} with numbers re, im'

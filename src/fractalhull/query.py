@@ -230,6 +230,10 @@ def near1(ctx: QueryContext, x, l: float) -> QueryResult:
     bound.  Budgets grow by at least 1/c per level, so the depth never
     exceeds ``ceil(log(C0/l) / log(1/c)) + 1``.
     """
-    if not l > 0.0:  # also rejects NaN, whose budget never reaches C0
+    try:
+        invalid = not l > 0.0  # also NaN, whose budget never reaches C0
+    except (TypeError, ValueError):  # a string, an array or another non-number
+        invalid = True
+    if invalid:
         raise ValidationError("distance threshold must be positive")
     return _walk(ctx, x, float(l), math.inf)

@@ -12,9 +12,13 @@ iterating it from a constant function converges geometrically and the final
 step size yields a certified a-posteriori error bound.
 
 Directions are discretized on a uniform angle grid with periodic linear
-interpolation in between; the interpolation error is covered separately by
-a Lipschitz bound (any support function around a base inside B(base, R) is
-R-Lipschitz in the angle), reported as ``interp_slack``.
+interpolation in between.  :class:`WidthSamples` composes the error budget
+once: ``bound`` at the grid angles, ``slack`` at any angle and ``radius``
+for the largest distance from the base to the hull; every certified claim
+reads one of the three.  The ledger behind them records the sources apart:
+``iter_error``, the solver's distance to the discrete fixed point, and
+``interp_slack``, the interpolation error between grid angles (any support
+function around a base inside B(base, R) is R-Lipschitz in the angle).
 
 Only the sample values change from one sweep to the next.  Everything else
 in the operator (for each map and grid direction: the grid cell of
@@ -57,7 +61,11 @@ _ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
 
 def _check_tol(tol: float) -> float:
     """Return ``tol`` if it is a positive finite number, else raise."""
-    if not (math.isfinite(tol) and tol > 0.0):
+    try:
+        valid = math.isfinite(tol) and tol > 0.0
+    except TypeError:  # a string or another non-number
+        valid = False
+    if not valid:
         raise ValidationError("tol must be a positive finite number")
     return tol
 
@@ -69,11 +77,6 @@ def _check_grid(n: int) -> int:
     if n % 2:
         raise ValidationError("direction grid size must be even")
     return n
-
-
-def _radius_bound(values: np.ndarray, iter_error: float) -> float:
-    """``R``, the largest distance from the base to the hull, bounded."""
-    return max(float(values.max()), 0.0) + iter_error
 
 
 class DirectionGrid:
@@ -106,12 +109,16 @@ def _shared_grid(n: int) -> DirectionGrid:
 class WidthSamples:
     """Width function sampled on a direction grid, with its error budget.
 
-    ``iter_error`` bounds the sup-norm distance to the fixed point of the
-    discretized operator (from the contraction-based stopping rule);
-    ``interp_slack`` bounds the linear-interpolation error between grid
-    angles.  Both are certified bounds, tracked separately on purpose: the
-    discrete fixed point itself sits within an interpolation-driven offset
-    of the continuum width function.
+    Three properties compose the budget, and every certified claim reads
+    them: ``bound`` bounds ``|values - h|`` at the grid angles
+    (:func:`hull_contains`, :func:`circumradius`, the polygon's shortfall
+    term in ``outer_slack``); ``slack = bound + interp_slack`` bounds it at
+    any angle (:func:`eval_width`, the query thresholds, the extraction's
+    merge tolerance); ``radius`` bounds the largest distance from the base
+    to the hull (``interp_slack`` itself, the kink and merge thresholds).
+    ``iter_error`` (the solver's distance to the discrete fixed point) and
+    ``interp_slack`` (the Lipschitz bound ``radius * pi / n`` between grid
+    angles) are the ledger the three are composed from.
     """
 
     grid: DirectionGrid
@@ -122,9 +129,16 @@ class WidthSamples:
     iterations: int = 0
 
     @property
+    def bound(self) -> float:
+        return self.iter_error
+
+    @property
     def slack(self) -> float:
-        """Total pointwise uncertainty iter_error + interp_slack."""
-        return self.iter_error + self.interp_slack
+        return self.bound + self.interp_slack
+
+    @property
+    def radius(self) -> float:
+        return max(float(self.values.max()), 0.0) + self.bound
 
 
 def _grid_cell(n: int, angles):
@@ -316,7 +330,7 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
     WidthSamples
         Samples around base 0 with ``iter_error = step * c / (1 - c)``
         (above ``tol`` when the rounding floor stopped the sweeps) and
-        ``interp_slack = R * pi / n_grid`` where R bounds the circumradius;
+        ``interp_slack = radius * pi / n_grid``;
         ``iterations`` counts the planned sweeps.
 
     When all maps share one nonzero rotation-scaling linear part (every
@@ -360,10 +374,9 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
         raise ConvergenceError(
             f"width iteration did not converge within {_ITERATION_CAP} steps"
         )
-    iter_error = delta * c / (1.0 - c)
-    interp_slack = _radius_bound(values, iter_error) * math.pi / grid.n
-    return WidthSamples(grid, _readonly(np.zeros(2)), _readonly(values),
-                        iter_error, interp_slack, iterations)
+    w = WidthSamples(grid, _readonly(np.zeros(2)), _readonly(values),
+                     delta * c / (1.0 - c), 0.0, iterations)
+    return replace(w, interp_slack=w.radius * math.pi / grid.n)
 
 
 def rebase_width(w: WidthSamples, new_base) -> WidthSamples:
@@ -381,8 +394,8 @@ def rebase_width(w: WidthSamples, new_base) -> WidthSamples:
 def eval_width(w: WidthSamples, angle):
     """Width at an arbitrary angle by periodic linear interpolation.
 
-    Point uncertainty is ``w.iter_error + w.interp_slack``.  Accepts a
-    finite scalar angle (returns a float) or an array of finite angles.
+    Point uncertainty is ``w.slack``.  Accepts a finite scalar angle
+    (returns a float) or an array of finite angles.
     """
     angle = _check_finite(angle, "angle")
     out = _interp_periodic(w.values, angle)
@@ -395,23 +408,27 @@ def circumradius(w: WidthSamples) -> float:
     """Certified upper bound on sup_d h(d), the largest distance from the
     base to a point of the hull.
 
-    The bound ``max h + iter_error + interp_slack`` holds for any base,
+    The bound ``max h + bound + interp_slack`` holds for any base,
     inside the hull or not, so no base is rejected.
     """
-    return float(w.values.max()) + w.iter_error + w.interp_slack
+    return float(w.values.max()) + w.bound + w.interp_slack
 
 
 def hull_contains(w: WidthSamples, x, slack: float = 0.0):
     """Full-direction membership test against the sampled hull.
 
-    True iff ``(x - base)^T e <= h(e) + iter_error + slack`` for every grid
+    True iff ``(x - base)^T e <= h(e) + w.bound + slack`` for every grid
     direction e.  Accepts one finite point of shape (2,) or a batch of
-    shape (k, 2); the batch form returns a boolean array.
+    shape (k, 2); the batch form returns a boolean array.  ``slack`` is a
+    finite number >= 0.
     """
     x = _check_finite(x, "x")
     if x.shape != (2,):
         x = _check_finite(x, "x", (None, 2))
-    budget = w.values + (w.iter_error + slack)
+    slack = float(_check_finite(slack, "slack", ()))
+    if slack < 0.0:
+        raise ValidationError(f"slack must be nonnegative, got {slack!r}")
+    budget = w.values + (w.bound + slack)
     if x.ndim == 1:
         proj = w.grid.directions @ (x - w.base)
         return bool(np.all(proj <= budget))

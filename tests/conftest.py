@@ -48,3 +48,22 @@ def disk_width(radius=1.0, n=2048, base=(0.0, 0.0)):
     return fh.make_width_samples(grid, base, np.full(n, radius),
                                  iter_error=1e-12,
                                  interp_slack=radius * math.pi / n)
+
+
+def distance_to_polygon(vertices, points):
+    """Distance from each point to a convex polygon with counterclockwise
+    vertices (0 inside), or to the segment or point that fewer than three
+    vertices describe."""
+    a = vertices
+    ab = np.roll(vertices, -1, axis=0) - a
+    den = np.maximum(np.sum(ab * ab, axis=1), np.finfo(float).tiny)
+    out = np.empty(len(points))
+    for lo in range(0, len(points), 256):
+        ap = points[lo:lo + 256, None, :] - a[None]
+        s = np.clip(np.einsum("pkd,kd->pk", ap, ab) / den, 0.0, 1.0)
+        d = np.linalg.norm(ap - s[..., None] * ab, axis=2).min(axis=1)
+        if len(a) >= 3:
+            cross = ab[:, 0] * ap[..., 1] - ab[:, 1] * ap[..., 0]
+            d[np.all(cross >= 0.0, axis=1)] = 0.0
+        out[lo:lo + 256] = d
+    return out

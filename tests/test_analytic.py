@@ -277,6 +277,9 @@ class TestExactPolygon:
         with pytest.raises(fh.ValidationError):
             fh.exact_polygon(sys_)
 
+    def test_outer_slack_is_rounding_allowance(self, twindragon_sys):
+        assert fh.exact_polygon(twindragon_sys)[0].outer_slack == 1e-12
+
 
 class TestIrrationalPolygon:
     @settings(max_examples=60, deadline=None)

@@ -221,6 +221,23 @@ class TestHull:
         assert len(doc["vertices"]) == 4
         assert "method=kinks" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("doc", [TWINDRAGON_DOC, SQUARE_DOC])
+    def test_error_terms_read_outer_slack(self, tmp_path, capsys, doc):
+        # both routes report the dilation their polygon carries
+        path = tmp_path / "in.json"
+        path.write_text(doc)
+        assert main(["hull", "--input", str(path), "--grid", "1024",
+                     "--out", str(tmp_path / "poly.json")]) == 0
+        parsed = fh.parse_ifs_document(doc)
+        if parsed.complex_base is None:
+            poly = fh.extract_polygon(fh.solve_width(parsed.ifs, 1024, 1e-6))
+        else:
+            poly = fh.exact_polygon(fh.complex_base_system(*parsed.complex_base))[0]
+        s, perim = poly.outer_slack, fh.polygon_perimeter(poly)
+        text = capsys.readouterr().out
+        assert f"+- {perim * s + math.pi * s * s:.3g}\n" in text
+        assert f"perimeter={perim:.9f} +- {2 * math.pi * s:.3g}\n" in text
+
     def test_hull_away_from_origin(self, tmp_path, capsys):
         # three square maps moved so the hull, the triangle (4, 4), (5, 4),
         # (4, 5), misses the origin the width is solved around

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fractalhull as fh
-from conftest import disk_width
+from conftest import disk_width, distance_to_polygon
 from fractalhull.hull import (_dedup_cyclic, _monotone_chain, _node_derivatives,
                               _support_shortfall)
 
@@ -187,25 +187,6 @@ def word_images(ifs, length):
         pts = (np.einsum("kij,pj->kpi", a, pts) + t[:, None, :]).reshape(-1, 2)
         out.append(pts)
     return np.concatenate(out)
-
-
-def distance_to_polygon(vertices, points):
-    """Distance from each point to a convex polygon with counterclockwise
-    vertices (0 inside), or to the segment or point that fewer than three
-    vertices describe."""
-    a = vertices
-    ab = np.roll(vertices, -1, axis=0) - a
-    den = np.maximum(np.sum(ab * ab, axis=1), np.finfo(float).tiny)
-    out = np.empty(len(points))
-    for lo in range(0, len(points), 256):
-        ap = points[lo:lo + 256, None, :] - a[None]
-        s = np.clip(np.einsum("pkd,kd->pk", ap, ab) / den, 0.0, 1.0)
-        d = np.linalg.norm(ap - s[..., None] * ab, axis=2).min(axis=1)
-        if len(a) >= 3:
-            cross = ab[:, 0] * ap[..., 1] - ab[:, 1] * ap[..., 0]
-            d[np.all(cross >= 0.0, axis=1)] = 0.0
-        out[lo:lo + 256] = d
-    return out
 
 
 class TestAnyBase:

@@ -97,6 +97,18 @@ class TestValidateIfs:
     def test_twindragon_contraction_factor(self, twindragon_ifs):
         assert twindragon_ifs.c == pytest.approx(1.0 / math.sqrt(2.0))
 
+    @pytest.mark.parametrize("items,index", [
+        ([fh.affine_map(0.5 * np.eye(2), (0.0, 0.0))], 1),
+        ([(0.5 * np.eye(2),)], 1),
+        ([(0.5 * np.eye(2), (0.0, 0.0), 1.0)], 1),
+        ([5], 1),
+        ([(0.5 * np.eye(2), (0.0, 0.0)), None], 2),
+    ])
+    def test_rejects_items_that_are_not_pairs(self, items, index):
+        # an AffineMap raised a raw TypeError, a 1-tuple a raw ValueError
+        with pytest.raises(fh.ValidationError, match=rf"map {index} must be an \(A, t\) pair"):
+            fh.validate_ifs(items)
+
 
 class TestAffineMap:
     @pytest.mark.parametrize("t", [(0.0, 0.0, 0.0), (0.0,), [[0.0, 0.0]],
@@ -236,6 +248,19 @@ class TestComplexBaseIfs:
         with pytest.raises(fh.ValidationError):
             fh.complex_base_ifs(2 + 0j, 1)
 
+    @pytest.mark.parametrize("z", ["2", "1+1j", b"2", None, [2.0, 0.0], {2.0}])
+    def test_base_must_be_a_number(self, z):
+        # complex("2") parsed the string
+        with pytest.raises(fh.ValidationError, match="must be a number"):
+            fh.complex_base_ifs(z, 2)
+
+    @pytest.mark.parametrize("z", [np.complex128(1 + 1j), np.float64(2.0), 2])
+    def test_numpy_and_real_bases_accepted(self, z):
+        ref = fh.complex_base_ifs(complex(z), 2)
+        got = fh.complex_base_ifs(z, 2)
+        assert all(np.array_equal(m.a, r.a) and np.array_equal(m.t, r.t)
+                   for m, r in zip(got.maps, ref.maps))
+
 
 class TestIfsDocuments:
     def test_raw_roundtrip(self, square_ifs):
@@ -277,6 +302,7 @@ class TestIfsDocuments:
         '{"dim": "x", "maps": [{"A": [[0.5, 0], [0, 0.5]], "t": [0, 0]}]}',
         '{"dim": 2.5, "maps": [{"A": [[0.5, 0], [0, 0.5]], "t": [0, 0]}]}',
         '{"complex_base": {"z": ["a", 1], "n": 2}}',
+        '{"complex_base": {"z": ["2", 0], "n": 2}}',
         '{"complex_base": {"z": [1, 1], "n": 2.5}}',
         '{"maps": [{"A": [[0.5, "x"], [0, 0.5]], "t": [0, 0]}]}',
         '{"maps": [{"A": [["0.5", 0], [0, 0.5]], "t": [0, 0]}]}',

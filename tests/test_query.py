@@ -179,6 +179,12 @@ class TestNear1:
         with pytest.raises(fh.ValidationError, match="positive"):
             fh.near1(ctx, ctx.x0, math.nan)
 
+    @pytest.mark.parametrize("l", ["0.1", None, 0.1j, [0.1], np.array([0.1, 0.2])])
+    def test_rejects_non_numeric_threshold(self, ctx, l):
+        # a string raised a raw TypeError from the comparison
+        with pytest.raises(fh.ValidationError, match="positive"):
+            fh.near1(ctx, ctx.x0, l)
+
 
 class TestQueryInputs:
     @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, 0.0),

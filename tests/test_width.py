@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalhull as fh
-from conftest import disk_width
+from conftest import disk_width, distance_to_polygon
 
 TWO_PI = 2.0 * math.pi
 
@@ -410,7 +410,8 @@ class TestSolveWidth:
         with pytest.raises(fh.ValidationError):
             fh.solve_width(twindragon_ifs, 64, 0.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    # a string, None, a complex number or a list raised a raw TypeError
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, "1e-6", None, 1e-6j, [1e-6, 1e-6]])
     def test_rejects_non_finite_tol(self, twindragon_ifs, tol):
         with pytest.raises(fh.ValidationError, match="positive finite"):
             fh.solve_width(twindragon_ifs, 64, tol)
@@ -536,6 +537,16 @@ class TestRadiusAndContainment:
         with pytest.raises(fh.ValidationError):
             fh.hull_contains(disk_width(), x)
 
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -1e-3, "1e-4", None, [1e-4]])
+    def test_contains_rejects_malformed_slack(self, slack):
+        # a NaN slack read every point as outside; a string raised TypeError
+        with pytest.raises(fh.ValidationError, match="slack"):
+            fh.hull_contains(disk_width(), (0.0, 0.0), slack)
+
+    @pytest.mark.parametrize("slack", [0, -0.0, np.float32(0.0)])
+    def test_contains_accepts_numeric_slack(self, twindragon_width, slack):
+        assert fh.hull_contains(twindragon_width, (0.0, -0.5), slack)
+
     def test_cloud_and_images_contained(self, twindragon_ifs, twindragon_width,
                                         twindragon_cloud):
         # closure under the IFS: images of sampled points stay in the hull
@@ -554,6 +565,54 @@ class TestRadiusAndContainment:
         r = fh.circumradius(w)
         assert np.all(sample_h <= w.values + w.iter_error + w.interp_slack)
         assert np.all(sample_h >= w.values - 0.05 * r)
+
+
+class TestErrorBudget:
+    def test_properties_compose_the_ledger(self):
+        grid = fh.DirectionGrid(64)
+        values = np.linspace(-1.0, 2.0, 64)
+        w = fh.make_width_samples(grid, (0.0, 0.0), values, 0.25, 0.125)
+        assert w.bound == 0.25
+        assert w.slack == 0.25 + 0.125
+        assert w.radius == 2.0 + 0.25
+        assert fh.circumradius(w) == 2.0 + 0.25 + 0.125
+
+    def test_radius_never_below_bound(self):
+        # every width function has max h >= 0: negative samples are error
+        grid = fh.DirectionGrid(64)
+        w = fh.make_width_samples(grid, (0.0, 0.0), np.full(64, -1.0), 0.25, 0.0)
+        assert w.radius == 0.25
+
+
+class TestSquareOracle:
+    """Samples of the unit square's exact widths lowered by DELTA / 2, the
+    worst a solver within ``iter_error = DELTA`` may return: every
+    certified claim must still hold at the square's true vertices."""
+
+    N, DELTA = 256, 1e-3
+    VERTICES = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+
+    @pytest.fixture(scope="class")
+    def low(self):
+        grid = fh.DirectionGrid(self.N)
+        exact = (grid.directions @ self.VERTICES.T).max(axis=1)
+        # sqrt(2), the largest distance from the base to the square, is R
+        return fh.make_width_samples(grid, (0.0, 0.0), exact - self.DELTA / 2,
+                                     self.DELTA, math.sqrt(2.0) * math.pi / self.N)
+
+    def test_contains_true_vertices(self, low):
+        assert fh.hull_contains(low, self.VERTICES, 0.0).all()
+
+    def test_circumradius_reaches_far_corner(self, low):
+        assert fh.circumradius(low) >= math.sqrt(2.0)
+
+    def test_dilated_polygon_holds_true_vertices(self, low):
+        poly = fh.extract_polygon(low)
+        assert distance_to_polygon(poly.vertices, self.VERTICES).max() <= poly.outer_slack
+
+    def test_quick_test_passes_true_vertices(self, low, square_ifs):
+        ctx = fh.build_context(square_ifs, low)
+        assert all(fh.near(ctx, v, 0).hit for v in self.VERTICES)
 
 
 class TestWidthCsv:
