@@ -55,7 +55,8 @@ def _build_parser() -> _Parser:
     inp = argparse.ArgumentParser(add_help=False)
     inp.add_argument("--input", required=True, help="IFS JSON file")
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid", type=int, default=4096, help="direction grid size")
+    grid.add_argument("--grid", type=int, default=4096,
+                      help="direction grid size: even, 64 to 2**20")
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=1e-6, help="solver/series tolerance")
     cloud = argparse.ArgumentParser(add_help=False)

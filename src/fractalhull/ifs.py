@@ -22,6 +22,8 @@ from .errors import NotContractingError, ValidationError
 
 _MAX_CHAINS = 1024
 _BURN_IN = 64
+# complex-base digit counts above this are refused (one map per digit)
+_MAX_DIGITS = 2**12
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -207,10 +209,12 @@ def chaos_game_sample(ifs: IFS, count: int, seed: int) -> PointCloud:
 
 
 def _check_complex_base(z: complex, n: int) -> tuple[complex, int]:
-    """``(complex(z), int(n))`` for an integer ``n >= 2`` (an integral float
-    counts) and a number ``z`` (of a numeric dtype, complex allowed: not a
-    string) with ``|z| > 1`` whose square is finite (beyond, ``1/z`` and
-    ``(n-1)/(2(z-1))`` overflow)."""
+    """``(complex(z), int(n))`` for an integer ``2 <= n <= _MAX_DIGITS`` =
+    2**12 (an integral float counts) and a number ``z`` (of a numeric dtype,
+    complex allowed: not a string) with ``|z| > 1`` whose square is finite
+    (beyond, ``1/z`` and ``(n-1)/(2(z-1))`` overflow).  The cap is checked
+    before any map is built: each digit is one map, and every map costs an
+    operator plan 40 bytes per grid angle."""
     arr = np.asarray(z)
     if arr.shape or arr.dtype.kind not in "biufc":
         raise ValidationError(f"complex base must be a number, got {z!r}")
@@ -219,7 +223,10 @@ def _check_complex_base(z: complex, n: int) -> tuple[complex, int]:
         raise ValidationError(f"complex base needs a finite |z|^2, got {z!r}")
     if abs(z) <= 1.0:
         raise ValidationError("complex base needs |z| > 1")
-    return z, _check_int(n, "digit count n", 2)
+    n = _check_int(n, "digit count n", 2)
+    if n > _MAX_DIGITS:
+        raise ValidationError(f"digit count n must be at most {_MAX_DIGITS}, got {n}")
+    return z, n
 
 
 def complex_base_ifs(z: complex, n: int) -> IFS:
@@ -227,7 +234,8 @@ def complex_base_ifs(z: complex, n: int) -> IFS:
 
     The attractor is the set of fractional parts representable in base ``z``
     with digits ``0..n-1``; all maps share the similarity matrix of ``1/z``,
-    so the contraction factor is ``1/|z|``.
+    so the contraction factor is ``1/|z|``.  ``n`` is an integer from 2 to
+    2**12 (see :func:`_check_complex_base`).
     """
     z, n = _check_complex_base(z, n)
     w = 1.0 / z
@@ -252,7 +260,8 @@ def parse_ifs_document(text: str) -> IFSDocument:
         {"dim": m, "maps": [{"A": [[...]], "t": [...]}, ...]}
         {"complex_base": {"z": [re, im], "n": n}}
 
-    Anything failing :func:`validate_ifs` is rejected.
+    Anything failing :func:`validate_ifs` is rejected, and so is a digit
+    count ``n`` outside 2 to 2**12.
     """
     try:
         doc = json.loads(text)

@@ -36,9 +36,18 @@ When every map shares one linear part and it is a nonzero rotation-scaling
 picks ``max_i t_i^T d`` whatever the values, so the discrete equation is
 linear, ``v = S v + b``, with ``S`` circulant up to rounding of the image
 cells.  ``solve_width`` then starts from the exact fixed point of the
-circulant of the plan's first row, one real FFT and one inverse; every
-other system starts from a constant ball bound.  The start is only a
-start: the same sweeps and stopping rule certify the result either way.
+circulant of the plan's first row, one real FFT and one inverse.  Every
+other system starts from a constant ball bound on fewer than 2048 angles.
+On more it starts from a solve on ``n // 16 * 2`` angles (itself started
+the same way, so 16384 -> 2048 -> 256), swept only until its error bound
+is within the finer grid's interpolation slack and interpolated to the
+finer grid (one-way multigrid: Chow & Tsitsiklis, IEEE Trans. Automatic
+Control 36(8), 1991).  The start is only a start: the sweeps on the
+requested grid and their stopping rule certify the result either way,
+and ``iterations`` counts those sweeps alone.
+
+Sizes are capped before anything is allocated: a grid holds at most
+2**20 angles (an operator plan holds 40 bytes per angle per map).
 """
 
 from __future__ import annotations
@@ -57,6 +66,10 @@ _ITERATION_CAP = 1_000_000
 # a sweep rounds each value by a few ulps of the largest, so steps below
 # this multiple of eps * max|h| are rounding, not convergence
 _ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
+# an operator plan holds 40 bytes per angle per map: ~42 MB per map here
+_MAX_GRID = 2**20
+# grids of at least this many angles start from a solve on n // 16 * 2
+_NESTED_MIN = 2048
 
 
 def _check_tol(tol: float) -> float:
@@ -71,9 +84,12 @@ def _check_tol(tol: float) -> float:
 
 
 def _check_grid(n: int) -> int:
-    """Return ``n`` as an int if it is an even integer of at least 64 (an
-    integral float counts), else raise."""
+    """Return ``n`` as an int if it is an even integer from 64 to
+    ``_MAX_GRID`` = 2**20 (an integral float counts), else raise before
+    anything is allocated."""
     n = _check_int(n, "direction grid size", 64)
+    if n > _MAX_GRID:
+        raise ValidationError(f"direction grid size must be at most {_MAX_GRID}, got {n}")
     if n % 2:
         raise ValidationError("direction grid size must be even")
     return n
@@ -99,9 +115,10 @@ class DirectionGrid:
         return f"DirectionGrid(n={self.n})"
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 def _shared_grid(n: int) -> DirectionGrid:
-    """One read-only grid per size, shared by every solve of that size."""
+    """One read-only grid per size, shared by every solve of that size (a
+    nested start reads up to three sizes per solve)."""
     return DirectionGrid(n)
 
 
@@ -308,52 +325,18 @@ def selfsim_operator(ifs: IFS, w: WidthSamples) -> WidthSamples:
     return replace(w, values=_readonly(out))
 
 
-def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples:
-    """Solve the width fixed-point equation around the origin.
+def _sweep(plan: _OperatorPlan, values: np.ndarray, c: float, tol: float,
+           finer: int = 0):
+    """Sweep ``values`` toward the plan's fixed point; return the last
+    values, the last step ``delta`` and the number of sweeps.
 
-    Parameters
-    ----------
-    ifs : IFS
-        Two-dimensional system to solve.
-    n_grid : int
-        Number of grid angles: an even integer >= 64 (an integral float
-        counts; any other float, a string or a bool is refused).
-    tol : float
-        Target for the a-posteriori bound: iteration stops once
-        ``step * c / (1 - c) <= tol``, or once the step is within rounding
-        of one sweep, ``step <= 4 eps max|h|`` (eps the float64 machine
-        epsilon), where further sweeps cannot shrink it.  Must be positive
-        and finite.
-
-    Returns
-    -------
-    WidthSamples
-        Samples around base 0 with ``iter_error = step * c / (1 - c)``
-        (above ``tol`` when the rounding floor stopped the sweeps) and
-        ``interp_slack = radius * pi / n_grid``;
-        ``iterations`` counts the planned sweeps.
-
-    When all maps share one nonzero rotation-scaling linear part (every
-    complex-base system), the start vector is the exact fixed point of the
-    plan's first-row circulant (:meth:`_OperatorPlan.circulant_fixed_point`),
-    and one sweep usually meets ``tol``.  Any other system starts from the
-    constant ``R0 = max_i |t_i| / (1 - c)``, the width of a ball certain to
-    contain the attractor.  Either way the sweeps and their stopping rule
-    alone certify the result.  The operator plan is built once per solve
-    and reused by every sweep; solves of one grid size share one
-    read-only :class:`DirectionGrid`.
+    The sweeps stop once ``delta * c / (1 - c) <= tol``, or once the step is
+    within rounding of one sweep, ``delta <= 4 eps max|h|``.  With ``finer``
+    they also stop once ``delta * c / (1 - c)`` is within the interpolation
+    slack ``R * pi / finer`` of a grid of ``finer`` angles, with ``R =
+    max(values, 0) + delta * c / (1 - c)``: the values are then as close to
+    the fixed point as that grid can read them, so sweeping on is waste.
     """
-    if ifs.dim != 2:
-        raise ValidationError("the width solver is two-dimensional only")
-    _check_tol(tol)
-    grid = _shared_grid(_check_grid(n_grid))
-    plan = _OperatorPlan(ifs, grid)
-    c = ifs.c
-    if _shares_similarity(ifs):
-        values = plan.circulant_fixed_point()
-    else:
-        r0 = max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c)
-        values = np.full(grid.n, r0)
     delta = math.inf
     iterations = 0
     # top bounds max|values| (each sweep moves it by at most delta), so the
@@ -370,10 +353,91 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
                 delta <= _ROUNDING_FLOOR * top
                 and delta <= _ROUNDING_FLOOR * float(np.max(np.abs(new)))):
             break
+        if finer:
+            # top bounds max(new, 0) too, so it screens the pass over new
+            err = delta * c / (1.0 - c)
+            if (err <= (top + err) * math.pi / finer
+                    and err <= (max(float(new.max()), 0.0) + err) * math.pi / finer):
+                break
     else:
         raise ConvergenceError(
             f"width iteration did not converge within {_ITERATION_CAP} steps"
         )
+    return values, delta, iterations
+
+
+def _nested_start(ifs: IFS, grid: DirectionGrid, tol: float) -> np.ndarray:
+    """Start vector on ``grid`` for a system without one shared similarity.
+
+    Below ``_NESTED_MIN`` angles it is the constant ``R0 = max_i |t_i| /
+    (1 - c)``, the width of a ball certain to contain the attractor.  From
+    there up it is the solve on ``n // 16 * 2`` angles, itself started this
+    way and swept only until it is within ``grid``'s interpolation slack
+    (see :func:`_sweep`), interpolated to ``grid``'s angles.  The coarse
+    plan is dropped before the caller builds the next, so two plans never
+    coexist.
+    """
+    if grid.n < _NESTED_MIN:
+        r0 = max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - ifs.c)
+        return np.full(grid.n, r0)
+    coarse = _shared_grid(grid.n // 16 * 2)
+    start = _nested_start(ifs, coarse, tol)
+    values = _sweep(_OperatorPlan(ifs, coarse), start, ifs.c, tol, grid.n)[0]
+    return _interp_periodic(values, grid.angles)
+
+
+def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples:
+    """Solve the width fixed-point equation around the origin.
+
+    Parameters
+    ----------
+    ifs : IFS
+        Two-dimensional system to solve.
+    n_grid : int
+        Number of grid angles: an even integer from 64 to 2**20 (an
+        integral float counts; any other float, a string or a bool is
+        refused).
+    tol : float
+        Target for the a-posteriori bound: iteration stops once
+        ``step * c / (1 - c) <= tol``, or once the step is within rounding
+        of one sweep, ``step <= 4 eps max|h|`` (eps the float64 machine
+        epsilon), where further sweeps cannot shrink it.  Must be positive
+        and finite.
+
+    Returns
+    -------
+    WidthSamples
+        Samples around base 0 with ``iter_error = step * c / (1 - c)``
+        (above ``tol`` when the rounding floor stopped the sweeps) and
+        ``interp_slack = radius * pi / n_grid``;
+        ``iterations`` counts the sweeps on the ``n_grid`` angles only,
+        not those of a coarse start.
+
+    When all maps share one nonzero rotation-scaling linear part (every
+    complex-base system), the start vector is the exact fixed point of the
+    plan's first-row circulant (:meth:`_OperatorPlan.circulant_fixed_point`),
+    and one sweep usually meets ``tol``.  Any other system starts from the
+    constant ``R0 = max_i |t_i| / (1 - c)``, the width of a ball certain to
+    contain the attractor, on fewer than 2048 angles; on more it starts
+    from a solve on ``n_grid // 16 * 2`` angles (started the same way),
+    swept only to the finer grid's interpolation slack and interpolated
+    (:func:`_nested_start`).  Either way the sweeps on ``n_grid`` angles
+    and their stopping rule alone certify the result.  The operator plan is
+    built once per grid and reused by every sweep; solves of one grid size
+    share one read-only :class:`DirectionGrid`.
+    """
+    if ifs.dim != 2:
+        raise ValidationError("the width solver is two-dimensional only")
+    _check_tol(tol)
+    grid = _shared_grid(_check_grid(n_grid))
+    c = ifs.c
+    if _shares_similarity(ifs):
+        plan = _OperatorPlan(ifs, grid)
+        values = plan.circulant_fixed_point()
+    else:
+        values = _nested_start(ifs, grid, tol)
+        plan = _OperatorPlan(ifs, grid)
+    values, delta, iterations = _sweep(plan, values, c, tol)
     w = WidthSamples(grid, _readonly(np.zeros(2)), _readonly(values),
                      delta * c / (1.0 - c), 0.0, iterations)
     return replace(w, interp_slack=w.radius * math.pi / grid.n)

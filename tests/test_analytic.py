@@ -1,11 +1,13 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import fractalhull as fh
+from conftest import distance_to_polygon
 from fractalhull.analytic import _series_terms
 
 SQRT2 = math.sqrt(2.0)
@@ -279,6 +281,22 @@ class TestExactPolygon:
 
     def test_outer_slack_is_rounding_allowance(self, twindragon_sys):
         assert fh.exact_polygon(twindragon_sys)[0].outer_slack == 1e-12
+
+    # near |z| = 1 the hull is ~(n-1)/(|z|-1) across: 1 - r^-k cancelled
+    # there (relative error 2e-11 at r = 1 + 1e-6) and the lower vertex
+    # missed 0 by 1.06e-5 against a claimed outer_slack of 1e-12
+    @pytest.mark.parametrize("z", [1 + 1e-6, 1.001, (1 + 1e-6) * 1j, 1.001j])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_near_unit_base_holds_exact_end_points(self, z, n):
+        sys_ = fh.complex_base_system(z, n)
+        assert sys_.rational_angle in ((0, 1), (1, 2))
+        poly, _ = fh.exact_polygon(sys_)
+        # 0 and (n-1) sum_j z^-j = (n-1)/(z-1): the expansions with every
+        # digit 0 and every digit n-1, the far one in exact arithmetic
+        x, y = Fraction(z.real) - 1, Fraction(z.imag)
+        far = (n - 1) / (x * x + y * y) * np.array([x, -y])
+        points = np.array([[0.0, 0.0], far.astype(float)])
+        assert np.all(distance_to_polygon(poly.vertices, points) <= poly.outer_slack)
 
 
 class TestIrrationalPolygon:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,26 @@ class TestComplexBaseIfs:
         # complex("2") parsed the string
         with pytest.raises(fh.ValidationError, match="must be a number"):
             fh.complex_base_ifs(z, 2)
+
+    # 2**12 + 2 digits: the cap is the only rule it breaks; building the
+    # maps first would allocate thousands of arrays, which tracemalloc sees
+    @pytest.mark.parametrize("make", [
+        lambda n: fh.complex_base_ifs(1 + 1j, n),
+        lambda n: fh.complex_base_system(1 + 1j, n),
+        lambda n: fh.parse_ifs_document(json.dumps({"complex_base": {"z": [1, 1], "n": n}})),
+    ])
+    def test_digit_count_above_cap_refused_before_allocation(self, make):
+        tracemalloc.start()
+        try:
+            with pytest.raises(fh.ValidationError, match="at most 4096"):
+                make(2**12 + 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_digit_count_at_cap_accepted(self):
+        assert fh.complex_base_system(1 + 1j, 2**12).n == 2**12
 
     @pytest.mark.parametrize("z", [np.complex128(1 + 1j), np.float64(2.0), 2])
     def test_numpy_and_real_bases_accepted(self, z):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,118 @@ class TestSolverStart:
         assert np.array_equal(w.values, values)
         assert (w.iter_error, w.interp_slack, w.iterations) == (
             iter_error, interp_slack, iterations)
+
+
+def nested_value_iteration(ifs, n, tol, finer=0):
+    """value_iteration started as the solver starts a system without one
+    shared similarity on n >= 2048 angles: from this function's values on
+    n // 16 * 2 angles (started the same way), swept until delta c / (1 - c)
+    is at most tol or R pi / n with R = max(values, 0) + delta c / (1 - c),
+    and interpolated linearly to the n angles.  Returns what
+    value_iteration returns; coarse sweeps are not counted."""
+    if n < 2048 and not finer:
+        return value_iteration(ifs, n, tol)
+    grid = fh.DirectionGrid(n)
+    c = ifs.c
+    if n >= 2048:
+        m = n // 16 * 2
+        coarse = fh.make_width_samples(fh.DirectionGrid(m), (0.0, 0.0),
+                                       nested_value_iteration(ifs, m, tol, n)[0], 0.0, 0.0)
+        values = fh.eval_width(coarse, grid.angles)
+    else:
+        values = np.full(n, max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c))
+    plan = fh.width._OperatorPlan(ifs, grid)
+    iterations = 0
+    while True:
+        new = plan.apply(values)
+        delta = float(np.max(np.abs(new - values)))
+        values = new
+        iterations += 1
+        err = delta * c / (1.0 - c)
+        if delta * c <= tol * (1.0 - c) or finer and err <= (
+                max(float(values.max()), 0.0) + err) * math.pi / finer:
+            break
+    r_bound = max(float(values.max()), 0.0) + err
+    return values, err, r_bound * math.pi / n, iterations
+
+
+@st.composite
+def other_systems_to_095(draw):
+    """other_systems() with every linear part scaled so that c is drawn
+    from [0.05, 0.95] (A = 0 systems stay A = 0)."""
+    ifs = draw(other_systems())
+    scale = draw(st.floats(0.05, 0.95)) / ifs.c if ifs.c > 0.0 else 1.0
+    return fh.validate_ifs([(scale * m.a, m.t) for m in ifs.maps])
+
+
+class TestNestedStart:
+    @settings(max_examples=20, deadline=None)
+    @given(ifs=other_systems(), n=st.sampled_from([2048, 4096, 8192]),
+           tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    def test_matches_nested_value_iteration_bitwise(self, ifs, n, tol):
+        w = fh.solve_width(ifs, n, tol)
+        values, iter_error, interp_slack, iterations = nested_value_iteration(ifs, n, tol)
+        assert np.array_equal(w.values, values)
+        assert (w.iter_error, w.interp_slack, w.iterations) == (
+            iter_error, interp_slack, iterations)
+
+    def test_nests_down_to_the_constant_start(self):
+        # 16384 starts from 2048, which starts from 256
+        ifs = fh.validate_ifs([(rotation_scaling(0.8, 0.3), (1.0, 0.0)),
+                               (rotation_scaling(0.7, -1.1), (-0.5, 0.5))])
+        w = fh.solve_width(ifs, 16384, 1e-6)
+        values, iter_error, _, iterations = nested_value_iteration(ifs, 16384, 1e-6)
+        assert np.array_equal(w.values, values)
+        assert (w.iter_error, w.iterations) == (iter_error, iterations)
+
+    @settings(max_examples=20, deadline=None)
+    @given(ifs=other_systems_to_095(), n=st.sampled_from([2048, 4096, 8192]),
+           tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    def test_within_certified_error_of_fine_value_iteration(self, ifs, n, tol):
+        w = fh.solve_width(ifs, n, tol)
+        eps = np.finfo(float).eps
+        top = float(np.max(np.abs(w.values)))
+        # above tol only when the rounding floor stopped the sweeps
+        assert w.iter_error <= tol or (
+            w.iter_error * (1.0 - ifs.c) / ifs.c <= 4.0 * eps * top * (1.0 + 1e-9))
+        ref, ref_error, _, _ = value_iteration(ifs, n, 1e-12)
+        # the allowance of test_single_similarity_matches_fine_value_iteration
+        scale = float(np.max(np.abs(ref))) + max(float(np.max(np.abs(m.t))) for m in ifs.maps)
+        allowance = (8.0 * eps * scale / (1.0 - ifs.c)
+                     + n * np.finfo(float).smallest_subnormal)
+        assert np.max(np.abs(w.values - ref)) <= w.iter_error + ref_error + allowance
+
+    def test_zero_maps_same_bytes_at_every_tol(self):
+        # the first sweep lands on max_i t_i^T d whatever the start
+        ts = [(1.0, 0.0), (-0.5, 0.8), (0.2, -1.3)]
+        ifs = fh.validate_ifs([(np.zeros((2, 2)), t) for t in ts])
+        coarse = fh.solve_width(ifs, 4096, 1e-2)
+        fine = fh.solve_width(ifs, 4096, 1e-8)
+        assert coarse.values.tobytes() == fine.values.tobytes()
+        assert (coarse.iter_error, coarse.iterations) == (fine.iter_error, fine.iterations)
+        shifts = [fine.grid.directions @ np.array(t) for t in ts]
+        assert np.array_equal(fine.values, np.max(shifts, axis=0))
+
+
+class TestSizeCaps:
+    # 2**20 + 2 is even, so the cap is the only rule it breaks; tracemalloc
+    # sees numpy's buffers, so a grid built before the check would show
+    @pytest.mark.parametrize("make", [
+        lambda n: fh.DirectionGrid(n),
+        lambda n: fh.solve_width(fh.validate_ifs([(0.5 * np.eye(2), (1.0, 0.0))]), n),
+    ])
+    def test_grid_above_cap_refused_before_allocation(self, make):
+        tracemalloc.start()
+        try:
+            with pytest.raises(fh.ValidationError, match="at most 1048576"):
+                make(2**20 + 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the grid's angles alone would take 8 MiB
+
+    def test_grid_at_cap_accepted(self):
+        assert fh.width._check_grid(2**20) == 2**20
 
 
 class TestSolveWidth:
