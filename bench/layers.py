@@ -34,31 +34,35 @@ at phi = 2 (tol 1e-6).
 
 Each ``label=SRC`` pair names a ``fractalhull`` source tree and the
 column its figures go to; a version without an operator plan reports
-``null`` for the plan layers.  Every row (one system and grid, or one
-point count) is timed in ``ROUNDS`` rounds per tree, each a fresh
-subprocess, alternating between the trees (A B B A A B ...), so a slow
-phase of the machine lands on both columns alike.  A column keeps each
-layer's minimum over its rounds, and ``spread`` holds ``max / min - 1`` of
-those rounds: a change/parent ratio inside the spreads is not resolved.
+``null`` for the plan layers.  Every tree is imported into this one
+process under its own package name (``fractalhull_0``, ``fractalhull_1``
+...).  Each layer
+of a row is timed in ``PAIRS`` pairs of samples, each sample a batch of
+the same number of calls (at least ``BATCH_S`` seconds' worth), the
+trees taking turns sample by sample (A B B A A B ...), so a slow phase of
+the machine lands on both columns alike.  A column keeps each layer's
+fastest sample; the second and later columns also hold, per layer, the
+quartiles of ``first / this`` over the pairs, with ``resolved`` true when
+the interquartile range excludes 1.
 
     python bench/layers.py parent=../parent/src change=src --out layers.json
 
-``--out`` is written anew with every column.  Set one BLAS thread
-(``OPENBLAS_NUM_THREADS=1``) for figures comparable with ``perfbench``;
-the subprocesses inherit it.
+``--out`` is written anew with every row.  Set one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``) for figures comparable with ``perfbench``.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import importlib
+import importlib.util
 import json
 import math
 import os
 import platform
-import subprocess
 import sys
-import timeit
+import time
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +72,8 @@ POINTS = (5000, 20000)
 QUERY_GRID = 4096
 QUERY_PROBES = 256
 TOL = 1e-6
-REPEAT = 3
-ROUNDS = 4
+PAIRS = 15
+BATCH_S = 0.02
 RANDOM_SEED = 0
 
 
@@ -125,12 +129,6 @@ ROWS = ([("solve", s, n) for s in range(len(SYSTEMS)) for n in GRIDS]
         + [("closed", c, None) for c in range(len(CLOSED_FORMS))])
 
 
-def best_time(fn) -> float:
-    timer = timeit.Timer(fn)
-    number, _ = timer.autorange()
-    return min(timer.repeat(REPEAT, number)) / number
-
-
 def query_probes(fh, ifs, ctx) -> list:
     """``(x, l, k)`` per probe: the perfbench ``query`` mix, drawn from
     ``RANDOM_SEED`` so that every tree gets the same probes."""
@@ -152,7 +150,7 @@ def query_probes(fh, ifs, ctx) -> list:
     return probes
 
 
-def measure_query_row(fh, q: int, n: int) -> dict:
+def query_row(fh, q: int, n: int) -> tuple[dict, dict]:
     name, build = QUERY_SYSTEMS[q]
     ifs = build(fh)
     w = fh.solve_width(ifs, n, TOL)
@@ -168,18 +166,20 @@ def measure_query_row(fh, q: int, n: int) -> dict:
         for x, _, k in probes:
             near(ctx, x, k)
 
-    return {"system": name, "grid": n, "c": ifs.c, "maps": len(ifs),
-            "probes": len(probes),
-            "build_context_s": best_time(lambda: fh.build_context(ifs, w)),
-            "near1_s": best_time(run_near1) / len(probes),
-            "near_s": best_time(run_near) / len(probes)}
+    info = {"system": name, "grid": n, "c": ifs.c, "maps": len(ifs),
+            "probes": len(probes)}
+    return info, {"build_context_s": (lambda: fh.build_context(ifs, w), 1),
+                  "near1_s": (run_near1, len(probes)),
+                  "near_s": (run_near, len(probes))}
 
 
-def measure_row(fh, width_mod, index: int) -> dict:
-    """Time the layers of row ``index`` of ``ROWS`` in this process."""
+def row_layers(fh, width_mod, index: int) -> tuple[dict, dict]:
+    """Row ``index`` of ``ROWS`` for one tree: its description, and per
+    layer a zero-argument call with the number of layer calls it makes
+    (``None`` for a layer the tree lacks)."""
     kind, s, n = ROWS[index]
     if kind == "query":
-        return measure_query_row(fh, s, n)
+        return query_row(fh, s, n)
     if kind == "closed":
         name, z, tol = CLOSED_FORMS[s]
         system = fh.complex_base_system(z, 2)
@@ -187,50 +187,104 @@ def measure_row(fh, width_mod, index: int) -> dict:
             fn, key = (lambda: fh.exact_polygon(system)[0]), "exact_polygon_s"
         else:
             fn, key = (lambda: fh.irrational_polygon(system, tol)), "irrational_polygon_s"
-        return {"system": name, "tol": tol, "vertices": len(fn()), key: best_time(fn)}
+        return {"system": name, "tol": tol, "vertices": len(fn())}, {key: (fn, 1)}
     if kind == "render":
         ifs = fh.complex_base_ifs(1 + 1j, 2)
         poly, _ = fh.exact_polygon(fh.complex_base_system(1 + 1j, 2))
         cloud = fh.chaos_game_sample(ifs, n, 1).points
-        return {"system": "twindragon", "points": n, "vertices": len(poly),
-                "chaos_game_sample_s": best_time(lambda: fh.chaos_game_sample(ifs, n, 1)),
-                "render_svg_s": best_time(lambda: fh.render_svg(poly, cloud))}
+        return ({"system": "twindragon", "points": n, "vertices": len(poly)},
+                {"chaos_game_sample_s": (lambda: fh.chaos_game_sample(ifs, n, 1), 1),
+                 "render_svg_s": (lambda: fh.render_svg(poly, cloud), 1)})
     name, build = SYSTEMS[s]
     ifs = build(fh)
     plan_cls = getattr(width_mod, "_OperatorPlan", None)
     grid = fh.DirectionGrid(n)
     w = fh.solve_width(ifs, n, TOL)
-    row = {"system": name, "grid": n, "c": ifs.c, "maps": len(ifs),
-           "iterations": w.iterations,
-           "plan_build_s": None, "plan_apply_s": None}
+    info = {"system": name, "grid": n, "c": ifs.c, "maps": len(ifs),
+            "iterations": w.iterations}
+    layers = {"plan_build_s": None, "plan_apply_s": None}
     if plan_cls is not None:
         plan = plan_cls(ifs, grid)
-        row["plan_build_s"] = best_time(lambda: plan_cls(ifs, grid))
-        row["plan_apply_s"] = best_time(lambda: plan.apply(w.values))
-    row["selfsim_operator_s"] = best_time(lambda: fh.selfsim_operator(ifs, w))
-    row["solve_width_s"] = best_time(lambda: fh.solve_width(ifs, n, TOL))
+        layers["plan_build_s"] = (lambda: plan_cls(ifs, grid), 1)
+        layers["plan_apply_s"] = (lambda: plan.apply(w.values), 1)
+    layers["selfsim_operator_s"] = (lambda: fh.selfsim_operator(ifs, w), 1)
+    layers["solve_width_s"] = (lambda: fh.solve_width(ifs, n, TOL), 1)
     try:
         fh.extract_polygon(w)
     except fh.FractalHullError as exc:
-        row["extract_polygon_s"] = None
-        row["extract_error"] = type(exc).__name__
+        info["extract_error"] = type(exc).__name__
+        layers["extract_polygon_s"] = None
     else:
-        row["extract_polygon_s"] = best_time(lambda: fh.extract_polygon(w))
-    row["width_csv_s"] = best_time(lambda: fh.width_csv(w))
-    return row
+        layers["extract_polygon_s"] = (lambda: fh.extract_polygon(w), 1)
+    layers["width_csv_s"] = (lambda: fh.width_csv(w), 1)
+    return info, layers
 
 
-def fold_rounds(rounds: list[dict]) -> dict:
-    """One row from its rounds: each timed layer's minimum, and in
-    ``spread`` its ``max / min - 1`` over the rounds."""
-    row = dict(rounds[0])
-    row["spread"] = {}
-    for key, value in rounds[0].items():
-        if key.endswith("_s") and value is not None:
-            times = [r[key] for r in rounds]
-            row[key] = min(times)
-            row["spread"][key] = max(times) / min(times) - 1.0
-    return row
+def batch_time(fn, number: int) -> float:
+    start = time.perf_counter()
+    for _ in range(number):
+        fn()
+    return time.perf_counter() - start
+
+
+def time_pairs(calls: list) -> list[list[float]]:
+    """``PAIRS`` samples of seconds per call for each of ``calls``, taken
+    in turns (A B B A A B ...), every sample a batch of the same number of
+    calls, at least ``BATCH_S`` seconds of the first call."""
+    number = 1
+    while batch_time(calls[0], number) < BATCH_S:
+        number *= 2
+    samples = [[] for _ in calls]
+    order = list(range(len(calls)))
+    for _ in range(PAIRS):
+        for i in order:
+            samples[i].append(batch_time(calls[i], number) / number)
+        order.reverse()
+    return samples
+
+
+def quartiles(xs: list[float]) -> list[float]:
+    q1, q2, q3 = np.percentile(xs, [25, 50, 75]).tolist()
+    return [round(q1, 4), round(q2, 4), round(q3, 4)]
+
+
+def measure_row(trees: dict, index: int) -> dict:
+    """Row ``index`` for every tree: the description and fastest sample
+    per layer, and in every column after the first the quartiles of
+    ``first / this`` per layer over the pairs."""
+    built = {label: row_layers(fh, width_mod, index)
+             for label, (fh, width_mod) in trees.items()}
+    rows = {label: dict(info) for label, (info, _) in built.items()}
+    first = next(iter(trees))
+    for key in built[first][1]:
+        calls = {label: layers[key] for label, (_, layers) in built.items()
+                 if layers.get(key) is not None}
+        for label in trees:
+            rows[label][key] = None
+        if not calls:
+            continue
+        samples = dict(zip(calls, time_pairs([fn for fn, _ in calls.values()])))
+        for label, times in samples.items():
+            rows[label][key] = min(times) / calls[label][1]
+        if first in samples:
+            for label in samples:
+                if label != first:
+                    q = quartiles([a / b for a, b in zip(samples[first], samples[label])])
+                    rows[label].setdefault("versus", {})[key] = {
+                        "quartiles": q, "resolved": q[0] > 1.0 or q[2] < 1.0}
+    return rows
+
+
+def load_tree(name: str, src: str):
+    """The ``fractalhull`` package under ``src`` and its ``width`` module,
+    imported as the package ``name``."""
+    pkg = Path(src) / "fractalhull"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module, importlib.import_module(name + ".width")
 
 
 def tree(pair: str) -> tuple[str, str]:
@@ -244,43 +298,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("trees", nargs="+", type=tree, metavar="label=SRC",
                     help="column name and the directory holding its fractalhull package")
-    ap.add_argument("--out", help="JSON file to write")
-    ap.add_argument("--row", type=int, default=None,
-                    help="time only this row for the one tree given, in this "
-                         "process, and print it as JSON (what each subprocess runs)")
+    ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
-
-    if args.row is not None:
-        if len(args.trees) != 1:
-            ap.error("--row times one tree")
-        sys.path.insert(0, args.trees[0][1])
-        import fractalhull as fh
-        import fractalhull.width as width_mod
-
-        print(json.dumps(measure_row(fh, width_mod, args.row)), flush=True)
-        return 0
-    if not args.out:
-        ap.error("--out is required")
     labels = dict(args.trees)
     if len(labels) != len(args.trees):
         ap.error("column labels must differ")
+    trees = {label: load_tree(f"fractalhull_{i}", src)
+             for i, (label, src) in enumerate(labels.items())}
 
     columns = {label: [] for label in labels}
-    for index in range(len(ROWS)):
-        rounds = {label: [] for label in labels}
-        order = list(labels)
-        for _ in range(ROUNDS):
-            for label in order:
-                proc = subprocess.run(
-                    [sys.executable, __file__, "--row", str(index),
-                     f"{label}={labels[label]}"],
-                    stdout=subprocess.PIPE, text=True, check=True)
-                rounds[label].append(json.loads(proc.stdout))
-            order.reverse()
-        for label in labels:
-            row = fold_rounds(rounds[label])
-            columns[label].append(row)
-            print(label, json.dumps(row), flush=True)
     doc = {
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -288,14 +314,18 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
-        "timing": (f"seconds per call: the best of {ROUNDS} rounds, each the "
-                   f"best of {REPEAT} autoranged samples; each round a fresh "
-                   "subprocess, the trees alternating A B B A ...; spread is "
-                   "max / min - 1 over a tree's rounds"),
+        "timing": (f"seconds per call: the fastest of {PAIRS} samples, each a batch "
+                   f"of at least {BATCH_S} s; all trees in one process, taking turns "
+                   "sample by sample (A B B A ...); versus holds the quartiles of "
+                   "first / this over the pairs"),
         "tol": TOL,
         "columns": columns,
     }
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    for index in range(len(ROWS)):
+        for label, row in measure_row(trees, index).items():
+            columns[label].append(dict(row, row=index))
+            print(label, json.dumps(row), flush=True)
+        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -179,7 +179,11 @@ def _dedup_cyclic(points: np.ndarray, tol: float) -> np.ndarray:
 
 def _monotone_chain(points: np.ndarray, eps_cross: float) -> np.ndarray:
     """Andrew's monotone chain; counterclockwise output, collinear dropped."""
-    pts = np.unique(points, axis=0)
+    # rows sorted by x then y, exact repeats dropped
+    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+    fresh = np.ones(len(pts), dtype=bool)
+    fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[fresh]
     if pts.shape[0] <= 2:
         return pts
     rows = pts.tolist()

@@ -213,8 +213,9 @@ def _check_complex_base(z: complex, n: int) -> tuple[complex, int]:
     2**12 (an integral float counts) and a number ``z`` (of a numeric dtype,
     complex allowed: not a string) with ``|z| > 1`` whose square is finite
     (beyond, ``1/z`` and ``(n-1)/(2(z-1))`` overflow).  The cap is checked
-    before any map is built: each digit is one map, and every map costs an
-    operator plan 40 bytes per grid angle."""
+    before any map is built: each digit is one map.  The digits share one
+    linear part, so the operator plan holds one entry whatever ``n``, but
+    building it still takes one pass over the grid angles per digit."""
     arr = np.asarray(z)
     if arr.shape or arr.dtype.kind not in "biufc":
         raise ValidationError(f"complex base must be a number, got {z!r}")

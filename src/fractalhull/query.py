@@ -161,8 +161,13 @@ def _walk(ctx: QueryContext, x, budget: float, levels: float) -> QueryResult:
     with true once ``depth >= levels`` or ``budget >= C0``; each level
     divides the budget by the map's contraction factor."""
     try:  # any shape but (2,) or a dtype _check_finite refuses fails to unpack
-        x = np.asarray(x)
-        px, py = x.tolist() if x.dtype.kind in "biuf" else ()
+        # a tuple or list of two Python floats, the common call, unpacks as
+        # it is; anything else is read through an array
+        if not (type(x) in (tuple, list) and len(x) == 2
+                and type(x[0]) is float and type(x[1]) is float):
+            x = np.asarray(x)
+            x = x.tolist() if x.dtype.kind in "biuf" else ()
+        px, py = x
         finite = math.isfinite(px) and math.isfinite(py)
     except (TypeError, ValueError):
         finite = False

@@ -21,15 +21,17 @@ reads one of the three.  The ledger behind them records the sources apart:
 function around a base inside B(base, R) is R-Lipschitz in the angle).
 
 Only the sample values change from one sweep to the next.  Everything else
-in the operator (for each map and grid direction: the grid cell of
-``dir(A_i^T d)`` with its two interpolation weights, ``|A_i^T d|`` and
-``t_i^T d``) is an :class:`_OperatorPlan`, built once per (IFS, grid);
+in the operator is an :class:`_OperatorPlan`, built once per (IFS, grid),
+with one entry per distinct linear part ``A``: for each grid direction the
+grid cell of ``dir(A^T d)``, its two interpolation weights times
+``|A^T d|``, and ``max_i t_i^T d`` over the maps sharing ``A``.
 ``solve_width`` reuses one plan for every sweep and ``selfsim_operator``
-builds one and applies it once.  A similarity map (a rotation or reflection
+builds one and applies it once.  A similarity (a rotation or reflection
 times a ratio) sends grid direction k to cell ``(o + k) % n`` or
 ``(o - k) % n``, so the plan reads its cells as a strided slice of the
-periodically extended values; other maps gather them by index.  Both read
-the same elements in the same operation order, so the bits agree.
+periodically extended values; other linear parts gather them by index.
+Both read the same elements in the same operation order, so the bits
+agree.
 
 When every map shares one linear part and it is a nonzero rotation-scaling
 (a complex multiplier ``1/z``, as in the complex-base systems), the maximum
@@ -47,7 +49,8 @@ requested grid and their stopping rule certify the result either way,
 and ``iterations`` counts those sweeps alone.
 
 Sizes are capped before anything is allocated: a grid holds at most
-2**20 angles (an operator plan holds 40 bytes per angle per map).
+2**20 angles (an operator plan holds 32 bytes per angle per distinct
+linear part, 24 when its cells are a slice).
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ _ITERATION_CAP = 1_000_000
 # a sweep rounds each value by a few ulps of the largest, so steps below
 # this multiple of eps * max|h| are rounding, not convergence
 _ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
-# an operator plan holds 40 bytes per angle per map: ~42 MB per map here
+# an operator plan holds 32 bytes per angle per distinct linear part (24
+# when its cells are a slice): ~34 MB per linear part here
 _MAX_GRID = 2**20
 # grids of at least this many angles start from a solve on n // 16 * 2
 _NESTED_MIN = 2048
@@ -207,52 +211,64 @@ def make_width_samples(grid: DirectionGrid, base, values,
 class _OperatorPlan:
     """The value-independent part of the self-similarity operator on a grid.
 
-    For each map and grid direction d it holds the image cell of
-    ``dir(A^T d)``, its weights ``w0 = 1 - frac``, ``w1 = frac``, the factor
-    ``|A^T d|`` and the shift ``t^T d``, so one application is two reads, a
-    multiply-add and a running max, with no trigonometry.
+    The plan holds one entry per distinct linear part ``A`` (maps whose
+    matrices are equal bit for bit form one group).  For each grid
+    direction d an entry holds the image cell of ``dir(A^T d)``, the folded
+    weights ``a0 = (1 - frac) |A^T d|`` and ``a1 = frac |A^T d|`` and the
+    shift ``max_i t_i^T d`` over the group's maps, so one application is
+    two reads, ``a0 buf + a1 nxt + shift`` and a running max per group,
+    with no trigonometry.  Grouping keeps the bits of the per-map terms:
+    rounding is monotone, so ``max_i fl(x + s_i) = fl(x + max_i s_i)``.
+    An entry holds 32 bytes per angle (24 when its cells are a slice):
+    the complex-base systems, whose digits share one ``A``, hold one.
 
     The cells are an index into the values extended periodically (the
-    ``buf`` of :meth:`apply`).  For a similarity map (a rotation or
-    reflection times a ratio) the cell of direction ``k`` is ``(o + k) % n``
-    or ``(o - k) % n``, unless the rotation falls within rounding of a cell
-    boundary; such a map stores the cells as a slice of ``buf``, so its two
-    reads are strided views.  Any other map stores them as an integer array
-    and pays two gathers.  Both read the same elements, so the bits agree.
+    ``buf`` of :meth:`apply`).  For a similarity (a rotation or reflection
+    times a ratio) the cell of direction ``k`` is ``(o + k) % n`` or
+    ``(o - k) % n``, unless the rotation falls within rounding of a cell
+    boundary; such an entry stores the cells as a slice of ``buf``, so its
+    two reads are strided views.  Any other entry stores them as an integer
+    array and pays two gathers.  Both read the same elements, so the bits
+    agree.
     """
 
-    __slots__ = ("_maps",)
+    __slots__ = ("_groups",)
 
     def __init__(self, ifs: IFS, grid: DirectionGrid):
         dirs = grid.directions
-        self._maps = []
+        groups: dict[bytes, tuple] = {}
         for m in ifs.maps:
+            shift = dirs @ m.t
+            key = m.a.tobytes()
+            if key in groups:
+                np.maximum(groups[key][3], shift, out=groups[key][3])
+                continue
             v = dirs @ m.a  # row g holds (A^T d_g)^T
             g0, frac = _grid_cell(grid.n, np.arctan2(v[:, 1], v[:, 0]))
             # norms == 0 makes the h-term vanish, leaving t^T d: the correct limit
-            self._maps.append((_progression(g0), 1.0 - frac, frac,
-                               np.hypot(v[:, 0], v[:, 1]), dirs @ m.t))
+            norms = np.hypot(v[:, 0], v[:, 1])
+            groups[key] = (_progression(g0), (1.0 - frac) * norms,
+                           np.multiply(frac, norms, out=frac), shift)
+        self._groups = list(groups.values())
 
     def circulant_fixed_point(self) -> np.ndarray:
-        """Fixed point of ``v = S v + b`` with ``b = max_i t_i^T d`` and ``S``
-        the circulant whose every row is map 0's first row: the factor
-        ``s = |A^T d_0|``, weights ``w0, w1`` on cells ``k, k + 1``, ``k`` the
-        image cell of ``d_0``.
+        """Fixed point of ``v = S v + b`` for a plan of one entry: ``b`` its
+        shift and ``S`` the circulant whose every row is its first row,
+        weights ``a0, a1`` on cells ``k, k + 1``, ``k`` the image cell of
+        ``d_0``.
 
-        ``S`` has the eigenvalues ``s (w0 + w1 e^{2 pi i j/n}) e^{2 pi i j k/n}``
-        on the Fourier modes, all of modulus at most ``s < 1``, so the fixed
-        point is one real FFT, a division by ``1 - lambda`` and the inverse.
+        ``S`` has the eigenvalues ``(a0 + a1 e^{2 pi i j/n}) e^{2 pi i j k/n}``
+        on the Fourier modes, all of modulus at most ``|A^T d_0| < 1``, so
+        the fixed point is one real FFT, a division by ``1 - lambda`` and
+        the inverse.
         """
-        cells, w0, w1, norms, b = self._maps[0]
-        n = w0.shape[0]
+        cells, a0, a1, b = self._groups[0]
+        n = a0.shape[0]
         k = (cells.start if isinstance(cells, slice) else int(cells[0])) % n
-        for *_, shift in self._maps[1:]:
-            b = np.maximum(b, shift)
         modes = np.arange(n // 2 + 1)
         phase = 2j * math.pi / n
         # reduce j * k mod n in integers so the phase stays exact for large n
-        lam = (norms[0] * (w0[0] + w1[0] * np.exp(phase * modes))
-               * np.exp(phase * (modes * k % n)))
+        lam = (a0[0] + a1[0] * np.exp(phase * modes)) * np.exp(phase * (modes * k % n))
         return np.fft.irfft(np.fft.rfft(b) / (1.0 - lam), n)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -260,12 +276,9 @@ class _OperatorPlan:
         buf = np.concatenate((values, values, values[:1]))
         nxt = buf[1:]
         best = None
-        for cells, w0, w1, norms, shift in self._maps:
-            # the operation order of norms * _interp_periodic(...) + shift,
-            # so the bits match it
-            term = w0 * buf[cells]
-            term += w1 * nxt[cells]
-            term *= norms
+        for cells, a0, a1, shift in self._groups:
+            term = a0 * buf[cells]
+            term += a1 * nxt[cells]
             term += shift
             if best is None:
                 best = term
@@ -302,11 +315,13 @@ def _progression(g0: np.ndarray):
 
 def _shares_similarity(ifs: IFS) -> bool:
     """True iff every map has the same linear part ``[[p, -q], [q, p]]`` with
-    ``det = p^2 + q^2 > 0``: one orientation-preserving similarity."""
+    ``det = p^2 + q^2 > 0``: one orientation-preserving similarity, equal
+    bit for bit, so the operator plan holds one entry."""
     a = ifs.maps[0].a
+    key = a.tobytes()
     return bool(a[0, 0] == a[1, 1] and a[0, 1] == -a[1, 0]
                 and a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] > 0.0
-                and all(np.array_equal(m.a, a) for m in ifs.maps[1:]))
+                and all(m.a.tobytes() == key for m in ifs.maps[1:]))
 
 
 def selfsim_operator(ifs: IFS, w: WidthSamples) -> WidthSamples:

@@ -190,12 +190,32 @@ class TestQueryInputs:
     @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf), (0.0, 0.0, 0.0),
                                    (0.0,), 0.0, "ab", "12", b"ab", [1 + 1j, 0.0],
                                    {"x": 0.0, "y": 0.0}, {1.0, 2.0}, [[1.0, 2.0], [3.0]],
-                                   None, ("0.1", "0.2")])
+                                   None, ("0.1", "0.2"), [math.nan, 0.0], [0.0, -math.inf],
+                                   (np.float64(math.nan), 0.0), np.array([0.0, math.nan]),
+                                   [0.1, 0.2, 0.3]])
     def test_point_must_be_finite_2_vector(self, ctx, x):
         with pytest.raises(fh.ValidationError, match="finite 2-vector"):
             fh.near(ctx, x, 1)
         with pytest.raises(fh.ValidationError, match="finite 2-vector"):
             fh.near1(ctx, x, 0.1)
+
+    # each point form answers as the tuple of Python floats it holds does
+    @pytest.mark.parametrize("x,floats", [
+        ([0.2, -0.4], (0.2, -0.4)),
+        (np.array([0.2, -0.4]), (0.2, -0.4)),
+        ((np.float64(0.2), np.float64(-0.4)), (0.2, -0.4)),
+        ([np.float64(0.2), -0.4], (0.2, -0.4)),
+        (np.array([0.5, -0.25], dtype=np.float32), (0.5, -0.25)),
+        ((0, -1), (0.0, -1.0)),
+        ([np.int64(1), 0], (1.0, 0.0)),
+        ((True, False), (1.0, 0.0)),
+    ], ids=["list", "ndarray", "numpy-scalars", "mixed-list", "float32", "ints",
+            "numpy-ints", "bools"])
+    def test_point_forms_accepted(self, ctx, x, floats):
+        for k in (0, 3):
+            assert answer(fh.near(ctx, x, k)) == answer(fh.near(ctx, floats, k))
+        for level in (0.5, 0.01):
+            assert answer(fh.near1(ctx, x, level)) == answer(fh.near1(ctx, floats, level))
 
 
 class TestDeepWalks:
@@ -318,15 +338,29 @@ def reference_quick_inside(ctx, values, x, y):
     return dist <= h + ctx.slack
 
 
-def reference_walk(ctx, x, budget, levels):
+# nodes the reference walk may visit before TestWalkMatchesReference skips
+# the point: about 0.1 s of Python
+WALK_NODES = 20_000
+
+
+class LongWalk(Exception):
+    """The reference walk visited more nodes than it was allowed."""
+
+
+def reference_walk(ctx, x, budget, levels, max_nodes=math.inf):
     """``(hit, complete, depth)`` of the pull-back walk, one full quick test
     per node, as ``near`` (budget -inf, levels k) and ``near1`` (budget l,
-    levels inf) ran it before the annulus shortcut."""
+    levels inf) ran it before the annulus shortcut.  Raises ``LongWalk``
+    once it has visited more than ``max_nodes`` nodes."""
     values = ctx.width.values.tolist()
     max_depth = 0
+    nodes = 0
 
     def walk(px, py, budget, depth):
-        nonlocal max_depth
+        nonlocal max_depth, nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise LongWalk
         max_depth = max(max_depth, depth)
         if not reference_quick_inside(ctx, values, px, py):
             return False
@@ -395,8 +429,42 @@ class TestWalkMatchesReference:
         level = frac * max(ctx.c0_bound, 1e-6)  # C0 is 0 for a point attractor
         for x in points:
             assert answer(fh.near(ctx, x, k)) == reference_walk(ctx, x, -math.inf, k)
-            assert answer(fh.near1(ctx, x, level)) == reference_walk(
-                ctx, x, level, math.inf)
+            # near1 walks the reference's nodes in its order, so a walk that
+            # would take too long is skipped before near1 starts it: a miss
+            # near a point attractor visits about m^depth nodes (see
+            # TestExponentialMiss)
+            try:
+                expected = reference_walk(ctx, x, level, math.inf, WALK_NODES)
+            except LongWalk:
+                continue
+            assert answer(fh.near1(ctx, x, level)) == expected
+
+
+class TestExponentialMiss:
+    """Every map of a point attractor fixes p, so every branch passes the
+    quick test until the pulled-back point leaves the slack disk around p,
+    and a miss near p visits about m^depth nodes."""
+
+    @pytest.fixture(scope="class")
+    def point_ctx(self):
+        p = np.array([0.6, -0.3])
+        maps = []
+        for r, th in ((0.8, 0.0), (0.85, 2.0), (0.9, 4.0)):
+            a = r * np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+            maps.append((a, (np.eye(2) - a) @ p))
+        ifs = fh.validate_ifs(maps)
+        return fh.build_context(ifs, fh.solve_width(ifs, 256, 1e-8))
+
+    def test_miss_deepens_near_the_point(self, point_ctx):
+        ctx = point_ctx
+        near, far = [(float(ctx.x0[0] + f * ctx.radius), float(ctx.x0[1]))
+                     for f in (0.3, 0.5)]
+        assert answer(fh.near1(ctx, far, 1e-4)) == (False, True, 7)
+        assert answer(fh.near1(ctx, near, 1e-4)) == (False, True, 12)
+        # five levels deeper, three maps: over 16 times the nodes
+        assert reference_walk(ctx, far, 1e-4, math.inf, 512) == (False, True, 7)
+        with pytest.raises(LongWalk):
+            reference_walk(ctx, near, 1e-4, math.inf, 16 * 512)
 
 
 def flat_context(values, slack=0.0):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -137,7 +138,9 @@ def reference_cell(n, angles):
 
 
 def reference_operator(ifs, grid, values):
-    """The per-map operator formula, trigonometry on every call, as an oracle."""
+    """The per-map operator formula, trigonometry on every call, as an
+    oracle: ``a0 h(g0) + a1 h(g1) + t^T d`` with the factor ``|A^T d|``
+    folded into the weights ``a0 = (1 - frac) |A^T d|``, ``a1 = frac |A^T d|``."""
     n = grid.n
     dirs = grid.directions
     best = None
@@ -146,8 +149,7 @@ def reference_operator(ifs, grid, values):
         norms = np.hypot(v[:, 0], v[:, 1])
         g0, frac = reference_cell(n, np.arctan2(v[:, 1], v[:, 0]))
         g1 = (g0 + 1) % n
-        interp = (1.0 - frac) * values[g0] + frac * values[g1]
-        term = norms * interp + dirs @ m.t
+        term = ((1.0 - frac) * norms) * values[g0] + (frac * norms) * values[g1] + dirs @ m.t
         best = term if best is None else np.maximum(best, term)
     return best
 
@@ -155,6 +157,9 @@ def reference_operator(ifs, grid, values):
 def rotation_scaling(ratio, angle):
     return ratio * np.array([[math.cos(angle), -math.sin(angle)],
                              [math.sin(angle), math.cos(angle)]])
+
+
+translations = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 
 @st.composite
@@ -192,6 +197,25 @@ def operator_maps(draw):
     return fh.validate_ifs(maps)
 
 
+@st.composite
+def grouped_maps(draw):
+    """Systems whose maps repeat linear parts: a self-affine carpet (2-8
+    maps sharing one anisotropic A), a complex base with 2-64 digits (one
+    rotation-scaling), or 2-8 maps whose linear parts are drawn, with
+    repeats and in any order, from those of operator_maps()."""
+    kind = draw(st.sampled_from(["carpet", "complex-base", "mixed"]))
+    if kind == "complex-base":
+        z = cmath.rect(draw(st.floats(1.05, 4.0)), draw(st.floats(0.0, TWO_PI)))
+        return fh.complex_base_ifs(z, draw(st.integers(2, 64)))
+    ts = draw(st.lists(translations, min_size=2, max_size=8))
+    if kind == "carpet":
+        a = np.diag([draw(st.floats(0.1, 0.9)), draw(st.floats(0.1, 0.9))])
+        return fh.validate_ifs([(a, t) for t in ts])
+    parts = [m.a for m in draw(operator_maps()).maps]
+    picks = st.integers(0, len(parts) - 1)
+    return fh.validate_ifs([(parts[draw(picks)], t) for t in ts])
+
+
 class TestOperatorPlanProperties:
     @settings(max_examples=80, deadline=None)
     @given(ifs=operator_maps(), half=st.integers(32, 2048),
@@ -202,6 +226,32 @@ class TestOperatorPlanProperties:
         w = fh.make_width_samples(grid, (0.0, 0.0), values, 0.0, 0.0)
         got = fh.selfsim_operator(ifs, w).values
         assert np.array_equal(got, reference_operator(ifs, grid, values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ifs=grouped_maps(), half=st.integers(32, 2048),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_entry_per_linear_part_matches_per_map_formula(self, ifs, half, seed):
+        grid = fh.DirectionGrid(2 * half)
+        values = np.random.default_rng(seed).uniform(-1.0, 2.0, grid.n)
+        plan = fh.width._OperatorPlan(ifs, grid)
+        assert len(plan._groups) == len({m.a.tobytes() for m in ifs.maps})
+        assert np.array_equal(plan.apply(values), reference_operator(ifs, grid, values))
+
+    def test_complex_base_plan_holds_one_entry(self):
+        # 4096 digits share one linear part: the plan is one entry of at
+        # most 32 bytes per angle (512 KiB here), where one entry per map
+        # would take 4096 times as much
+        ifs = fh.complex_base_ifs(cmath.rect(1.5, 1.0), 4096)
+        grid = fh.DirectionGrid(2**14)
+        tracemalloc.start()
+        try:
+            plan = fh.width._OperatorPlan(ifs, grid)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(plan._groups) == 1
+        assert size <= 32 * grid.n + 2**12
+        assert peak < 2**21  # the build's temporaries included
 
     @pytest.mark.parametrize("seed", range(8))
     def test_similarity_maps_read_as_slices(self, seed):
@@ -214,7 +264,7 @@ class TestOperatorPlanProperties:
             a = rotation_scaling(rng.uniform(0.95, 0.97), rng.uniform(0.0, TWO_PI)) @ flip
             maps.append((a, rng.uniform(-1.0, 1.0, 2)))
         plan = fh.width._OperatorPlan(fh.validate_ifs(maps), fh.DirectionGrid(4096))
-        assert all(isinstance(cells, slice) for cells, *_ in plan._maps)
+        assert all(isinstance(cells, slice) for cells, *_ in plan._groups)
 
     @pytest.mark.parametrize("n", [64, 4096, 16384])
     def test_cells_match_mod_formula_bitwise(self, n):
@@ -244,12 +294,15 @@ class TestOperatorPlanProperties:
         ifs = fh.validate_ifs([(np.array([[0.5, 0.2], [-0.1, 0.3]]), (1.0, 0.0)),
                                (rotation_scaling(0.5, 1.0), (0.0, 1.0))])
         plan = fh.width._OperatorPlan(ifs, grid)
-        for m, (cells, w0, w1, _, _) in zip(ifs.maps, plan._maps):
+        assert len(plan._groups) == 2
+        for m, (cells, a0, a1, shift) in zip(ifs.maps, plan._groups):
             v = grid.directions @ m.a
+            norms = np.hypot(v[:, 0], v[:, 1])
             g0, frac = reference_cell(n, np.arctan2(v[:, 1], v[:, 0]))
             assert np.array_equal(np.arange(2 * n + 1)[cells] % n, g0)
-            assert w0.tobytes() == (1.0 - frac).tobytes()
-            assert w1.tobytes() == frac.tobytes()
+            assert a0.tobytes() == ((1.0 - frac) * norms).tobytes()
+            assert a1.tobytes() == (frac * norms).tobytes()
+            assert shift.tobytes() == (grid.directions @ m.t).tobytes()
 
 
 def value_iteration(ifs, n, tol):
@@ -272,8 +325,6 @@ def value_iteration(ifs, n, tol):
     r_bound = max(float(values.max()), 0.0) + iter_error
     return values, iter_error, r_bound * math.pi / n, iterations
 
-
-translations = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 
 @st.composite
