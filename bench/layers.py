@@ -8,6 +8,7 @@ long enough to be measured, as ``timeit`` does):
 - ``selfsim_operator_s``: one public ``selfsim_operator`` call (plan
   build plus one application);
 - ``solve_width_s``: the whole fixed-point solve at tol 1e-6 (the CLI's);
+- ``detect_kinks_s``: the public kink detection alone (``Kink`` objects);
 - ``extract_polygon_s``: kink detection and polygon extraction;
 - ``width_csv_s``: the CSV text of the solved width (``fractalhull solve``).
 
@@ -209,6 +210,7 @@ def row_layers(fh, width_mod, index: int) -> tuple[dict, dict]:
         layers["plan_apply_s"] = (lambda: plan.apply(w.values), 1)
     layers["selfsim_operator_s"] = (lambda: fh.selfsim_operator(ifs, w), 1)
     layers["solve_width_s"] = (lambda: fh.solve_width(ifs, n, TOL), 1)
+    layers["detect_kinks_s"] = (lambda: fh.detect_kinks(w), 1)
     try:
         fh.extract_polygon(w)
     except fh.FractalHullError as exc:

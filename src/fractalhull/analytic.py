@@ -40,6 +40,9 @@ from .width import _check_tol
 
 _RATIONAL_ANGLE_TOL = 1e-12
 _MAX_DENOMINATOR = 64
+# a truncated series sums at most this many terms, and an (angles x terms)
+# matrix is built in blocks of rows of about this many entries
+_MAX_TERMS = 2**20
 
 
 @dataclass(frozen=True)
@@ -140,23 +143,37 @@ def symmetry_center(sys: ComplexBaseSystem) -> np.ndarray:
 
 
 def _series_terms(pref: float, r: float, tol: float) -> int:
-    """Smallest J >= 1 whose geometric tail ``pref * r^-J / (r-1)`` is <= tol."""
+    """Smallest J >= 1 whose geometric tail ``pref * r^-J / (r-1)`` is <= tol;
+    a J above ``_MAX_TERMS`` = 2**20 (r too near 1 or tol too small) is
+    refused before anything is allocated."""
     _check_tol(tol)
     ratio = pref / (tol * (r - 1.0))  # 0 when a huge r underflows it
-    return 1 if ratio <= r else math.ceil(math.log(ratio) / math.log(r))
+    terms = 1.0 if ratio <= r else math.log(ratio) / math.log(r)
+    if not terms <= _MAX_TERMS:  # an infinite ratio too
+        raise ValidationError(f"the series needs {terms:.3g} terms, more than "
+                              f"{_MAX_TERMS}: r is too near 1 or tol too small")
+    return math.ceil(terms)
 
 
 def _abs_cos_series(pref: float, sys: ComplexBaseSystem, alpha, terms: int):
     """``pref * sum_{j=1..terms} r^-j |cos(alpha + j phi)|`` for a finite
     scalar angle (returns a float) or an array of finite angles."""
-    r, phi = sys.r, sys.phi
     j = np.arange(1, terms + 1)
-    alpha = _check_finite(alpha, "angle")
-    angles = alpha[..., None] + j * phi
-    out = pref * np.sum(np.abs(np.cos(angles)) * r ** (-j), axis=-1)
-    if alpha.ndim == 0:
-        return float(out)
-    return out
+    jphi, weights = j * sys.phi, sys.r ** (-j)
+    return _row_blocks(_check_finite(alpha, "angle"), terms, lambda a: pref * np.sum(
+        np.abs(np.cos(a[:, None] + jphi)) * weights, axis=-1))
+
+
+def _row_blocks(angles: np.ndarray, terms: int, rows):
+    """``rows(a)`` over the flattened ``angles`` in blocks of at most
+    ``_MAX_TERMS // terms`` angles, so that each block's (angles x terms)
+    matrix holds at most 8 MiB; a float for a 0-d ``angles``, else an
+    array of its shape."""
+    flat = angles.reshape(-1)
+    size = max(1, _MAX_TERMS // terms)
+    blocks = [rows(flat[lo:lo + size]) for lo in range(0, flat.size, size)]
+    out = np.concatenate([np.empty(0)] + blocks).reshape(angles.shape)
+    return float(out) if angles.ndim == 0 else out
 
 
 def centered_width(sys: ComplexBaseSystem, alpha, tol: float = 1e-12):
@@ -310,10 +327,8 @@ def isodiametric_gap(r: float, phi):
     bound = (r + 1.0) / (math.pi * (r - 1.0))
     target = 1e-16 * max(1.0, 1.0 / (r - 1.0))
     j = np.arange(1, _series_terms(1.0, r, target) + 1)
-    gaps = bound - np.abs(np.sin(np.outer(phi, j))) @ (r ** (-j.astype(float)))
-    if phi.ndim == 0:
-        return float(gaps[0])
-    return gaps
+    weights = r ** (-j.astype(float))
+    return _row_blocks(phi, j.size, lambda a: bound - np.abs(np.sin(np.outer(a, j))) @ weights)
 
 
 def isodiametric_audit(r_count: int = 60, phi_count: int = 720):

@@ -41,7 +41,8 @@ class HullPolygon:
 
     ``method`` records how the polygon was obtained ("kinks", "dense",
     "exact", "series"); ``outer_slack`` is the dilation radius within which
-    the true hull is certified to lie (for "exact", 1e-12 covers rounding).
+    the true hull is certified to lie (for "exact", the rounding allowance
+    of :func:`exact_polygon`).
     """
 
     vertices: np.ndarray  # (k, 2)
@@ -70,57 +71,55 @@ def _jump_threshold(w: WidthSamples) -> float:
     return 8.0 * (step * w.radius + w.iter_error / step)
 
 
-def _one_sided_derivatives(values: np.ndarray, g: int, step: float) -> tuple[float, float]:
-    n = values.shape[0]
-    v = values
-    left = (11.0 * v[g] - 18.0 * v[(g - 1) % n] + 9.0 * v[(g - 2) % n]
-            - 2.0 * v[(g - 3) % n]) / (6.0 * step)
-    right = (-11.0 * v[g] + 18.0 * v[(g + 1) % n] - 9.0 * v[(g + 2) % n]
-             + 2.0 * v[(g + 3) % n]) / (6.0 * step)
-    return float(left), float(right)
-
-
-def detect_kinks(w: WidthSamples) -> tuple[Kink, ...]:
-    """Locate width-function kinks on the grid, sorted by angle.
+def _kinks(w: WidthSamples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angles of the width function's kinks, sorted, and the one-sided
+    derivatives ``h'(angle-)`` and ``h'(angle+)`` at each.
 
     The derivative jump at each node is estimated from the cyclic second
     difference (which conserves jump mass when a kink falls between grid
-    nodes); nodes above the discretization-noise threshold are clustered,
-    and each cluster's one-sided derivatives are refined with third-order
-    stencils whose points stay strictly on one side of the cluster.
-    Returns the tuple of :class:`Kink`; it is empty when the width function
-    has no kink.
+    nodes); runs of consecutive nodes above the discretization-noise
+    threshold, a run through nodes n - 1 and 0 counting as one, are the
+    candidate kinks.  A run's angle is its first node's plus the
+    mass-weighted mean offset of its nodes, and its one-sided derivatives
+    are third-order stencils whose points stay strictly on one side of the
+    run.  A run whose derivative jump is below the threshold is dropped.
     """
-    jump_threshold = _jump_threshold(w)
-    v = w.values
-    n = w.grid.n
-    step = w.grid.step
+    threshold = _jump_threshold(w)
+    v, n, step = w.values, w.grid.n, w.grid.step
     mass = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / step
-    flagged = np.nonzero(mass > jump_threshold)[0]
+    flagged = np.flatnonzero(mass > threshold)
     if flagged.size == 0:
-        return ()
-    groups: list[list[int]] = [[int(flagged[0])]]
-    for g in flagged[1:].tolist():
-        if g == groups[-1][-1] + 1:
-            groups[-1].append(g)
-        else:
-            groups.append([g])
-    if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == n - 1:
-        groups[0] = groups.pop() + groups[0]
-    kinks = []
-    for grp in groups:
-        gl, gr = grp[0], grp[-1]
-        left, _ = _one_sided_derivatives(v, gl, step)
-        _, right = _one_sided_derivatives(v, gr, step)
-        jump = right - left
-        if jump <= jump_threshold:
-            continue
-        weights = np.array([max(float(mass[g % n]), 0.0) for g in grp])
-        rel = np.array([((g - gl) % n) * step for g in grp])
-        angle = (w.grid.angles[gl % n] + float(rel @ weights / weights.sum())) % TWO_PI
-        kinks.append(Kink(float(angle), left, right, float(jump)))
-    kinks.sort(key=lambda k: k.angle)
-    return tuple(kinks)
+        return np.empty(0), np.empty(0), np.empty(0)
+    # runs of consecutive flagged nodes; the last goes on through node 0
+    # into the first when both ends are flagged: rotate it to the front
+    starts = np.flatnonzero(np.append(True, flagged[1:] - flagged[:-1] != 1))
+    if starts.size > 1 and flagged[0] == 0 and flagged[-1] == n - 1:
+        last = flagged.size - starts[-1]
+        flagged = np.roll(flagged, last)
+        starts = np.append(0, starts[1:-1] + last)
+    ends = np.append(starts[1:], flagged.size)
+    gl, gr = flagged[starts], flagged[ends - 1]
+    cells = np.arange(4)
+    s = v[(gl[:, None] - cells) % n]
+    left = (11.0 * s[:, 0] - 18.0 * s[:, 1] + 9.0 * s[:, 2] - 2.0 * s[:, 3]) / (6.0 * step)
+    s = v[(gr[:, None] + cells) % n]
+    right = (-11.0 * s[:, 0] + 18.0 * s[:, 1] - 9.0 * s[:, 2] + 2.0 * s[:, 3]) / (6.0 * step)
+    keep = np.flatnonzero(right - left > threshold)
+    # each node's offset from its run's first node; flagged masses are
+    # positive, so they are the weights as they stand
+    rel = (flagged - np.repeat(gl, ends - starts)) % n * step
+    weights = mass[flagged]
+    offsets = [rel[a:b] @ weights[a:b] / weights[a:b].sum()
+               for a, b in zip(starts[keep].tolist(), ends[keep].tolist())]
+    angles = np.mod(w.grid.angles[gl[keep]] + offsets, TWO_PI)
+    order = np.argsort(angles, kind="stable")
+    return angles[order], left[keep][order], right[keep][order]
+
+
+def detect_kinks(w: WidthSamples) -> tuple[Kink, ...]:
+    """The width function's kinks found by :func:`_kinks`, sorted by angle,
+    as a tuple of :class:`Kink` (empty when there is none)."""
+    return tuple(Kink(a, l, r, r - l) for a, l, r in zip(*(x.tolist() for x in _kinks(w))))
 
 
 def _node_derivatives(w: WidthSamples) -> np.ndarray:
@@ -230,7 +229,7 @@ def _support_shortfall(verts: np.ndarray, w: WidthSamples) -> float:
 def extract_polygon(w: WidthSamples) -> HullPolygon:
     """Turn a solved width function into an explicit convex polygon.
 
-    Every kink found by :func:`detect_kinks` contributes the edge segment
+    Every kink found by :func:`_kinks` contributes the edge segment
     between ``base + h u + h'(a-) u_perp`` and ``base + h u + h'(a+) u_perp``.
     Consecutive edges whose endpoints already coincide (within the merge
     tolerance) share a vertex; wider gaps, up to the next kink (a lone kink
@@ -249,7 +248,7 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     are defined for every x, and ``|h'|`` stays below the largest distance
     from x to the hull, ``w.radius``.
     """
-    ks = detect_kinks(w)
+    angles, left, right = _kinks(w)
     r_est = w.radius
     merge_tol = max(1e-9 * r_est, 8.0 * w.slack)
     eps_cross = 1e-12 * max(r_est, 1.0) ** 2
@@ -259,15 +258,13 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     perps = np.stack([-dirs[:, 1], dirs[:, 0]], axis=1)
     all_support = w.base + w.values[:, None] * dirs + derivs[:, None] * perps
 
-    if ks:
-        angles = np.array([k.angle for k in ks])
+    if angles.size:
         # math.cos and math.sin per kink: np.cos and np.sin may differ by an ulp
-        u = np.array([(math.cos(k.angle), math.sin(k.angle)) for k in ks])
+        u = np.array([(math.cos(a), math.sin(a)) for a in angles.tolist()])
         uperp = np.column_stack((-u[:, 1], u[:, 0]))
         mid = w.base + eval_width(w, angles)[:, None] * u
-        sides = np.array([(k.left, k.right) for k in ks])
         # ends[i] holds kink i's edge endpoints p_minus, p_plus
-        ends = np.stack((mid + sides[:, :1] * uperp, mid + sides[:, 1:] * uperp), axis=1)
+        ends = np.stack((mid + left[:, None] * uperp, mid + right[:, None] * uperp), axis=1)
         # each kink's gap runs to the next kink, 2 pi on for the last one
         nxt = np.roll(angles, -1)
         nxt[nxt <= angles] += TWO_PI
@@ -283,7 +280,7 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     outer = max(2.0 * w.slack + merge_tol,
                 _support_shortfall(verts, w) + w.bound + 2.0 * w.interp_slack)
     return HullPolygon(_readonly(verts), _readonly(np.array(w.base)),
-                       method="kinks" if ks else "dense", outer_slack=outer)
+                       method="kinks" if angles.size else "dense", outer_slack=outer)
 
 
 def polygon_area(p: HullPolygon) -> float:

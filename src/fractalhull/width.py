@@ -33,20 +33,23 @@ periodically extended values; other linear parts gather them by index.
 Both read the same elements in the same operation order, so the bits
 agree.
 
-When every map shares one linear part and it is a nonzero rotation-scaling
-(a complex multiplier ``1/z``, as in the complex-base systems), the maximum
-picks ``max_i t_i^T d`` whatever the values, so the discrete equation is
-linear, ``v = S v + b``, with ``S`` circulant up to rounding of the image
-cells.  ``solve_width`` then starts from the exact fixed point of the
-circulant of the plan's first row, one real FFT and one inverse.  Every
-other system starts from a constant ball bound on fewer than 2048 angles.
-On more it starts from a solve on ``n // 16 * 2`` angles (itself started
-the same way, so 16384 -> 2048 -> 256), swept only until its error bound
-is within the finer grid's interpolation slack and interpolated to the
-finer grid (one-way multigrid: Chow & Tsitsiklis, IEEE Trans. Automatic
-Control 36(8), 1991).  The start is only a start: the sweeps on the
-requested grid and their stopping rule certify the result either way,
-and ``iterations`` counts those sweeps alone.
+The start rule (:func:`_solve`).  When every map shares one linear part
+and it is a nonzero rotation-scaling (a complex multiplier ``1/z``, as in
+the complex-base systems), the maximum picks ``max_i t_i^T d`` whatever the
+values, so the discrete equation is linear, ``v = S v + b``, with ``S``
+circulant up to rounding of the image cells: the solve starts from the
+exact fixed point of the circulant of the plan's first row, one real FFT
+and one inverse.  Every other system starts from the constant
+``R0 = max_i |t_i| / (1 - c)``, the width of a ball certain to contain the
+attractor, on fewer than 2048 angles.  On more it starts from the solve on
+``n // 16 * 2`` angles (started by the same rule, so 16384 -> 2048 -> 256),
+swept only until its error bound is within the finer grid's interpolation
+slack and interpolated to the finer grid (one-way multigrid: Chow &
+Tsitsiklis, IEEE Trans. Automatic Control 36(8), 1991); the coarse plan is
+freed before the finer one is built, so two plans never coexist.  The
+start is only a start: the sweeps on the requested grid and their stopping
+rule certify the result either way, and ``iterations`` counts those sweeps
+alone.
 
 Sizes are capped before anything is allocated: a grid holds at most
 2**20 angles (an operator plan holds 32 bytes per angle per distinct
@@ -72,7 +75,7 @@ _ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
 # an operator plan holds 32 bytes per angle per distinct linear part (24
 # when its cells are a slice): ~34 MB per linear part here
 _MAX_GRID = 2**20
-# grids of at least this many angles start from a solve on n // 16 * 2
+# the least grid with a nested start (see the module docstring)
 _NESTED_MIN = 2048
 
 
@@ -171,13 +174,15 @@ def _grid_cell(n: int, angles):
     most), ``fmod`` is exact, so ``np.mod(x, n)`` is ``x + n`` for ``x < 0``
     and ``x`` otherwise (``0.0`` for ``-0.0``, which gives the same cell and
     fraction): one masked add gives the same bits.  Either way ``x + n``
-    rounds to ``n`` for ``x`` just below 0, the cell of node 0.
+    rounds to ``n`` for ``x`` just below 0, the cell of node 0.  A finite
+    angle whose ``x`` overflows (``|angle|`` above about 2.8e305 at n =
+    4096) is reduced mod 2 pi before it is scaled.
     """
     pos = np.multiply(angles, n / TWO_PI)
     if np.ndim(pos) and pos.size and -n < pos.min() and pos.max() < n:
         np.add(pos, n, out=pos, where=pos < 0.0)
     else:
-        pos = np.mod(pos, n)
+        pos = np.mod(np.where(np.isinf(pos), np.mod(angles, TWO_PI) * (n / TWO_PI), pos), n)
     floor = np.floor(pos)
     g0 = floor.astype(np.intp)
     return np.where(g0 == n, 0, g0), pos - floor
@@ -381,24 +386,19 @@ def _sweep(plan: _OperatorPlan, values: np.ndarray, c: float, tol: float,
     return values, delta, iterations
 
 
-def _nested_start(ifs: IFS, grid: DirectionGrid, tol: float) -> np.ndarray:
-    """Start vector on ``grid`` for a system without one shared similarity.
-
-    Below ``_NESTED_MIN`` angles it is the constant ``R0 = max_i |t_i| /
-    (1 - c)``, the width of a ball certain to contain the attractor.  From
-    there up it is the solve on ``n // 16 * 2`` angles, itself started this
-    way and swept only until it is within ``grid``'s interpolation slack
-    (see :func:`_sweep`), interpolated to ``grid``'s angles.  The coarse
-    plan is dropped before the caller builds the next, so two plans never
-    coexist.
-    """
-    if grid.n < _NESTED_MIN:
+def _solve(ifs: IFS, n: int, tol: float, finer: int = 0):
+    """Solve on ``n`` angles from the start the module docstring states;
+    return what :func:`_sweep` returns (``finer`` is passed on to it)."""
+    grid = _shared_grid(n)
+    if _shares_similarity(ifs):
+        plan = _OperatorPlan(ifs, grid)
+        return _sweep(plan, plan.circulant_fixed_point(), ifs.c, tol, finer)
+    if n < _NESTED_MIN:
         r0 = max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - ifs.c)
-        return np.full(grid.n, r0)
-    coarse = _shared_grid(grid.n // 16 * 2)
-    start = _nested_start(ifs, coarse, tol)
-    values = _sweep(_OperatorPlan(ifs, coarse), start, ifs.c, tol, grid.n)[0]
-    return _interp_periodic(values, grid.angles)
+        start = np.full(n, r0)
+    else:
+        start = _interp_periodic(_solve(ifs, n // 16 * 2, tol, n)[0], grid.angles)
+    return _sweep(_OperatorPlan(ifs, grid), start, ifs.c, tol, finer)
 
 
 def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples:
@@ -428,34 +428,18 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
         ``iterations`` counts the sweeps on the ``n_grid`` angles only,
         not those of a coarse start.
 
-    When all maps share one nonzero rotation-scaling linear part (every
-    complex-base system), the start vector is the exact fixed point of the
-    plan's first-row circulant (:meth:`_OperatorPlan.circulant_fixed_point`),
-    and one sweep usually meets ``tol``.  Any other system starts from the
-    constant ``R0 = max_i |t_i| / (1 - c)``, the width of a ball certain to
-    contain the attractor, on fewer than 2048 angles; on more it starts
-    from a solve on ``n_grid // 16 * 2`` angles (started the same way),
-    swept only to the finer grid's interpolation slack and interpolated
-    (:func:`_nested_start`).  Either way the sweeps on ``n_grid`` angles
-    and their stopping rule alone certify the result.  The operator plan is
-    built once per grid and reused by every sweep; solves of one grid size
-    share one read-only :class:`DirectionGrid`.
+    The start vector follows the rule in the module docstring; the sweeps
+    on ``n_grid`` angles and their stopping rule alone certify the result.
     """
     if ifs.dim != 2:
         raise ValidationError("the width solver is two-dimensional only")
     _check_tol(tol)
-    grid = _shared_grid(_check_grid(n_grid))
+    n = _check_grid(n_grid)
+    values, delta, iterations = _solve(ifs, n, tol)
     c = ifs.c
-    if _shares_similarity(ifs):
-        plan = _OperatorPlan(ifs, grid)
-        values = plan.circulant_fixed_point()
-    else:
-        values = _nested_start(ifs, grid, tol)
-        plan = _OperatorPlan(ifs, grid)
-    values, delta, iterations = _sweep(plan, values, c, tol)
-    w = WidthSamples(grid, _readonly(np.zeros(2)), _readonly(values),
+    w = WidthSamples(_shared_grid(n), _readonly(np.zeros(2)), _readonly(values),
                      delta * c / (1.0 - c), 0.0, iterations)
-    return replace(w, interp_slack=w.radius * math.pi / grid.n)
+    return replace(w, interp_slack=w.radius * math.pi / n)
 
 
 def rebase_width(w: WidthSamples, new_base) -> WidthSamples:
@@ -477,7 +461,8 @@ def eval_width(w: WidthSamples, angle):
     (returns a float) or an array of finite angles.
     """
     angle = _check_finite(angle, "angle")
-    out = _interp_periodic(w.values, angle)
+    with np.errstate(over="ignore"):  # see _grid_cell for overflowing positions
+        out = _interp_periodic(w.values, angle)
     if angle.ndim == 0:
         return float(out)
     return out

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import fractalhull as fh
 from conftest import distance_to_polygon
+from fractalhull import cli
 from fractalhull.analytic import _series_terms
 
 SQRT2 = math.sqrt(2.0)
@@ -167,6 +170,76 @@ class TestWidthSeries:
     def test_series_terms_rejects_non_finite_tol(self, tol):
         with pytest.raises(fh.ValidationError, match="positive finite"):
             _series_terms(0.5, math.sqrt(2.0), tol)
+
+
+def refused_peak(call) -> int:
+    """Peak bytes traced while ``call()`` raises ``ValidationError``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(fh.ValidationError, match="more than 1048576"):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSeriesCap:
+    # each refused call would hold hundreds of MB or loop 1e10 times; the
+    # cap refuses it before any series array exists
+    @pytest.mark.parametrize("z", [1.0 + 1e-6, cmath.rect(1.0 + 1e-9, 1.0)])
+    def test_hull_area_near_unit_base_refused_at_once(self, z):
+        assert refused_peak(lambda: fh.hull_area(fh.complex_base_system(z, 2))) < 2**16
+
+    def test_equal_maps_width_near_unit_factor_refused_at_once(self):
+        a = (1.0 - 1e-9) * np.eye(2)
+        peak = refused_peak(lambda: fh.equal_maps_width(a, [(1.0, 0.0), (0.0, 1.0)],
+                                                         (1.0, 0.0)))
+        assert peak < 2**16
+
+    @pytest.mark.parametrize("call", [
+        lambda: fh.centered_width(fh.complex_base_system(1.0 + 1e-7, 2), np.zeros(8)),
+        lambda: fh.irrational_polygon(fh.complex_base_system(cmath.rect(1.0 + 1e-7, 1.0), 2),
+                                      1e-9),
+        lambda: fh.isodiametric_gap(1.0 + 1e-9, np.zeros(8)),
+    ], ids=["centered_width", "irrational_polygon", "isodiametric_gap"])
+    def test_other_series_refused_at_once(self, call):
+        assert refused_peak(call) < 2**16
+
+    def test_terms_below_and_above_the_cap(self):
+        assert 2**19 < _series_terms(1.0, 1.0 + 2.0**-10, 1e-300) <= 2**20
+        with pytest.raises(fh.ValidationError, match="more than 1048576"):
+            _series_terms(1.0, 1.0 + 2.0**-30, 1e-12)
+        # tol (r - 1) underflows to 0, so the count is infinite (OverflowError
+        # from math.ceil before the cap)
+        with pytest.raises(fh.ValidationError, match="more than 1048576"):
+            _series_terms(1.0, 2.0, 5e-324)
+
+    def test_cli_exact_near_unit_base_exits_with_error(self, tmp_path, capsys):
+        doc = tmp_path / "z.json"
+        doc.write_text(json.dumps({"complex_base": {"z": [1.000001, 0], "n": 2}}))
+        assert cli.main(["exact", "--input", str(doc)]) == 1
+        assert "more than 1048576" in capsys.readouterr().err
+
+    def test_angle_arrays_evaluated_in_bounded_blocks(self):
+        # 64 angles of 361 000 terms would be one 185 MB matrix; blocks of
+        # 2**20 entries keep the peak near a few of them.  A row of the
+        # centred width has the bits of its angle alone; the gap's
+        # matrix-vector product may round rows apart from lone angles
+        sys_ = fh.complex_base_system(cmath.rect(1.0 + 1e-4, 1.0), 2)
+        alpha = np.linspace(-3.0, 3.0, 64)
+        tracemalloc.start()
+        try:
+            widths = fh.centered_width(sys_, alpha)
+            gaps = fh.isodiametric_gap(1.0 + 1e-4, alpha[:16])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**26
+        for i in (0, 31, 63):
+            assert widths[i] == fh.centered_width(sys_, float(alpha[i]))
+        # the gap is a difference of two numbers near 6366
+        assert gaps[5] == pytest.approx(fh.isodiametric_gap(1.0 + 1e-4, float(alpha[5])),
+                                        abs=1e-10)
 
 
 def digit_vertices(z: complex, n: int, families: int, terms: int) -> np.ndarray:

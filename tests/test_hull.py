@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import fractalhull as fh
 from conftest import disk_width, distance_to_polygon
-from fractalhull.hull import (_dedup_cyclic, _monotone_chain, _node_derivatives,
-                              _support_shortfall)
+from fractalhull.hull import (_dedup_cyclic, _jump_threshold, _monotone_chain,
+                              _node_derivatives, _support_shortfall)
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -341,6 +341,48 @@ def reference_dedup_hypot(points, tol):
     return points[keep]
 
 
+def reference_kinks(w):
+    """``detect_kinks`` with a Python loop over the flagged nodes and scalar
+    stencils per cluster, as the oracle of its bits."""
+    threshold = _jump_threshold(w)
+    v = w.values
+    n = w.grid.n
+    step = w.grid.step
+    mass = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / step
+    flagged = np.nonzero(mass > threshold)[0]
+    if flagged.size == 0:
+        return ()
+    groups = [[int(flagged[0])]]
+    for g in flagged[1:].tolist():
+        if g == groups[-1][-1] + 1:
+            groups[-1].append(g)
+        else:
+            groups.append([g])
+    if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == n - 1:
+        groups[0] = groups.pop() + groups[0]
+    kinks = []
+    for grp in groups:
+        gl, gr = grp[0], grp[-1]
+        left = float((11.0 * v[gl] - 18.0 * v[(gl - 1) % n] + 9.0 * v[(gl - 2) % n]
+                      - 2.0 * v[(gl - 3) % n]) / (6.0 * step))
+        right = float((-11.0 * v[gr] + 18.0 * v[(gr + 1) % n] - 9.0 * v[(gr + 2) % n]
+                       + 2.0 * v[(gr + 3) % n]) / (6.0 * step))
+        jump = right - left
+        if jump <= threshold:
+            continue
+        weights = np.array([max(float(mass[g % n]), 0.0) for g in grp])
+        rel = np.array([((g - gl) % n) * step for g in grp])
+        angle = (w.grid.angles[gl % n] + float(rel @ weights / weights.sum())) % TWO_PI
+        kinks.append(fh.Kink(float(angle), left, right, float(jump)))
+    kinks.sort(key=lambda k: k.angle)
+    return tuple(kinks)
+
+
+def kink_bits(kinks):
+    return [tuple(float(x).hex() for x in (k.angle, k.left, k.right, k.jump))
+            for k in kinks]
+
+
 def reference_extract(w):
     """``extract_polygon`` with scalar arithmetic and one ``eval_width`` call
     per kink, and the ``math.hypot`` scan, as the oracle of its bytes."""
@@ -439,6 +481,36 @@ class TestExtractionHelpers:
     def test_extract_matches_per_kink_reference(self, maps, n):
         w = fh.solve_width(fh.validate_ifs(maps), n, 1e-8)
         assert fh.extract_polygon(w).vertices.tobytes() == reference_extract(w).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(maps=planar_maps(), n=st.sampled_from([1024, 4096]))
+    @example(maps=SHIFTED_TRIANGLE, n=4096)
+    @example(maps=DROPPED_TIP, n=1024)
+    def test_kinks_match_scalar_reference(self, maps, n):
+        w = fh.solve_width(fh.validate_ifs(maps), n, 1e-8)
+        assert kink_bits(fh.detect_kinks(w)) == kink_bits(reference_kinks(w))
+
+    def test_kinks_of_fixed_shapes_match_scalar_reference(self, square_centered,
+                                                          twindragon_width):
+        # the centred square's kinks sit on nodes; turned by half a cell, its
+        # kink near angle 0 flags nodes n - 1 and 0, so that run wraps; the
+        # half-disk has one kink; the disk has none
+        grid = fh.DirectionGrid(4096)
+        a = grid.angles
+        half_disk = fh.make_width_samples(grid, (0, 0), np.where(
+            np.sin(a) >= 0.0, 1.0, np.abs(np.cos(a))), 0.0, math.pi / grid.n)
+        turned = polygon_from_vertices(
+            np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+            @ rotation(-math.pi / grid.n).T)
+        wrapping = fh.polygon_width_samples(turned, grid)
+        cases = [disk_width(), square_centered, twindragon_width,
+                 fh.rebase_width(twindragon_width, (0.0, -0.5)), half_disk, wrapping]
+        for w in cases:
+            assert kink_bits(fh.detect_kinks(w)) == kink_bits(reference_kinks(w))
+        v = wrapping.values
+        mass = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / grid.step
+        assert mass[-1] > _jump_threshold(wrapping) and mass[0] > _jump_threshold(wrapping)
+        assert len(fh.detect_kinks(wrapping)) == 4
 
     @settings(max_examples=150, deadline=None)
     @given(case=long_runs())

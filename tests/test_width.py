@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -649,6 +650,17 @@ class TestRebaseEval:
         # NaN and inf indexed the samples at -2**63
         with pytest.raises(fh.ValidationError, match="angle"):
             fh.eval_width(disk_width(), angle)
+
+    @pytest.mark.parametrize("angle", [1.7e308, -1.7e308, np.array([1.7e308, 0.5, -1.7e308]),
+                                       np.array([[-1.7e308], [1.7e308]])])
+    def test_eval_huge_finite_angle_reduced_first(self, twindragon_width, angle):
+        # angle * n / 2 pi overflows past ~2.8e305 at n = 4096: it indexed
+        # the samples at -2**63 after overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fh.eval_width(twindragon_width, angle)
+        want = fh.eval_width(twindragon_width, np.mod(angle, TWO_PI))
+        assert np.array_equal(got, want) and np.shape(got) == np.shape(angle)
 
     @pytest.mark.parametrize("base", [(math.nan, 0.0), (0.0, math.inf), (1.0, 2.0, 3.0),
                                       ("1", "0")])
