@@ -26,7 +26,10 @@ system at grid 4096: ``build_context_s``, and ``near1_s`` and ``near_s``,
 the mean time of one call over a fixed mix of 256 probes drawn as
 perfbench's ``query`` workload draws them (half near images of fixed
 points under words of 1-8 maps, half anywhere in the disk of 1.2 R around
-x0; ``l`` cycling through 0.1, 0.01 and 0.001 R, ``k`` through 4 and 12).
+x0; ``l`` cycling through 0.1, 0.01 and 0.001 R, ``k`` through 4 and 12),
+and ``near1_root_s``, one ``near1`` call at ``x0 + (2R, 0)``: beyond every
+width threshold, so the walk ends at its root and the figure is the fixed
+cost of a call.
 The closed-form rows time the complex-base hull polygons (two digits):
 ``exact_polygon_s`` for the twindragon, |z| = 2 at phi = pi/3 and
 |z| = 1.2 at phi = pi/64 (k = 64, the largest denominator detected), and
@@ -167,11 +170,13 @@ def query_row(fh, q: int, n: int) -> tuple[dict, dict]:
         for x, _, k in probes:
             near(ctx, x, k)
 
+    far = (float(ctx.x0[0] + 2.0 * ctx.radius), float(ctx.x0[1]))
     info = {"system": name, "grid": n, "c": ifs.c, "maps": len(ifs),
             "probes": len(probes)}
     return info, {"build_context_s": (lambda: fh.build_context(ifs, w), 1),
                   "near1_s": (run_near1, len(probes)),
-                  "near_s": (run_near, len(probes))}
+                  "near_s": (run_near, len(probes)),
+                  "near1_root_s": (lambda: near1(ctx, far, 0.01 * ctx.radius), 1)}
 
 
 def row_layers(fh, width_mod, index: int) -> tuple[dict, dict]:

@@ -328,7 +328,8 @@ def isodiametric_gap(r: float, phi):
     target = 1e-16 * max(1.0, 1.0 / (r - 1.0))
     j = np.arange(1, _series_terms(1.0, r, target) + 1)
     weights = r ** (-j.astype(float))
-    return _row_blocks(phi, j.size, lambda a: bound - np.abs(np.sin(np.outer(a, j))) @ weights)
+    return _row_blocks(phi, j.size, lambda a: bound - np.sum(
+        np.abs(np.sin(np.outer(a, j))) * weights, axis=-1))
 
 
 def isodiametric_audit(r_count: int = 60, phi_count: int = 720):

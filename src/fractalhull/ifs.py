@@ -22,6 +22,8 @@ from .errors import NotContractingError, ValidationError
 
 _MAX_CHAINS = 1024
 _BURN_IN = 64
+# the chaos game gathers at most this many matrix entries (512 KiB) at once
+_GATHER_ENTRIES = 2**16
 # complex-base digit counts above this are refused (one map per digit)
 _MAX_DIGITS = 2**12
 
@@ -200,11 +202,18 @@ def chaos_game_sample(ifs: IFS, count: int, seed: int) -> PointCloud:
     a = np.stack([m.a for m in ifs.maps])
     t = np.stack([m.t for m in ifs.maps])
     x = np.tile(map_fixed_point(ifs.maps[0]), (chains, 1))
+    burn = np.empty((2, chains, ifs.dim))
     pts = np.empty((steps - _BURN_IN, chains, ifs.dim))
-    for step, i in enumerate(idx):
-        x = np.einsum("cij,cj->ci", a[i], x) + t[i]
-        if step >= _BURN_IN:
-            pts[step - _BURN_IN] = x
+    # one gather of the maps per block of steps; each step writes straight
+    # into its output row, a burn-in step into the row x is not in
+    block = max(1, _GATHER_ENTRIES // (chains * ifs.dim * ifs.dim))
+    for lo in range(0, steps, block):
+        rows = idx[lo:lo + block]
+        for step, ai, ti in zip(range(lo, steps), a[rows], t[rows]):
+            out = pts[step - _BURN_IN] if step >= _BURN_IN else burn[step % 2]
+            np.einsum("cij,cj->ci", ai, x, out=out)
+            np.add(out, ti, out=out)
+            x = out
     return PointCloud(_readonly(pts.reshape(-1, ifs.dim)[:count]))
 
 

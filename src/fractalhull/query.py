@@ -30,8 +30,11 @@ full test would decide, and only points between the two circles pay for
 
 Both predicates take a finite 2-vector x (else :class:`ValidationError`,
 also for strings, complex numbers and other non-numbers).
-The walk is one loop over an explicit stack, so a deep walk (large k, or
-a tiny l with c near 1) answers like a shallow one.
+The walk is depth first, maps in index order, and is one loop over an
+explicit stack (map 0's child is descended into in place, not pushed), so
+a deep walk (large k, or a tiny l with c near 1) answers like a shallow
+one.  Results are frozen and compare by value, so a walk shallower than
+64 levels returns a shared :class:`QueryResult` rather than a new one.
 
 Singular maps cannot be inverted and are skipped, as the pull-back demands;
 results then carry ``complete=False`` to flag that a false answer may be
@@ -72,10 +75,13 @@ class QueryContext:
 
     # flat copies for the walk's hot path: x0, the values with their
     # first two repeated at the end (so a cell never wraps), the inverse
-    # maps, and the annulus (r_in, r_out) that settles most quick tests
+    # maps, the same without map 0 in the order the walk pushes them
+    # (last map first), and the annulus (r_in, r_out) that settles most
+    # quick tests
     _xy: tuple[float, float] = (0.0, 0.0)
     _values: tuple[float, ...] = ()
     _coeff: tuple[tuple[float, ...], ...] = ()
+    _tail: tuple[tuple[float, ...], ...] = ()
     _annulus: tuple[float, float] = (0.0, math.inf)
 
 
@@ -94,6 +100,21 @@ class QueryResult:
 
     def __bool__(self) -> bool:
         return self.hit
+
+
+# _SHARED[hit][complete][depth]: the walk's results for depths below 64
+_SHARED_DEPTHS = 64
+_SHARED = tuple(tuple(tuple(QueryResult(hit, complete, depth)
+                            for depth in range(_SHARED_DEPTHS))
+                      for complete in (False, True))
+                for hit in (False, True))
+
+
+def _result(hit: bool, complete: bool, depth: int) -> QueryResult:
+    """The shared result for a depth below ``_SHARED_DEPTHS``, else a new one."""
+    if depth < _SHARED_DEPTHS:
+        return _SHARED[hit][complete][depth]
+    return QueryResult(hit, complete, depth)
 
 
 def build_context(ifs: IFS, w: WidthSamples, c0_mode: str = "paper") -> QueryContext:
@@ -132,6 +153,7 @@ def build_context(ifs: IFS, w: WidthSamples, c0_mode: str = "paper") -> QueryCon
         _xy=(float(x0[0]), float(x0[1])),
         _values=tuple(values),
         _coeff=tuple(coeff),
+        _tail=tuple(coeff[:0:-1]),
         _annulus=_annulus(float(w0.values.min()), float(w0.values.max()), slack),
     )
 
@@ -157,9 +179,13 @@ def _annulus(lo: float, hi: float, slack: float) -> tuple[float, float]:
 
 
 def _walk(ctx: QueryContext, x, budget: float, levels: float) -> QueryResult:
-    """Depth-first pull-back walk: a point passing the quick test ends it
-    with true once ``depth >= levels`` or ``budget >= C0``; each level
-    divides the budget by the map's contraction factor."""
+    """Depth-first pull-back walk, maps in index order: a point passing
+    the quick test ends it with true once ``depth >= levels`` or
+    ``budget >= C0``; each level divides the budget by the map's
+    contraction factor.  A passing node pushes its children for maps
+    m-1 .. 1 and the inner loop carries on with its map-0 child, the one
+    the stack would give back next; a failing node, or a passing one with
+    no invertible map, hands over to the top of the stack."""
     try:  # any shape but (2,) or a dtype _check_finite refuses fails to unpack
         # a tuple or list of two Python floats, the common call, unpacks as
         # it is; anything else is read through an array
@@ -180,36 +206,48 @@ def _walk(ctx: QueryContext, x, budget: float, levels: float) -> QueryResult:
     n = len(values) - 2
     c0 = ctx.c0_bound
     hypot, atan2 = math.hypot, math.atan2
-    # children are pushed last map first, so map 0's subtree is walked first
-    coeff = ctx._coeff[::-1]
-    stack = [(px, py, budget, 0)]
+    coeff = ctx._coeff
+    if coeff:
+        j11, j12, j21, j22, jx, jy, jc = coeff[0]
+    tail = ctx._tail
+    stack = []
     pop, push = stack.pop, stack.append
-    max_depth = 0
-    while stack:
+    depth = max_depth = 0
+    while True:
+        while True:
+            if depth > max_depth:
+                max_depth = depth
+            dx = px - x0
+            dy = py - y0
+            dist = hypot(dx, dy)
+            # the quick test; inside r_in it passes, beyond r_out it fails,
+            # and NaN falls through to the interpolated test as any other
+            # distance
+            if not dist <= r_in:
+                if dist > r_out:
+                    break
+                pos = (atan2(dy, dx) % TWO_PI) * n / TWO_PI
+                g0 = int(pos)  # n when pos rounds up to n: values wraps there
+                frac = pos - g0
+                if not dist <= (1.0 - frac) * values[g0] + frac * values[g0 + 1] + slack:
+                    break
+            if depth >= levels or budget >= c0:
+                return _result(True, ctx.complete, max_depth)
+            if not coeff:
+                break
+            depth += 1
+            for i11, i12, i21, i22, tx, ty, ci in tail:
+                qx = px - tx
+                qy = py - ty
+                push((i11 * qx + i12 * qy, i21 * qx + i22 * qy, budget / ci, depth))
+            qx = px - jx
+            qy = py - jy
+            px = j11 * qx + j12 * qy
+            py = j21 * qx + j22 * qy
+            budget /= jc
+        if not stack:
+            return _result(False, ctx.complete, max_depth)
         px, py, budget, depth = pop()
-        if depth > max_depth:
-            max_depth = depth
-        dx = px - x0
-        dy = py - y0
-        dist = hypot(dx, dy)
-        # the quick test; inside r_in it passes, beyond r_out it fails, and
-        # NaN falls through to the interpolated test as any other distance
-        if not dist <= r_in:
-            if dist > r_out:
-                continue
-            pos = (atan2(dy, dx) % TWO_PI) * n / TWO_PI
-            g0 = int(pos)  # n when pos rounds up to n: values wraps there
-            frac = pos - g0
-            if not dist <= (1.0 - frac) * values[g0] + frac * values[g0 + 1] + slack:
-                continue
-        if depth >= levels or budget >= c0:
-            return QueryResult(True, ctx.complete, max_depth)
-        depth += 1
-        for i11, i12, i21, i22, tx, ty, ci in coeff:
-            qx = px - tx
-            qy = py - ty
-            push((i11 * qx + i12 * qy, i21 * qx + i22 * qy, budget / ci, depth))
-    return QueryResult(False, ctx.complete, max_depth)
 
 
 def near(ctx: QueryContext, x, k: int) -> QueryResult:

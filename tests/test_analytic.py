@@ -222,9 +222,8 @@ class TestSeriesCap:
 
     def test_angle_arrays_evaluated_in_bounded_blocks(self):
         # 64 angles of 361 000 terms would be one 185 MB matrix; blocks of
-        # 2**20 entries keep the peak near a few of them.  A row of the
-        # centred width has the bits of its angle alone; the gap's
-        # matrix-vector product may round rows apart from lone angles
+        # 2**20 entries keep the peak near a few of them.  A row of either
+        # series has the bits of its angle alone
         sys_ = fh.complex_base_system(cmath.rect(1.0 + 1e-4, 1.0), 2)
         alpha = np.linspace(-3.0, 3.0, 64)
         tracemalloc.start()
@@ -237,9 +236,9 @@ class TestSeriesCap:
         assert peak < 2**26
         for i in (0, 31, 63):
             assert widths[i] == fh.centered_width(sys_, float(alpha[i]))
-        # the gap is a difference of two numbers near 6366
-        assert gaps[5] == pytest.approx(fh.isodiametric_gap(1.0 + 1e-4, float(alpha[5])),
-                                        abs=1e-10)
+        # the gap is a difference of two numbers near 6366: a matrix-vector
+        # product rounded row 5 2.7e-12 away from the lone angle
+        assert gaps[5] == fh.isodiametric_gap(1.0 + 1e-4, float(alpha[5]))
 
 
 def digit_vertices(z: complex, n: int, families: int, terms: int) -> np.ndarray:

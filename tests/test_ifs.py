@@ -157,6 +157,22 @@ class TestMapFixedPoint:
             assert res <= 1e-10 * (1.0 + np.linalg.norm(x))
 
 
+def reference_chaos_game(ifs, count, seed):
+    """The chaos game one step at a time, gathering the maps per step."""
+    chains = max(1, min(1024, count // 64))
+    steps = 64 + -(-count // chains)
+    idx = np.random.default_rng(seed).integers(0, len(ifs.maps), size=(steps, chains))
+    a = np.stack([m.a for m in ifs.maps])
+    t = np.stack([m.t for m in ifs.maps])
+    x = np.tile(fh.map_fixed_point(ifs.maps[0]), (chains, 1))
+    pts = np.empty((steps - 64, chains, ifs.dim))
+    for step, i in enumerate(idx):
+        x = np.einsum("cij,cj->ci", a[i], x) + t[i]
+        if step >= 64:
+            pts[step - 64] = x
+    return pts.reshape(-1, ifs.dim)[:count]
+
+
 class TestChaosGame:
     def test_single_map_collapses_to_origin(self):
         ifs = fh.validate_ifs([(0.5 * np.eye(2), (0.0, 0.0))])
@@ -197,6 +213,16 @@ class TestChaosGame:
         cloud = fh.chaos_game_sample(ifs, count, seed=4)
         assert cloud.points.shape == (count, dim)
         assert np.all(cloud.points >= -1e-9) and np.all(cloud.points <= 1 + 1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 700, 5000, 70000])
+    def test_same_bits_as_per_step_reference(self, dim, count):
+        # 70000 points run 133 steps of 1024 chains: several gather blocks
+        rng = np.random.default_rng(dim)
+        ifs = fh.validate_ifs([(0.4 * np.eye(dim) + 0.1 * rng.normal(size=(dim, dim)),
+                                rng.normal(size=dim)) for _ in range(3)])
+        cloud = fh.chaos_game_sample(ifs, count, seed=6)
+        assert cloud.points.tobytes() == reference_chaos_game(ifs, count, 6).tobytes()
 
     def test_count_validation(self, twindragon_ifs):
         with pytest.raises(fh.ValidationError):

@@ -467,6 +467,57 @@ class TestExponentialMiss:
             reference_walk(ctx, near, 1e-4, math.inf, 16 * 512)
 
 
+class TestWalkEdges:
+    """Walks the hypothesis draws of TestWalkMatchesReference rarely reach:
+    no invertible map at all, and depths past the shared results."""
+
+    def test_all_rank_one_matches_reference(self):
+        maps = []
+        for th, ph, t in ((0.3, 1.1, (0.5, 0.0)), (2.0, 0.4, (-0.2, 0.6))):
+            u = np.array([math.cos(th), math.sin(th)])
+            v = np.array([math.cos(ph), math.sin(ph)])
+            maps.append((0.6 * np.outer(u, v), t))
+        ifs = fh.validate_ifs(maps)
+        ctx = fh.build_context(ifs, fh.solve_width(ifs, 256, 1e-8))
+        assert ctx._coeff == () and not ctx.complete
+        rng = np.random.default_rng(5)
+        points = [ctx.x0, *(ctx.x0 + rng.uniform(-1.5, 1.5, size=(30, 2)) * ctx.radius)]
+        points += [fh.map_fixed_point(m) for m in ifs.maps]
+        for x in points:
+            for k in (0, 1, 3):
+                assert answer(fh.near(ctx, x, k)) == reference_walk(ctx, x, -math.inf, k)
+            for level in (0.1 * ctx.c0_bound, 2.0 * ctx.c0_bound):
+                assert answer(fh.near1(ctx, x, level)) == reference_walk(
+                    ctx, x, level, math.inf)
+
+    def test_deeper_than_shared_results_matches_reference(self, ctx, twindragon_ifs):
+        # each map's fixed point lies in K, so these walks end with true at
+        # depths 63-79, on either side of the 64 shared depths
+        for m in twindragon_ifs.maps:
+            x = fh.map_fixed_point(m)
+            for k in (63, 64, 65, 70):
+                expected = reference_walk(ctx, x, -math.inf, k, WALK_NODES)
+                assert answer(fh.near(ctx, x, k)) == expected
+            expected = reference_walk(ctx, x, 1e-12, math.inf, WALK_NODES)
+            assert expected[2] > 64
+            res = fh.near1(ctx, x, 1e-12)
+            assert answer(res) == expected
+            assert res == fh.near1(ctx, x, 1e-12)
+
+    def test_shared_results_are_frozen_values(self, ctx):
+        far = ctx.x0 + np.array([2 * ctx.radius, 0.0])
+        for res, hit in ((fh.near(ctx, ctx.x0, 3), True), (fh.near(ctx, far, 3), False),
+                         (fh.near1(ctx, ctx.x0, 0.01), True)):
+            assert type(res) is fh.QueryResult
+            assert res == fh.QueryResult(hit, True, res.depth)
+            assert res.hit is hit and bool(res) is hit
+            with pytest.raises(AttributeError):
+                res.hit = not hit
+            with pytest.raises(AttributeError):
+                res.depth = 100
+            assert res == fh.QueryResult(hit, True, res.depth)  # unchanged
+
+
 def flat_context(values, slack=0.0):
     """A context over synthetic widths around x0 = 0.  Between two equal
     values 0.9 (or 1.3, 1.7) the interpolant rounds below them for about
