@@ -34,11 +34,14 @@ The closed-form rows time the complex-base hull polygons (two digits):
 ``exact_polygon_s`` for the twindragon, |z| = 2 at phi = pi/3 and
 |z| = 1.2 at phi = pi/64 (k = 64, the largest denominator detected), and
 ``irrational_polygon_s`` for |z| = 2 at phi = 1 (tol 1e-8) and |z| = 1.05
-at phi = 2 (tol 1e-6).
+at phi = 2 (tol 1e-6).  ``hull_contains_s`` times acceptance criterion
+6's call: 1e5 twindragon chaos-game points (seed 11) against its width at
+grid 4096, slack 1e-4.  ``equal_maps_width_s`` times the shared-matrix
+series at its default tol 1e-12 for ``A = c R(1)`` (R(1) the rotation by
+one radian) and three translations, at c = 0.999 and c = 1 - 4e-5.
 
 Each ``label=SRC`` pair names a ``fractalhull`` source tree and the
-column its figures go to; a version without an operator plan reports
-``null`` for the plan layers.  Every tree is imported into this one
+column its figures go to.  Every tree is imported into this one
 process under its own package name (``fractalhull_0``, ``fractalhull_1``
 ...).  Each layer
 of a row is timed in ``PAIRS`` pairs of samples, each sample a batch of
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import importlib
 import importlib.util
 import json
@@ -125,12 +129,16 @@ CLOSED_FORMS = (
     ("|z|=2 phi=1", cmath.rect(2.0, 1.0), 1e-8),
     ("|z|=1.05 phi=2", cmath.rect(1.05, 2.0), 1e-6),
 )
+# contraction factors of the equal_maps_width rows
+SERIES_C = (0.999, 1.0 - 4e-5)
 # one row per (system, grid), one per render point count, one per query
-# system, one per closed form
+# system, one per closed form, one for hull_contains, one per series factor
 ROWS = ([("solve", s, n) for s in range(len(SYSTEMS)) for n in GRIDS]
         + [("render", None, k) for k in POINTS]
         + [("query", q, QUERY_GRID) for q in range(len(QUERY_SYSTEMS))]
-        + [("closed", c, None) for c in range(len(CLOSED_FORMS))])
+        + [("closed", c, None) for c in range(len(CLOSED_FORMS))]
+        + [("contains", None, QUERY_GRID)]
+        + [("series", c, None) for c in SERIES_C])
 
 
 def query_probes(fh, ifs, ctx) -> list:
@@ -181,11 +189,22 @@ def query_row(fh, q: int, n: int) -> tuple[dict, dict]:
 
 def row_layers(fh, width_mod, index: int) -> tuple[dict, dict]:
     """Row ``index`` of ``ROWS`` for one tree: its description, and per
-    layer a zero-argument call with the number of layer calls it makes
-    (``None`` for a layer the tree lacks)."""
+    layer a zero-argument call with the number of layer calls it makes."""
     kind, s, n = ROWS[index]
     if kind == "query":
         return query_row(fh, s, n)
+    if kind == "contains":
+        ifs = fh.complex_base_ifs(1 + 1j, 2)
+        w = fh.solve_width(ifs, n, TOL)
+        points = fh.chaos_game_sample(ifs, 100_000, 11).points
+        return ({"system": "twindragon", "grid": n, "points": len(points)},
+                {"hull_contains_s": (lambda: fh.hull_contains(w, points, 1e-4), 1)})
+    if kind == "series":
+        a = s * np.array([[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]])
+        ts = np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, 0.3]])
+        fn = functools.partial(fh.equal_maps_width, a, ts, (1.0, 0.0))
+        return ({"c": s, "translations": len(ts), "value": fn()},
+                {"equal_maps_width_s": (fn, 1)})
     if kind == "closed":
         name, z, tol = CLOSED_FORMS[s]
         system = fh.complex_base_system(z, 2)
@@ -203,28 +222,19 @@ def row_layers(fh, width_mod, index: int) -> tuple[dict, dict]:
                  "render_svg_s": (lambda: fh.render_svg(poly, cloud), 1)})
     name, build = SYSTEMS[s]
     ifs = build(fh)
-    plan_cls = getattr(width_mod, "_OperatorPlan", None)
+    plan_cls = width_mod._OperatorPlan
     grid = fh.DirectionGrid(n)
     w = fh.solve_width(ifs, n, TOL)
+    plan = plan_cls(ifs, grid)
     info = {"system": name, "grid": n, "c": ifs.c, "maps": len(ifs),
             "iterations": w.iterations}
-    layers = {"plan_build_s": None, "plan_apply_s": None}
-    if plan_cls is not None:
-        plan = plan_cls(ifs, grid)
-        layers["plan_build_s"] = (lambda: plan_cls(ifs, grid), 1)
-        layers["plan_apply_s"] = (lambda: plan.apply(w.values), 1)
-    layers["selfsim_operator_s"] = (lambda: fh.selfsim_operator(ifs, w), 1)
-    layers["solve_width_s"] = (lambda: fh.solve_width(ifs, n, TOL), 1)
-    layers["detect_kinks_s"] = (lambda: fh.detect_kinks(w), 1)
-    try:
-        fh.extract_polygon(w)
-    except fh.FractalHullError as exc:
-        info["extract_error"] = type(exc).__name__
-        layers["extract_polygon_s"] = None
-    else:
-        layers["extract_polygon_s"] = (lambda: fh.extract_polygon(w), 1)
-    layers["width_csv_s"] = (lambda: fh.width_csv(w), 1)
-    return info, layers
+    return info, {"plan_build_s": (lambda: plan_cls(ifs, grid), 1),
+                  "plan_apply_s": (lambda: plan.apply(w.values), 1),
+                  "selfsim_operator_s": (lambda: fh.selfsim_operator(ifs, w), 1),
+                  "solve_width_s": (lambda: fh.solve_width(ifs, n, TOL), 1),
+                  "detect_kinks_s": (lambda: fh.detect_kinks(w), 1),
+                  "extract_polygon_s": (lambda: fh.extract_polygon(w), 1),
+                  "width_csv_s": (lambda: fh.width_csv(w), 1)}
 
 
 def batch_time(fn, number: int) -> float:
@@ -264,21 +274,14 @@ def measure_row(trees: dict, index: int) -> dict:
     rows = {label: dict(info) for label, (info, _) in built.items()}
     first = next(iter(trees))
     for key in built[first][1]:
-        calls = {label: layers[key] for label, (_, layers) in built.items()
-                 if layers.get(key) is not None}
-        for label in trees:
-            rows[label][key] = None
-        if not calls:
-            continue
+        calls = {label: layers[key] for label, (_, layers) in built.items()}
         samples = dict(zip(calls, time_pairs([fn for fn, _ in calls.values()])))
         for label, times in samples.items():
             rows[label][key] = min(times) / calls[label][1]
-        if first in samples:
-            for label in samples:
-                if label != first:
-                    q = quartiles([a / b for a, b in zip(samples[first], samples[label])])
-                    rows[label].setdefault("versus", {})[key] = {
-                        "quartiles": q, "resolved": q[0] > 1.0 or q[2] < 1.0}
+            if label != first:
+                q = quartiles([a / b for a, b in zip(samples[first], times)])
+                rows[label].setdefault("versus", {})[key] = {
+                    "quartiles": q, "resolved": q[0] > 1.0 or q[2] < 1.0}
     return rows
 
 

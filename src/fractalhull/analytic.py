@@ -35,13 +35,12 @@ import numpy as np
 from .errors import ValidationError
 from .hull import HullPolygon
 from .ifs import (_check_complex_base, _check_finite, _check_int, _check_square,
-                  _readonly, operator_norm)
+                  _readonly, _row_blocks, operator_norm)
 from .width import _check_tol
 
 _RATIONAL_ANGLE_TOL = 1e-12
 _MAX_DENOMINATOR = 64
-# a truncated series sums at most this many terms, and an (angles x terms)
-# matrix is built in blocks of rows of about this many entries
+# a truncated series sums at most this many terms
 _MAX_TERMS = 2**20
 
 
@@ -94,13 +93,12 @@ def _detect_rational_angle(phi: float) -> tuple[int, int] | None:
 def equal_maps_width(a, ts, d, tol: float = 1e-12) -> float:
     """Width around 0 in direction d for an IFS whose maps share matrix A.
 
-    Evaluates ``sum_{i>=0} |B^i d| h*(dir(B^i d))`` with ``B = A^T`` and
-    ``h*(e) = max_j t_j^T e``, truncated once the geometric tail
-    ``c^J max|t| / (1 - c)`` drops below ``tol``; the result is certified
-    within ``tol``.  Works in any dimension: ``a`` is a finite square
-    matrix, ``ts`` finite rows of its dimension and ``d`` a finite nonzero
-    vector of it.
-    """
+    Evaluates ``sum_{i>=0} h*(B^i d)`` with ``B = A^T`` and ``h*(e) =
+    max_j t_j^T e``, truncated once the tail ``c^J max|t| / (1 - c)`` drops
+    below ``tol``: the result is within ``tol`` plus a rounding allowance
+    of a few ``eps J max|t| / (1 - c)`` (eps the float64 machine epsilon).
+    Works in any dimension: ``a`` is a finite square matrix, ``ts`` finite
+    rows of its dimension and ``d`` a finite nonzero vector of it."""
     a = _check_square(a)
     m = a.shape[0]
     ts = _check_finite(ts, "translations", (None, m))
@@ -114,26 +112,23 @@ def equal_maps_width(a, ts, d, tol: float = 1e-12) -> float:
     nd = float(np.linalg.norm(d))
     if nd == 0.0:
         raise ValidationError("direction must be nonzero")
-    u = d / nd
     tmax = float(np.max(np.linalg.norm(ts, axis=1)))
-    if tmax == 0.0:
-        return 0.0
     # one term when its tail already meets tol (and always for c = 0),
     # which also keeps 1/c finite for a tiny c
     terms = (1 if c * tmax <= tol * (1.0 - c)
              else _series_terms(tmax / c, 1.0 / c, tol))
-    b = a.T
-    total = 0.0
-    scale = 1.0
-    for _ in range(terms):
-        total += scale * float(np.max(ts @ u))
-        v = b @ u
-        nv = float(np.linalg.norm(v))
-        scale *= nv
-        if scale == 0.0:
-            break
-        u = v / nv
-    return total
+
+    def support(j, buf):
+        # row i is (B^(j[0] + i) d / |d|)^T, doubled out from row 0
+        k = len(j)
+        rows, proj = buf[:k * m].reshape(k, m), buf[k * m:].reshape(k, -1)
+        rows[0], power, done = d / nd @ np.linalg.matrix_power(a, j[0]), a, 1
+        while done < k:
+            np.matmul(rows[:k - done][:done], power, out=rows[done:2 * done])
+            power, done = power @ power, 2 * done
+        return np.max(np.matmul(rows, ts.T, out=proj), axis=1).sum(keepdims=True)
+
+    return float(np.sum(_row_blocks(range(terms), m + len(ts), support)))
 
 
 def symmetry_center(sys: ComplexBaseSystem) -> np.ndarray:
@@ -155,24 +150,19 @@ def _series_terms(pref: float, r: float, tol: float) -> int:
     return math.ceil(terms)
 
 
-def _abs_cos_series(pref: float, sys: ComplexBaseSystem, alpha, terms: int):
-    """``pref * sum_{j=1..terms} r^-j |cos(alpha + j phi)|`` for a finite
-    scalar angle (returns a float) or an array of finite angles."""
+def _abs_series(r: float, terms: int, angles, trig, ufunc, slope: float = 1.0):
+    """``sum_{j=1..terms} r^-j |trig(ufunc(j slope, a))|`` per finite angle a,
+    each bit for bit as if alone: a float for a scalar, else an array."""
+    angles = _check_finite(angles, "angle")
     j = np.arange(1, terms + 1)
-    jphi, weights = j * sys.phi, sys.r ** (-j)
-    return _row_blocks(_check_finite(alpha, "angle"), terms, lambda a: pref * np.sum(
-        np.abs(np.cos(a[:, None] + jphi)) * weights, axis=-1))
+    lhs, weights = j * slope, r ** (-j.astype(float))
 
+    def rows(a, buf):
+        buf = ufunc(lhs, a[:, None], out=buf.reshape(len(a), terms))
+        np.abs(trig(buf, out=buf), out=buf)
+        return np.sum(np.multiply(buf, weights, out=buf), axis=-1)
 
-def _row_blocks(angles: np.ndarray, terms: int, rows):
-    """``rows(a)`` over the flattened ``angles`` in blocks of at most
-    ``_MAX_TERMS // terms`` angles, so that each block's (angles x terms)
-    matrix holds at most 8 MiB; a float for a 0-d ``angles``, else an
-    array of its shape."""
-    flat = angles.reshape(-1)
-    size = max(1, _MAX_TERMS // terms)
-    blocks = [rows(flat[lo:lo + size]) for lo in range(0, flat.size, size)]
-    out = np.concatenate([np.empty(0)] + blocks).reshape(angles.shape)
+    out = _row_blocks(angles.reshape(-1), terms, rows).reshape(angles.shape)
     return float(out) if angles.ndim == 0 else out
 
 
@@ -184,7 +174,8 @@ def centered_width(sys: ComplexBaseSystem, alpha, tol: float = 1e-12):
     finite scalar angle or an array of finite angles.
     """
     pref = 0.5 * (sys.n - 1)
-    return _abs_cos_series(pref, sys, alpha, _series_terms(pref, sys.r, tol))
+    terms = _series_terms(pref, sys.r, tol)
+    return pref * _abs_series(sys.r, terms, alpha, np.cos, np.add, sys.phi)
 
 
 def rational_width(sys: ComplexBaseSystem, alpha):
@@ -194,7 +185,8 @@ def rational_width(sys: ComplexBaseSystem, alpha):
     if sys.rational_angle is None:
         raise ValidationError("rational_width needs a declared rational angle")
     _, k = sys.rational_angle
-    return _abs_cos_series((sys.n - 1) / (2.0 * _one_minus_inv_pow(sys.r, k)), sys, alpha, k)
+    pref = (sys.n - 1) / (2.0 * _one_minus_inv_pow(sys.r, k))
+    return pref * _abs_series(sys.r, k, alpha, np.cos, np.add, sys.phi)
 
 
 def _one_minus_inv_pow(r: float, k: int) -> float:
@@ -308,10 +300,9 @@ def hull_perimeter(sys: ComplexBaseSystem) -> float:
 def hull_area(sys: ComplexBaseSystem, tol: float = 1e-12) -> float:
     """Hull area ``(n-1)^2/(r^2-1) * sum_{v>0} |sin(v phi)| r^-v``,
     truncated with tail bound ``prefactor * r^-V / (r-1) <= tol``."""
-    r, phi, n = sys.r, sys.phi, sys.n
+    r, n = sys.r, sys.n
     pref = (n - 1) ** 2 / (r * r - 1.0)
-    v = np.arange(1, _series_terms(pref, r, tol) + 1)
-    return pref * float(np.sum(np.abs(np.sin(v * phi)) * r ** (-v.astype(float))))
+    return pref * _abs_series(r, _series_terms(pref, r, tol), sys.phi, np.sin, np.multiply)
 
 
 def isodiametric_gap(r: float, phi):
@@ -323,13 +314,9 @@ def isodiametric_gap(r: float, phi):
     r = float(_check_finite(r, "r", ()))
     if r <= 1.0:
         raise ValidationError("r must exceed 1")
-    phi = _check_finite(phi, "angle")
     bound = (r + 1.0) / (math.pi * (r - 1.0))
     target = 1e-16 * max(1.0, 1.0 / (r - 1.0))
-    j = np.arange(1, _series_terms(1.0, r, target) + 1)
-    weights = r ** (-j.astype(float))
-    return _row_blocks(phi, j.size, lambda a: bound - np.sum(
-        np.abs(np.sin(np.outer(a, j))) * weights, axis=-1))
+    return bound - _abs_series(r, _series_terms(1.0, r, target), phi, np.sin, np.multiply)
 
 
 def isodiametric_audit(r_count: int = 60, phi_count: int = 720):
@@ -340,7 +327,4 @@ def isodiametric_audit(r_count: int = 60, phi_count: int = 720):
     phi_count = _check_int(phi_count, "phi_count", 1)
     rs = np.geomspace(1.05, 4.0, r_count)
     phis = np.arange(phi_count) * (2.0 * math.pi / phi_count)
-    gaps = np.empty((r_count, phi_count))
-    for i, r in enumerate(rs.tolist()):
-        gaps[i] = isodiametric_gap(r, phis)
-    return rs, phis, gaps
+    return rs, phis, np.array([isodiametric_gap(r, phis) for r in rs.tolist()])

@@ -58,7 +58,7 @@ def _build_parser() -> _Parser:
     grid.add_argument("--grid", type=int, default=4096,
                       help="direction grid size: even, 64 to 2**20")
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-6, help="solver/series tolerance")
+    tol.add_argument("--tol", type=float, default=1e-6, help="solver tolerance")
     cloud = argparse.ArgumentParser(add_help=False)
     cloud.add_argument("--seed", type=int, default=0, help="chaos-game RNG seed")
     cloud.add_argument("--points", type=int, default=20000, help="chaos-game sample count")
@@ -87,8 +87,9 @@ def _build_parser() -> _Parser:
                     help="excess-constant mode")
     sp.set_defaults(func=_cmd_query)
 
-    sp = sub.add_parser("exact", parents=[inp, tol, out],
+    sp = sub.add_parser("exact", parents=[inp, out],
                         help="closed-form complex-base analytics")
+    sp.add_argument("--tol", type=float, default=1e-9, help="series tolerance")
     sp.add_argument("--angles", default="", help="comma-separated angles (radians)")
     sp.set_defaults(func=_cmd_exact)
 
@@ -183,7 +184,7 @@ def _cmd_exact(args) -> int:
     if doc.complex_base is None:
         raise ValidationError("exact analytics need a complex_base input")
     sys_ = complex_base_system(*doc.complex_base)
-    tol = min(_check_tol(args.tol), 1e-9)  # closed forms are cheap; keep displays exact
+    tol = _check_tol(args.tol)
     try:
         angles = [float(tok) for tok in args.angles.split(",")] if args.angles else []
     except ValueError:

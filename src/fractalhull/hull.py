@@ -295,8 +295,6 @@ def polygon_area(p: HullPolygon) -> float:
 def polygon_perimeter(p: HullPolygon) -> float:
     """Closed-traversal boundary length; a segment of length L yields 2L."""
     v = p.vertices
-    if v.shape[0] < 2:
-        return 0.0
     return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
 
 

@@ -26,6 +26,8 @@ _BURN_IN = 64
 _GATHER_ENTRIES = 2**16
 # complex-base digit counts above this are refused (one map per digit)
 _MAX_DIGITS = 2**12
+# a blocked array pass works in at most this many float64 entries (8 MiB)
+_BLOCK_ENTRIES = 2**20
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -63,6 +65,17 @@ def _check_finite(x, what: str, shape=None) -> np.ndarray:
             f"{what} must be finite numbers{'' if shape is None else f' of shape {shape}'}"
             f", got {arr.dtype} of shape {arr.shape}")
     return arr.astype(float, copy=False)
+
+
+def _row_blocks(rows, width: int, fn) -> np.ndarray:
+    """The arrays ``fn(block, buf)`` returns for consecutive blocks of
+    ``rows`` (an array or a range), concatenated.  A block has at most
+    ``_BLOCK_ENTRIES // width`` rows (at least one); ``buf`` holds ``width``
+    float64 entries per row of it, in one scratch array of at most 8 MiB."""
+    size = max(1, min(len(rows), _BLOCK_ENTRIES // width))
+    buf = np.empty(size * width)
+    blocks = (rows[lo:lo + size] for lo in range(0, max(len(rows), 1), size))
+    return np.concatenate([fn(block, buf[:len(block) * width]) for block in blocks])
 
 
 def _check_square(a) -> np.ndarray:

@@ -14,8 +14,8 @@ step size yields a certified a-posteriori error bound.
 Directions are discretized on a uniform angle grid with periodic linear
 interpolation in between.  :class:`WidthSamples` composes the error budget
 once: ``bound`` at the grid angles, ``slack`` at any angle and ``radius``
-for the largest distance from the base to the hull; every certified claim
-reads one of the three.  The ledger behind them records the sources apart:
+for the scale of the hull around the base; every certified claim reads
+one of the three.  The ledger behind them records the sources apart:
 ``iter_error``, the solver's distance to the discrete fixed point, and
 ``interp_slack``, the interpolation error between grid angles (any support
 function around a base inside B(base, R) is R-Lipschitz in the angle).
@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .ifs import IFS, _check_finite, _check_int, _readonly
+from .ifs import IFS, _check_finite, _check_int, _readonly, _row_blocks
 
 TWO_PI = 2.0 * math.pi
 _ITERATION_CAP = 1_000_000
@@ -138,8 +138,9 @@ class WidthSamples:
     (:func:`hull_contains`, :func:`circumradius`, the polygon's shortfall
     term in ``outer_slack``); ``slack = bound + interp_slack`` bounds it at
     any angle (:func:`eval_width`, the query thresholds, the extraction's
-    merge tolerance); ``radius`` bounds the largest distance from the base
-    to the hull (``interp_slack`` itself, the kink and merge thresholds).
+    merge tolerance); ``radius``, the largest value plus ``bound``, scales
+    ``interp_slack`` and the kink and merge thresholds; the hull's reach R,
+    up to ``R step**2 / 8`` beyond it, is bounded by :func:`circumradius`.
     ``iter_error`` (the solver's distance to the discrete fixed point) and
     ``interp_slack`` (the Lipschitz bound ``radius * pi / n`` between grid
     angles) are the ledger the three are composed from.
@@ -493,15 +494,17 @@ def hull_contains(w: WidthSamples, x, slack: float = 0.0):
     if slack < 0.0:
         raise ValidationError(f"slack must be nonnegative, got {slack!r}")
     budget = w.values + (w.bound + slack)
-    if x.ndim == 1:
-        proj = w.grid.directions @ (x - w.base)
-        return bool(np.all(proj <= budget))
-    out = np.empty(x.shape[0], dtype=bool)
-    block = max(1, 2**24 // max(w.grid.n, 1))  # cap the projection buffer
-    for lo in range(0, x.shape[0], block):
-        proj = (x[lo:lo + block] - w.base) @ w.grid.directions.T
-        out[lo:lo + block] = np.all(proj <= budget, axis=1)
-    return out
+    cos, sin = w.grid.directions.T
+
+    def inside(points, buf):
+        # x0 cos + x1 sin term by term: BLAS rounds a lone point unlike a batch
+        proj, term = buf.reshape(2, len(points), w.grid.n)
+        np.multiply(points[:, :1] - w.base[0], cos, out=proj)
+        proj += np.multiply(points[:, 1:] - w.base[1], sin, out=term)
+        return np.all(proj <= budget, axis=1)
+
+    out = _row_blocks(x.reshape(-1, 2), 2 * w.grid.n, inside)
+    return bool(out[0]) if x.ndim == 1 else out
 
 
 def width_csv(w: WidthSamples) -> str:

@@ -49,7 +49,75 @@ class TestComplexBaseSystem:
         assert sys_.phi == pytest.approx(math.pi / 4)
 
 
+def loop_equal_maps_width(a, ts, d, tol):
+    """The series of :func:`fractalhull.equal_maps_width` summed one term at
+    a time, ``|B^i d| h*(dir(B^i d))`` with unit directions, over the same
+    number of terms."""
+    a, ts, u = (np.asarray(x, dtype=float) for x in (a, ts, d))
+    u = u / np.linalg.norm(u)
+    c, tmax = fh.operator_norm(a), float(np.max(np.linalg.norm(ts, axis=1)))
+    terms = 1 if c * tmax <= tol * (1.0 - c) else _series_terms(tmax / c, 1.0 / c, tol)
+    total, scale = 0.0, 1.0
+    for _ in range(terms):
+        total += scale * float(np.max(ts @ u))
+        v = a.T @ u
+        scale *= float(np.linalg.norm(v))
+        if scale == 0.0:
+            break
+        u = v / np.linalg.norm(v)
+    return total
+
+
+@st.composite
+def equal_map_systems(draw):
+    """(A, translations, direction, tol) in 2 or 3 dimensions, c <= 0.95."""
+    m = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(m, m))
+    a *= draw(st.floats(0.05, 0.95)) / fh.operator_norm(a)
+    ts = rng.uniform(-1.0, 1.0, size=(draw(st.integers(1, 5)), m))
+    return a, ts, rng.normal(size=m), draw(st.sampled_from([1e-6, 1e-10, 1e-13]))
+
+
 class TestEqualMapsWidth:
+    @settings(max_examples=150, deadline=None)
+    @given(equal_map_systems())
+    def test_matches_term_by_term_loop(self, system):
+        want = loop_equal_maps_width(*system)
+        assert fh.equal_maps_width(*system) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("a,ts,d", [
+        (np.zeros((2, 2)), [(1.0, 0.5), (-0.3, 0.2)], (0.6, 0.8)),
+        (np.zeros((3, 3)), [(1.0, 0.5, 0.0)], (0.0, 0.0, 2.0)),
+        ([[0.0, 0.5], [0.0, 0.0]], [(1.0, 0.0), (0.0, 1.0)], (0.0, 1.0)),
+        ([[0.0, 0.9, 0.0], [0.0, 0.0, 0.9], [0.0, 0.0, 0.0]],
+         [(1.0, 1.0, 1.0), (-1.0, 0.5, 0.0)], (0.0, 0.0, 1.0)),
+        (1e-320 * np.eye(2), [(1.0, 0.0)], (1.0, 0.0)),
+        (1e-320 * np.eye(3), [(0.0, 2.0, 0.0)], (0.0, 1.0, 1.0)),
+    ], ids=["zero-2d", "zero-3d", "nilpotent-2d", "nilpotent-3d", "tiny-2d", "tiny-3d"])
+    def test_degenerate_matrices_match_loop(self, a, ts, d):
+        want = loop_equal_maps_width(a, ts, d, 1e-12)
+        assert fh.equal_maps_width(a, ts, d) == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    def test_64_dimensions_stay_within_the_block_cap(self):
+        # c = 0.9999 needs ~4e5 terms: one (terms x 64) array of directions
+        # would take ~200 MB; blocks of rows work in 8 MiB, plus the
+        # per-block maxima and a few 64 x 64 matrices
+        rng = np.random.default_rng(64)
+        q, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+        ts = rng.uniform(-1.0, 1.0, size=(8, 64))
+        d = np.eye(64)[0]
+        tracemalloc.start()
+        try:
+            got = fh.equal_maps_width(0.9999 * q, ts, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**23 + 2**18
+        # the one-step recursion h(d) = h*(d) + |A^T d| h(dir(A^T d))
+        rest = 0.9999 * fh.equal_maps_width(0.9999 * q, ts, q.T @ d)
+        assert got == pytest.approx(np.max(ts @ d) + rest, rel=1e-9)
+
     def test_zero_matrix_gives_translation_support(self):
         ts = [(0.0, 0.0), (1.0, 0.5)]
         d = np.array([0.6, 0.8])

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -103,6 +104,7 @@ KEPT_FLAGS = [
      "paper", "safe"),
     ("exact --input {v}", "{twindragon}", "{zphi}"),
     ("exact --input {twindragon} --tol {v}", "1e-10", "1e-11"),
+    ("exact --input {twindragon} --tol {v}", "1e-3", "1e-6"),
     ("exact --input {twindragon} --angles {v}", "0", "1"),
     ("exact --input {twindragon} --out {v}", "{out}/a.txt", "{out}/b.txt"),
     ("audit --r-steps {v} --phi-steps 3", "2", "3"),
@@ -140,9 +142,14 @@ BAD_VALUES = [
 ]
 
 
-def _kept_flag_id(case):
-    tokens = case[0].split()
-    return tokens[0] + tokens[tokens.index("{v}") - 1]
+def _kept_flag_ids(cases):
+    """``command--flag`` per case; a repeated one also names its values."""
+    ids = []
+    for template, *values in cases:
+        tokens = template.split()
+        name = tokens[0] + tokens[tokens.index("{v}") - 1]
+        ids.append(name if name not in ids else "-".join([name, *values]))
+    return ids
 
 
 @pytest.fixture
@@ -374,6 +381,13 @@ class TestExact:
         assert main(["exact", "--input", str(path)]) == 0
         assert "area = 0.000000" in capsys.readouterr().out
 
+    def test_tol_defaults(self):
+        # exact's series default is its own; the solver commands keep theirs
+        parser = cli._build_parser()
+        assert parser.parse_args(["exact", "--input", "x"]).tol == 1e-9
+        for command in ("solve", "hull", "render"):
+            assert parser.parse_args([command, "--input", "x"]).tol == 1e-6
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_rejected(self, twindragon_file, capsys, tol):
         assert main(["exact", "--input", twindragon_file, "--tol", tol]) == 1
@@ -381,6 +395,15 @@ class TestExact:
 
 
 class TestAudit:
+    def test_negative_gap_fails(self, monkeypatch, tmp_path, capsys):
+        rs, phis = np.array([1.5, 2.0]), np.array([0.0, 1.0])
+        gaps = np.array([[0.1, 0.2], [-2e-12, 0.3]])
+        monkeypatch.setattr(cli, "isodiametric_audit", lambda r, p: (rs, phis, gaps))
+        out = tmp_path / "audit.csv"
+        assert main(["audit", "--out", str(out)]) == 2
+        assert out.read_text().splitlines()[3] == "2,0,-2e-12"
+        assert capsys.readouterr().out == "audit FAILED: min gap -2e-12 < -1e-12\n"
+
     def test_small_grid(self, tmp_path, capsys):
         out = tmp_path / "audit.csv"
         code = main(["audit", "--r-steps", "6", "--phi-steps", "16",
@@ -418,7 +441,7 @@ class TestErrors:
         assert main(argv + [flag, value]) == 1
         assert "usage error: unrecognized arguments:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", KEPT_FLAGS, ids=[_kept_flag_id(c) for c in KEPT_FLAGS])
+    @pytest.mark.parametrize("case", KEPT_FLAGS, ids=_kept_flag_ids(KEPT_FLAGS))
     def test_every_flag_changes_output(self, inputs, tmp_path, capsys, case):
         template, *values = case
         outputs = []
@@ -457,6 +480,18 @@ class TestErrors:
         for argv in commands:
             cli._build_parser().parse_args(argv)
         assert {argv[0] for argv in commands} == set(VALID_COMMANDS)
+
+    @pytest.mark.parametrize("passed", [(True, True), (True, False)], ids=["pass", "fail"])
+    def test_verify_report(self, monkeypatch, capsys, passed):
+        acceptance = importlib.import_module("fractalhull.acceptance")
+        results = [acceptance.CriterionResult(f"{i} c", ok, f"detail {i}", 0.25 * i)
+                   for i, ok in enumerate(passed, start=1)]
+        monkeypatch.setattr(acceptance, "run_all", lambda: results)
+        assert main(["verify"]) == (0 if all(passed) else 2)
+        captured = capsys.readouterr()
+        assert captured.out == ("PASS 1 c: detail 1 [0.2s]\n"
+                                f"{'PASS' if passed[1] else 'FAIL'} 2 c: detail 2 [0.5s]\n")
+        assert captured.err == ("" if all(passed) else "1 criterion(s) failed\n")
 
     def test_verify_without_scipy(self, monkeypatch, capsys):
         # a None entry in sys.modules makes importing it raise ImportError;

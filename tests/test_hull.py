@@ -256,6 +256,13 @@ class TestPolygonMeasures:
         assert fh.polygon_area(p) == 0.0
         assert fh.polygon_perimeter(p) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("vertices", [np.zeros((0, 2)), np.array([[0.3, -2.0]])],
+                             ids=["empty", "point"])
+    def test_fewer_than_two_vertices(self, vertices):
+        p = fh.HullPolygon(vertices, np.zeros(2))
+        assert fh.polygon_perimeter(p) == 0.0
+        assert fh.polygon_area(p) == 0.0
+
     def test_json_export(self):
         p = polygon_from_vertices([[0, 0], [1, 0], [0.5, 1]], base=(0.5, 0.25))
         text = fh.polygon_json(p)

@@ -513,6 +513,15 @@ class TestSolveWidth:
         w = fh.solve_width(ifs, 64, 1e-8)
         assert np.max(np.abs(w.values)) <= 1e-8
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        # two linear parts: the sweeps start from the ball bound and need
+        # far more than two steps to reach tol
+        monkeypatch.setattr(fh.width, "_ITERATION_CAP", 2)
+        ifs = fh.validate_ifs([(0.5 * np.eye(2), (0.0, 0.0)),
+                               ([[0.0, -0.6], [0.6, 0.0]], (0.5, 0.0))])
+        with pytest.raises(fh.ConvergenceError, match="within 2 steps"):
+            fh.solve_width(ifs, 64, 1e-12)
+
     def test_two_point_attractor_exact(self):
         # maps with A=0 land on the fixed point set {0, e1} in one step
         ifs = fh.validate_ifs([
@@ -705,6 +714,48 @@ class TestRadiusAndContainment:
         batch = fh.hull_contains(twindragon_width, pts, slack=1e-4)
         single = [fh.hull_contains(twindragon_width, p, slack=1e-4) for p in pts]
         assert batch.tolist() == single
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.integers(0, 600), slack=st.sampled_from([0.0, 1e-4]),
+           base=st.sampled_from([(0.0, 0.0), (0.3, -0.7)]),
+           edges=st.lists(st.integers(0, 2047), max_size=16),
+           others=st.lists(st.floats(-2.0, 2.0), max_size=4))
+    def test_point_matches_its_batch_row(self, lead, slack, base, edges, others):
+        # a point's answer is its row of any batch, also for points placed
+        # exactly on values + bound + slack along grid direction k, or a
+        # few ulps off: on a disk only that direction decides them.
+        # ``lead`` points at the center move the probes across the blocks
+        # of 256 points
+        w = disk_width(n=2048, base=base)
+        budget = w.values + (w.bound + slack)
+        points = [w.base + (t, 0.5 * t) for t in others]
+        for k in edges:
+            reach = [budget[k]]
+            for toward in (math.inf, -math.inf):
+                for _ in range(3):
+                    reach.append(np.nextafter(reach[-1], toward))
+                reach.append(budget[k])
+            points.extend(w.base + r * w.grid.directions[k] for r in reach)
+        batch = np.concatenate((np.tile(w.base, (lead, 1)), np.reshape(points, (-1, 2))))
+        got = fh.hull_contains(w, batch, slack)
+        assert got[:lead].all()
+        assert got[lead:].tolist() == [fh.hull_contains(w, p, slack) for p in points]
+
+    def test_empty_batch(self):
+        got = fh.hull_contains(disk_width(), np.zeros((0, 2)))
+        assert got.dtype == bool and got.shape == (0,)
+
+    def test_criterion_6_call_memory(self, twindragon_width, twindragon_cloud):
+        # 1e5 points x 4096 directions: one (points x directions) matrix
+        # would take 3.3 GB; blocks of 128 points work in 8 MiB
+        tracemalloc.start()
+        try:
+            inside = fh.hull_contains(twindragon_width, twindragon_cloud, slack=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inside.all()
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("x", [(math.nan, 0.0), [(0.0, 0.0), (math.nan, 0.0)],
                                    (1.0, 2.0, 3.0), np.zeros((4, 3)), ("0", "0")])
