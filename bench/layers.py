@@ -54,6 +54,15 @@ the interquartile range excludes 1.
 
     python bench/layers.py parent=../parent/src change=src --out layers.json
 
+Name the first tree twice to measure the harness's resolution floor:
+
+    python bench/layers.py parent=../p/src again=../p/src change=src --out layers.json
+
+The A/A column ``again`` runs the same code as ``parent``, so its
+quartiles of ``first / this`` are the spread that machine phases and
+import order alone produce; a change's ratio inside that spread is not
+a measured difference.
+
 ``--out`` is written anew with every row.  Set one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``) for figures comparable with ``perfbench``.
 """

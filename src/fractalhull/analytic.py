@@ -42,6 +42,8 @@ _RATIONAL_ANGLE_TOL = 1e-12
 _MAX_DENOMINATOR = 64
 # a truncated series sums at most this many terms
 _MAX_TERMS = 2**20
+# an isodiametric audit evaluates at most this many (r, phi) gaps
+_MAX_AUDIT = 2**22
 
 
 @dataclass(frozen=True)
@@ -322,9 +324,13 @@ def isodiametric_gap(r: float, phi):
 def isodiametric_audit(r_count: int = 60, phi_count: int = 720):
     """Gap values over a log-spaced r grid in [1.05, 4] and a uniform phi
     grid in [0, 2 pi).  Returns (r values, phi values, gap matrix).  Both
-    counts must be integers >= 1 (an integral float counts)."""
+    counts must be integers >= 1 (an integral float counts) whose product
+    is at most ``_MAX_AUDIT`` = 2**22, checked before any allocation."""
     r_count = _check_int(r_count, "r_count", 1)
     phi_count = _check_int(phi_count, "phi_count", 1)
+    if r_count * phi_count > _MAX_AUDIT:
+        raise ValidationError(f"r_count x phi_count must be at most {_MAX_AUDIT}, "
+                              f"got {r_count} x {phi_count}")
     rs = np.geomspace(1.05, 4.0, r_count)
     phis = np.arange(phi_count) * (2.0 * math.pi / phi_count)
     return rs, phis, np.array([isodiametric_gap(r, phis) for r in rs.tolist()])

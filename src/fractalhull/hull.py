@@ -5,12 +5,15 @@ local minimum) corresponds to a straight edge of the hull: the edge lies on
 the supporting line at the kink angle and its endpoints sit at the
 one-sided derivatives along the line.  Between kinks a smooth cosine arc is
 supported by a single point.  Extraction therefore emits edge endpoints at
-detected kinks, samples supporting points along smooth stretches, and
-cleans the result into a counterclockwise convex polygon.
+detected kinks, samples supporting points along smooth stretches, keeps
+after each kept point the first whose path length from it exceeds a merge
+tolerance (a dropped point lies within it of a kept one), and cleans the
+result into a counterclockwise convex polygon.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -21,8 +24,6 @@ from .ifs import _check_finite, _readonly
 from .width import TWO_PI, WidthSamples, eval_width
 
 _KINK_BUFFER_CELLS = 2
-# points _dedup_cyclic tests one by one before it screens a run in blocks
-_DEDUP_SCAN = 32
 
 
 @dataclass(frozen=True)
@@ -127,53 +128,21 @@ def _node_derivatives(w: WidthSamples) -> np.ndarray:
     return (np.roll(w.values, -1) - np.roll(w.values, 1)) / (2.0 * w.grid.step)
 
 
-def _dedup_cyclic(points: np.ndarray, tol: float) -> np.ndarray:
-    """Drop each point within ``tol`` of the last kept one, cyclically.
-
-    Points are tested with ``math.hypot`` in windows of ``_DEDUP_SCAN``.
-    After a window that keeps no point, the run is likely long, and the
-    points that follow are screened in blocks of doubling size with one
-    ``np.hypot`` each.  The two hypots differ by at most an ulp, so a block
-    flags every point whose ``np.hypot`` exceeds ``tol - 4 ulp(tol)``: an
-    unflagged point has ``math.hypot <= tol`` and would not have been kept.
-    From the first flagged point on the windows resume and ``math.hypot``
-    decides, so the kept points are exactly those of a scan that tests
-    every point with ``math.hypot``.
-    """
-    n = points.shape[0]
-    if n == 0:
-        return points
-    xs, ys = points[:, 0], points[:, 1]
-    # memoryviews read single floats without a full tolist()
-    xv, yv = memoryview(xs), memoryview(ys)
-    screen = tol - 4.0 * math.ulp(tol)
-
+def _thin_by_path(points: np.ndarray, tol: float) -> list[int]:
+    """Indices kept when cyclic points are thinned by path length (summed
+    ``np.hypot`` steps): 0, then after each kept index the first whose path
+    length from it exceeds ``tol``, the last dropped if within ``tol`` of
+    point 0.  Path length is at least distance, so a dropped point lies within
+    ``tol`` (up to rounding) of the kept, or dropped last, point before it."""
+    if not len(points):
+        return []
+    length = memoryview(np.append(0.0, np.cumsum(np.hypot(*np.diff(points, axis=0).T))))
     keep = [0]
-    kx, ky = xv[0], yv[0]
-    i = 1
-    while i < n:
-        stop = min(i + _DEDUP_SCAN, n)
-        kept = len(keep)
-        for j in range(i, stop):
-            if math.hypot(xv[j] - kx, yv[j] - ky) > tol:
-                keep.append(j)
-                kx, ky = xv[j], yv[j]
-        i = stop
-        if len(keep) > kept:
-            continue
-        # a window that kept nothing: screen what follows in blocks
-        block = _DEDUP_SCAN
-        while i < n:
-            hi = min(i + block, n)
-            far = np.hypot(xs[i:hi] - kx, ys[i:hi] - ky) > screen
-            j = int(far.argmax())  # the first flagged point, if any
-            if far[j]:
-                i += j
-                break
-            i, block = hi, 2 * block
-    if len(keep) > 1 and math.hypot(xv[0] - kx, yv[0] - ky) <= tol:
+    while (j := bisect.bisect_right(length, length[keep[-1]] + tol, keep[-1] + 1)) < len(length):
+        keep.append(j)
+    if len(keep) > 1 and math.hypot(*(points[0] - points[keep[-1]]).tolist()) <= tol:
         keep.pop()
-    return points[keep]
+    return keep
 
 
 def _monotone_chain(points: np.ndarray, eps_cross: float) -> np.ndarray:
@@ -231,13 +200,14 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
 
     Every kink found by :func:`_kinks` contributes the edge segment
     between ``base + h u + h'(a-) u_perp`` and ``base + h u + h'(a+) u_perp``.
-    Consecutive edges whose endpoints already coincide (within the merge
-    tolerance) share a vertex; wider gaps, up to the next kink (a lone kink
-    is its own next, 2 pi on), are filled with supporting points sampled at
-    grid angles, which keeps the output a polygonal inner approximation
-    even when the boundary is curved, with the reported ``outer_slack``
-    dilation certified to contain the hull.  With no kink every grid
-    angle's supporting point is a candidate (method flag "dense").
+    The gap up to the next kink (a lone kink is its own next, 2 pi on) is
+    filled with supporting points sampled at grid angles, which keeps the
+    output a polygonal inner approximation even when the boundary is
+    curved, with the reported ``outer_slack`` dilation certified to contain
+    the hull.  With no kink every grid angle's supporting point is a
+    candidate (method flag "dense").  After each kept candidate the first
+    whose path length from it exceeds ``merge_tol`` is kept, so a dropped
+    one lies within ``merge_tol`` of a kept one.
     ``outer_slack`` is ``2 slack + merge_tol``, raised to
     ``max_g (h_g - p_g) + bound + 2 interp_slack`` where the
     polygon's support p falls short of the values h at a grid angle by
@@ -275,8 +245,8 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
             pieces += [ends[i], all_support.take(np.arange(g0, g1 + 1), axis=0, mode="wrap")]
     else:
         pieces = [all_support]
-    candidates = _dedup_cyclic(np.concatenate(pieces, axis=0), merge_tol)
-    verts = _monotone_chain(candidates, eps_cross)
+    candidates = np.concatenate(pieces, axis=0)
+    verts = _monotone_chain(candidates[_thin_by_path(candidates, merge_tol)], eps_cross)
     outer = max(2.0 * w.slack + merge_tol,
                 _support_shortfall(verts, w) + w.bound + 2.0 * w.interp_slack)
     return HullPolygon(_readonly(verts), _readonly(np.array(w.base)),

@@ -28,6 +28,8 @@ _GATHER_ENTRIES = 2**16
 _MAX_DIGITS = 2**12
 # a blocked array pass works in at most this many float64 entries (8 MiB)
 _BLOCK_ENTRIES = 2**20
+# a chaos-game cloud holds at most this many coordinates (64 MiB)
+_MAX_CLOUD_ENTRIES = 2**23
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -204,10 +206,14 @@ def chaos_game_sample(ifs: IFS, count: int, seed: int) -> PointCloud:
     chains (at least 1) keep the burn-in work no larger than the recorded
     work.  Output is bit-for-bit reproducible for identical
     ``(ifs, count, seed)``; count >= 1 and seed >= 0 are Python or numpy
-    integers or integral floats.
+    integers or integral floats, and ``count * dim`` is at most
+    ``_MAX_CLOUD_ENTRIES`` = 2**23, checked before any allocation.
     """
     count = _check_int(count, "count", 1)
     seed = _check_int(seed, "seed", 0)
+    if count * ifs.dim > _MAX_CLOUD_ENTRIES:
+        raise ValidationError(f"count x dimension must be at most {_MAX_CLOUD_ENTRIES}, "
+                              f"got {count} x {ifs.dim}")
     chains = max(1, min(_MAX_CHAINS, count // _BURN_IN))
     steps = _BURN_IN + -(-count // chains)
     rng = np.random.default_rng(seed)

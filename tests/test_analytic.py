@@ -562,6 +562,25 @@ class TestIsodiametricGap:
         want = fh.isodiametric_audit(3, 4)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
+    # 2049 x 2048 gaps are 4096 more than the 2**22 cap; the gap matrix
+    # alone would take 32 MiB, and each row's series much more
+    @pytest.mark.parametrize("counts", [(2049, 2048), (1, 2**22 + 1), (10**6, 10**6)])
+    def test_audit_above_cap_refused_before_allocation(self, counts):
+        tracemalloc.start()
+        try:
+            with pytest.raises(fh.ValidationError, match="at most 4194304"):
+                fh.isodiametric_audit(*counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_audit_cap_counts_gaps(self, monkeypatch):
+        monkeypatch.setattr(fh.analytic, "_MAX_AUDIT", 12)
+        assert fh.isodiametric_audit(3, 4)[2].shape == (3, 4)
+        with pytest.raises(fh.ValidationError, match="at most 12"):
+            fh.isodiametric_audit(3, 5)
+
     def test_audit_grid_shape_and_sign(self):
         rs, phis, gaps = fh.isodiametric_audit(12, 64)
         assert gaps.shape == (12, 64)

@@ -119,6 +119,10 @@ BAD_VALUES = [
     "audit --phi-steps 0",
     "audit --r-steps 0",
     "audit --r-steps -3",
+    # above the caps of 2**22 audit gaps and 2**23 cloud coordinates
+    "audit --r-steps 2049 --phi-steps 2048",
+    "render --input {twindragon} --points 4194305",
+    "render --input {twindragon} --points 1000000000",
     "exact --input {twindragon} --angles abc",
     "exact --input {twindragon} --angles 1,,2",
     "exact --input {twindragon} --angles nan",

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import fractalhull as fh
 from conftest import disk_width, distance_to_polygon
-from fractalhull.hull import (_dedup_cyclic, _jump_threshold, _monotone_chain,
-                              _node_derivatives, _support_shortfall)
+from fractalhull.hull import (_jump_threshold, _monotone_chain, _node_derivatives,
+                              _support_shortfall, _thin_by_path)
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -108,6 +108,15 @@ class TestExtractPolygon:
         assert not poly.degenerate
         radii = np.linalg.norm(poly.vertices, axis=1)
         assert np.all(np.abs(radii - 1.0) <= 1e-3)
+
+    def test_point_attractor_at_base(self):
+        # radius and slack are 0, so merge_tol is 0 and the thinning keeps
+        # one of the equal supporting points without dividing by it
+        w = fh.solve_width(fh.validate_ifs([(np.zeros((2, 2)), (0.0, 0.0))]), 1024, 1e-8)
+        assert w.radius == 0.0 and w.slack == 0.0
+        poly = fh.extract_polygon(w)
+        assert poly.vertices.tolist() == [[0.0, 0.0]]
+        assert poly.outer_slack == 0.0
 
     def test_half_disk_single_kink_keeps_edge(self):
         # upper half-disk seen from the middle of its flat edge: one kink, at
@@ -215,6 +224,26 @@ class TestAnyBase:
         assert np.max(distance_to_polygon(inner.vertices, poly.vertices)) <= both
         assert np.max(distance_to_polygon(poly.vertices, inner.vertices)) <= both
 
+    # Cauchy's formula: the perimeter of a convex body (twice the length of
+    # a segment) is the integral of its support function over the angles,
+    # whatever the base.  The polygon lies in the hull dilated by
+    # outer_slack and the values exceed the hull's support by at most bound,
+    # so the two integrals differ by at most 2 pi (outer_slack + bound); the
+    # last two terms allow for the step-sum quadrature of the polygon's
+    # support and of the values.
+    @settings(max_examples=40, deadline=None)
+    @given(maps=planar_maps(), n=st.sampled_from([256, 1024, 4096]))
+    @example(maps=DROPPED_TIP, n=1024)
+    @example(maps=SHIFTED_TRIANGLE, n=256)
+    def test_perimeter_matches_cauchy(self, maps, n):
+        w = fh.solve_width(fh.validate_ifs(maps), n, 1e-8)
+        poly = fh.extract_polygon(w)
+        perimeter = fh.polygon_perimeter(poly)
+        step = w.grid.step
+        allowance = (TWO_PI * (poly.outer_slack + w.bound) + perimeter * step ** 2 / 4
+                     + TWO_PI * fh.circumradius(w) * step ** 2 / 8)
+        assert abs(perimeter - step * float(np.sum(w.values))) <= allowance
+
 
 class TestRoundTrip:
     # extraction applied to the exact width samples of a polygon returns it
@@ -272,19 +301,6 @@ class TestPolygonMeasures:
         assert doc["vertices"] == [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]
 
 
-def reference_dedup(points, tol):
-    """Cyclic de-duplication with one numpy norm per point, as an oracle."""
-    if points.shape[0] == 0:
-        return points
-    kept = [points[0]]
-    for p in points[1:]:
-        if np.linalg.norm(p - kept[-1]) > tol:
-            kept.append(p)
-    if len(kept) > 1 and np.linalg.norm(kept[0] - kept[-1]) <= tol:
-        kept.pop()
-    return np.array(kept)
-
-
 def reference_chain(points, eps_cross):
     """Andrew's monotone chain over numpy rows, as an oracle."""
     pts = np.unique(points, axis=0)
@@ -316,9 +332,8 @@ def lattice_walks(draw):
 
     Steps shorter than the tolerance make runs in which the last kept point
     lies several points back; the closing point exercises the wrap-around
-    test; zero steps give duplicates.  Squared lattice distances are
-    multiples of 1/64 and the tolerances odd multiples of 1/16, so no
-    distance is within rounding of the tolerance.
+    test; zero steps give duplicates, and a walk back and forth has a path
+    length well above its distance.
     """
     start = draw(st.tuples(st.integers(-8, 8), st.integers(-8, 8)))
     steps = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
@@ -330,20 +345,23 @@ def lattice_walks(draw):
     return pts / 8.0
 
 
-def reference_dedup_hypot(points, tol):
-    """Cyclic de-duplication testing every point with ``math.hypot``, as
-    the oracle of the points ``_dedup_cyclic`` keeps."""
+def reference_thin(points, tol):
+    """Thinning by path length with one scalar running sum per point, as
+    the oracle of the points ``_thin_by_path`` keeps: the steps are the same
+    ``np.hypot`` values, added in the same order, so the sums agree bitwise."""
     if points.shape[0] == 0:
         return points
-    xs = points[:, 0].tolist()
-    ys = points[:, 1].tolist()
+    steps = np.hypot(points[1:, 0] - points[:-1, 0], points[1:, 1] - points[:-1, 1])
     keep = [0]
-    kx, ky = xs[0], ys[0]
-    for i in range(1, len(xs)):
-        if math.hypot(xs[i] - kx, ys[i] - ky) > tol:
+    total = start = 0.0
+    for i, step in enumerate(steps.tolist(), 1):
+        total += step
+        if total > start + tol:
             keep.append(i)
-            kx, ky = xs[i], ys[i]
-    if len(keep) > 1 and math.hypot(xs[0] - kx, ys[0] - ky) <= tol:
+            start = total
+    x0, y0 = points[0].tolist()
+    x1, y1 = points[keep[-1]].tolist()
+    if len(keep) > 1 and math.hypot(x0 - x1, y0 - y1) <= tol:
         keep.pop()
     return points[keep]
 
@@ -392,7 +410,8 @@ def kink_bits(kinks):
 
 def reference_extract(w):
     """``extract_polygon`` with scalar arithmetic and one ``eval_width`` call
-    per kink, and the ``math.hypot`` scan, as the oracle of its bytes."""
+    per kink, and the scalar path-length thinning, as the oracle of its
+    bytes."""
     ks = fh.detect_kinks(w)
     r_est = max(float(w.values.max()), 0.0) + w.iter_error
     merge_tol = max(1e-9 * r_est, 8.0 * (w.iter_error + w.interp_slack))
@@ -412,7 +431,7 @@ def reference_extract(w):
         g1 = math.floor(theta1 / w.grid.step) - 2
         if g1 >= g0:
             pieces.append(support[np.arange(g0, g1 + 1) % w.grid.n])
-    candidates = reference_dedup_hypot(np.concatenate(pieces), merge_tol)
+    candidates = reference_thin(np.concatenate(pieces), merge_tol)
     return _monotone_chain(candidates, 1e-12 * max(r_est, 1.0) ** 2)
 
 
@@ -452,23 +471,6 @@ def long_runs(draw):
     return points, tol
 
 
-def hypot_disagreements(count, seed=0):
-    """``count`` offsets whose ``np.hypot`` is an ulp below ``math.hypot``
-    and ``count`` whose ``np.hypot`` is an ulp above it."""
-    rng = np.random.default_rng(seed)
-    below, above = [], []
-    while len(below) < count or len(above) < count:
-        d = rng.uniform(-1.0, 1.0, (4096, 2))
-        fast = np.hypot(d[:, 0], d[:, 1])
-        for (dx, dy), f in zip(d.tolist(), fast.tolist()):
-            exact = math.hypot(dx, dy)
-            if f < exact and len(below) < count:
-                below.append((dx, dy))
-            elif f > exact and len(above) < count:
-                above.append((dx, dy))
-    return below, above
-
-
 class TestExtractionHelpers:
     @settings(max_examples=200, deadline=None)
     @given(points=lattice_walks(), odd=st.integers(0, 5))
@@ -479,8 +481,8 @@ class TestExtractionHelpers:
     @example(points=np.empty((0, 2)), odd=0)
     def test_dedup_matches_reference(self, points, odd):
         tol = (2 * odd + 1) / 16.0
-        got = _dedup_cyclic(points, tol)
-        assert np.array_equal(got, reference_dedup(points, tol))
+        got = points[_thin_by_path(points, tol)]
+        assert np.array_equal(got, reference_thin(points, tol))
 
     @settings(max_examples=40, deadline=None)
     @given(maps=planar_maps(), n=st.sampled_from([1024, 4096]))
@@ -523,21 +525,49 @@ class TestExtractionHelpers:
     @given(case=long_runs())
     def test_dedup_long_runs_match_hypot_scan(self, case):
         points, tol = case
-        got = _dedup_cyclic(points, tol)
-        assert np.array_equal(got, reference_dedup_hypot(points, tol))
+        got = points[_thin_by_path(points, tol)]
+        assert np.array_equal(got, reference_thin(points, tol))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.one_of(
+        st.tuples(lattice_walks(), st.sampled_from([0.0, 1 / 16, 3 / 16, 11 / 16])),
+        long_runs()))
+    @example(case=(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.4], [0.0, 0.8]]), 0.5))
+    @example(case=(np.zeros((5, 2)), 0.0))
+    @example(case=(np.empty((0, 2)), 0.25))
+    def test_thinning_guarantee(self, case):
+        # kept indices rise from 0, consecutive kept points lie more than
+        # tol apart along the path, and every point lies within tol of the
+        # kept point before it; after the last kept point a dropped last
+        # one may stand between, so those lie within 2 tol of point 0
+        points, tol = case
+        n = points.shape[0]
+        keep = np.array(_thin_by_path(points, tol), dtype=np.intp)
+        if n == 0:
+            assert keep.size == 0
+            return
+        assert keep[0] == 0 and np.all(np.diff(keep) > 0)
+        length = np.append(0.0, np.cumsum(np.hypot(*np.diff(points, axis=0).T)))
+        assert np.all(length[keep[1:]] > length[keep[:-1]] + tol)
+        rounding = 4.0 * n * np.finfo(float).eps * (length[-1] + tol)
+        before = keep[np.searchsorted(keep, np.arange(n), side="right") - 1]
+        near = np.hypot(*(points - points[before]).T) <= tol + rounding
+        assert near[:keep[-1]].all()
+        home = np.hypot(*(points - points[0]).T) <= 2.0 * tol + rounding
+        assert (near | home)[keep[-1]:].all()
 
     @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
     def test_dedup_point_ulps_from_tol(self, ulps):
         # copies of the origin with one point at distance exactly tol moved
-        # by ``ulps`` ulps, at every index of the Python scan and of the
-        # first blocks: kept iff that distance exceeds tol
+        # by ``ulps`` ulps, at every index: kept iff that distance exceeds
+        # tol; the origin after it, if kept, is dropped at the wrap
         tol = 0.1
         far = nudge(tol, ulps)
         for at in range(1, 400):
             points = np.zeros((400, 2))
             points[at] = (0.0, far)
-            got = _dedup_cyclic(points, tol)
-            assert np.array_equal(got, reference_dedup_hypot(points, tol))
+            got = points[_thin_by_path(points, tol)]
+            assert np.array_equal(got, reference_thin(points, tol))
             assert got.shape[0] == (2 if far > tol else 1)
 
     @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
@@ -545,22 +575,9 @@ class TestExtractionHelpers:
         # the last kept point is dropped iff it lies within tol of the first
         tol = 0.5
         points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, nudge(tol, ulps)]])
-        got = _dedup_cyclic(points, tol)
-        assert np.array_equal(got, reference_dedup_hypot(points, tol))
+        got = points[_thin_by_path(points, tol)]
+        assert np.array_equal(got, reference_thin(points, tol))
         assert got.shape[0] == (3 if ulps > 0 else 2)
-
-    @pytest.mark.parametrize("at", [5, 60, 250])
-    def test_dedup_where_the_two_hypots_disagree(self, at):
-        # tol is the smaller of the two hypots of an offset: kept iff
-        # math.hypot is the larger, whichever side np.hypot rounds to
-        below, above = hypot_disagreements(4)
-        for (dx, dy), kept in [(d, True) for d in below] + [(d, False) for d in above]:
-            tol = min(math.hypot(dx, dy), float(np.hypot(dx, dy)))
-            points = np.zeros((300, 2))
-            points[at] = (dx, dy)
-            got = _dedup_cyclic(points, tol)
-            assert np.array_equal(got, reference_dedup_hypot(points, tol))
-            assert got.shape[0] == (2 if kept else 1)
 
     def test_support_shortfall_matches_polygon_width(self):
         rng = np.random.default_rng(5)

@@ -235,6 +235,30 @@ class TestChaosGame:
         with pytest.raises(fh.ValidationError, match="count must be|seed must be"):
             fh.chaos_game_sample(twindragon_ifs, count, seed)
 
+    # 2**22 + 1 planar points are one point over the cap of 2**23
+    # coordinates; their cloud alone would take 64 MiB and their map indices
+    # as much again, and tracemalloc sees numpy's buffers
+    @pytest.mark.parametrize("count", [2**22 + 1, 10**9])
+    def test_count_above_cap_refused_before_allocation(self, twindragon_ifs, count):
+        tracemalloc.start()
+        try:
+            with pytest.raises(fh.ValidationError, match="at most 8388608"):
+                fh.chaos_game_sample(twindragon_ifs, count, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_cap_counts_coordinates(self, monkeypatch):
+        # with a cap of 12 coordinates: 6 planar or 4 spatial points pass,
+        # one more of either is refused
+        monkeypatch.setattr(fh.ifs, "_MAX_CLOUD_ENTRIES", 12)
+        for dim, most in [(2, 6), (3, 4)]:
+            ifs = fh.validate_ifs([(0.5 * np.eye(dim), np.zeros(dim))])
+            assert fh.chaos_game_sample(ifs, most, 1).points.shape == (most, dim)
+            with pytest.raises(fh.ValidationError, match="at most 12"):
+                fh.chaos_game_sample(ifs, most + 1, 1)
+
     def test_numpy_integers_accepted(self, twindragon_ifs):
         a = fh.chaos_game_sample(twindragon_ifs, np.int64(100), np.uint32(5))
         b = fh.chaos_game_sample(twindragon_ifs, 100, 5)
