@@ -146,8 +146,8 @@ def _cmd_hull(args) -> int:
     _write_out(args, polygon_json(poly) + "\n")
     perim = polygon_perimeter(poly)
     _info(args, f"method={poly.method} vertices={len(poly)}")
-    _info(args, f"area={polygon_area(poly):.9f} +- {perim * slack + math.pi * slack * slack:.3g}")
-    _info(args, f"perimeter={perim:.9f} +- {2 * math.pi * slack:.3g}")
+    _info(args, f"area={polygon_area(poly):.10g} +- {perim * slack + math.pi * slack * slack:.3g}")
+    _info(args, f"perimeter={perim:.10g} +- {2 * math.pi * slack:.3g}")
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import _check_finite, _readonly
+from .ifs import _check_finite, _readonly, _row_blocks
 from .width import TWO_PI, WidthSamples, eval_width
 
 _KINK_BUFFER_CELLS = 2
@@ -79,7 +79,7 @@ def _kinks(w: WidthSamples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The derivative jump at each node is estimated from the cyclic second
     difference (which conserves jump mass when a kink falls between grid
     nodes); runs of consecutive nodes above the discretization-noise
-    threshold, a run through nodes n - 1 and 0 counting as one, are the
+    threshold, node 0 following node n - 1, are the
     candidate kinks.  A run's angle is its first node's plus the
     mass-weighted mean offset of its nodes, and its one-sided derivatives
     are third-order stencils whose points stay strictly on one side of the
@@ -88,16 +88,16 @@ def _kinks(w: WidthSamples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     threshold = _jump_threshold(w)
     v, n, step = w.values, w.grid.n, w.grid.step
     mass = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / step
-    flagged = np.flatnonzero(mass > threshold)
+    above = mass > threshold
+    flagged = np.flatnonzero(above)
     if flagged.size == 0:
         return np.empty(0), np.empty(0), np.empty(0)
-    # runs of consecutive flagged nodes; the last goes on through node 0
-    # into the first when both ends are flagged: rotate it to the front
-    starts = np.flatnonzero(np.append(True, flagged[1:] - flagged[:-1] != 1))
-    if starts.size > 1 and flagged[0] == 0 and flagged[-1] == n - 1:
-        last = flagged.size - starts[-1]
-        flagged = np.roll(flagged, last)
-        starts = np.append(0, starts[1:-1] + last)
+    # the flagged nodes in cyclic order from just after the first unflagged
+    # node u (the masses sum to zero, so there is one), so no run is cut at
+    # node 0: the u flagged nodes below u go last
+    u = int(above.argmin())
+    flagged = np.concatenate((flagged[u:], flagged[:u]))
+    starts = np.flatnonzero(np.append(True, (flagged[1:] - flagged[:-1]) % n != 1))
     ends = np.append(starts[1:], flagged.size)
     gl, gr = flagged[starts], flagged[ends - 1]
     cells = np.arange(4)
@@ -145,8 +145,8 @@ def _thin_by_path(points: np.ndarray, tol: float) -> list[int]:
     return keep
 
 
-def _monotone_chain(points: np.ndarray, eps_cross: float) -> np.ndarray:
-    """Andrew's monotone chain; counterclockwise output, collinear dropped."""
+def _monotone_chain(points: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain; counterclockwise, repeats and turns with cross <= 0 dropped."""
     # rows sorted by x then y, exact repeats dropped
     pts = points[np.lexsort((points[:, 1], points[:, 0]))]
     fresh = np.ones(len(pts), dtype=bool)
@@ -161,7 +161,7 @@ def _monotone_chain(points: np.ndarray, eps_cross: float) -> np.ndarray:
         for p in seq:
             while len(out) >= 2:
                 o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= eps_cross:
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0.0:
                     out.pop()
                 else:
                     break
@@ -206,8 +206,9 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     curved, with the reported ``outer_slack`` dilation certified to contain
     the hull.  With no kink every grid angle's supporting point is a
     candidate (method flag "dense").  After each kept candidate the first
-    whose path length from it exceeds ``merge_tol`` is kept, so a dropped
-    one lies within ``merge_tol`` of a kept one.
+    whose path length from it exceeds ``merge_tol = 8 slack`` is kept, so a
+    dropped one lies within ``merge_tol`` of a kept one; no threshold is
+    absolute, so the polygon scales with the width by powers of two exactly.
     ``outer_slack`` is ``2 slack + merge_tol``, raised to
     ``max_g (h_g - p_g) + bound + 2 interp_slack`` where the
     polygon's support p falls short of the values h at a grid angle by
@@ -219,9 +220,7 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     from x to the hull, ``w.radius``.
     """
     angles, left, right = _kinks(w)
-    r_est = w.radius
-    merge_tol = max(1e-9 * r_est, 8.0 * w.slack)
-    eps_cross = 1e-12 * max(r_est, 1.0) ** 2
+    merge_tol = 8.0 * w.slack
 
     derivs = _node_derivatives(w)
     dirs = w.grid.directions
@@ -246,7 +245,7 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
     else:
         pieces = [all_support]
     candidates = np.concatenate(pieces, axis=0)
-    verts = _monotone_chain(candidates[_thin_by_path(candidates, merge_tol)], eps_cross)
+    verts = _monotone_chain(candidates[_thin_by_path(candidates, merge_tol)])
     outer = max(2.0 * w.slack + merge_tol,
                 _support_shortfall(verts, w) + w.bound + 2.0 * w.interp_slack)
     return HullPolygon(_readonly(verts), _readonly(np.array(w.base)),
@@ -270,11 +269,18 @@ def polygon_perimeter(p: HullPolygon) -> float:
 
 def polygon_width(p: HullPolygon, angles) -> np.ndarray:
     """Support values of the polygon around its base at the given finite
-    angles (a scalar or an array)."""
+    angles (a scalar or an array), in one blocked pass over the angles."""
     angles = np.atleast_1d(_check_finite(angles, "angle"))
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    rel = p.vertices - p.base
-    return np.max(dirs @ rel.T, axis=1)
+    x, y = (p.vertices - p.base).T
+
+    def support(block, buf):
+        # x cos + y sin term by term, as hull_contains projects
+        proj, term = buf.reshape(2, len(block), len(x))
+        np.multiply(np.cos(block)[:, None], x, out=proj)
+        proj += np.multiply(np.sin(block)[:, None], y, out=term)
+        return proj.max(axis=1)
+
+    return _row_blocks(angles, 2 * len(x), support)
 
 
 def polygon_width_samples(p: HullPolygon, grid) -> WidthSamples:

@@ -336,11 +336,11 @@ def selfsim_operator(ifs: IFS, w: WidthSamples) -> WidthSamples:
     Value at grid direction d:  ``max_i [ |A_i^T d| h(dir(A_i^T d)) + t_i^T d ]``
     with h read off by periodic linear interpolation; a vanishing image
     ``A_i^T d = 0`` degenerates the i-th term to ``t_i^T d``.  Error fields
-    are carried through unchanged.
+    are carried through unchanged.  A base other than exactly 0 is refused.
     """
     if ifs.dim != 2:
         raise ValidationError("the width solver is two-dimensional only")
-    if not np.allclose(w.base, 0.0, atol=1e-15):
+    if w.base.any():
         raise ValidationError("the operator is defined for widths around the origin")
     out = _OperatorPlan(ifs, w.grid).apply(w.values)
     return replace(w, values=_readonly(out))

@@ -247,7 +247,7 @@ class TestHull:
         s, perim = poly.outer_slack, fh.polygon_perimeter(poly)
         text = capsys.readouterr().out
         assert f"+- {perim * s + math.pi * s * s:.3g}\n" in text
-        assert f"perimeter={perim:.9f} +- {2 * math.pi * s:.3g}\n" in text
+        assert f"perimeter={perim:.10g} +- {2 * math.pi * s:.3g}\n" in text
 
     def test_hull_away_from_origin(self, tmp_path, capsys):
         # three square maps moved so the hull, the triangle (4, 4), (5, 4),
@@ -335,6 +335,55 @@ class TestQuery:
     def test_bad_point_rejected(self, twindragon_file):
         assert main(["query", "--input", twindragon_file,
                      "--point", "zero", "--k", "1"]) == 1
+
+
+def _maps_doc(*maps):
+    return json.dumps({"dim": 2, "maps": [{"A": a, "t": t} for a, t in maps]})
+
+
+HALF = [[0.5, 0.0], [0.0, 0.5]]
+ZERO = [[0.0, 0.0], [0.0, 0.0]]
+# inputs every command must take (ROADMAP aim 3), each small enough for a
+# 256-angle grid
+AIM_THREE_INPUTS = {
+    "far from the origin": _maps_doc(*((HALF, t) for t in
+                                       ([100.0, 100.0], [100.5, 100.0], [100.0, 100.5]))),
+    "point attractor": _maps_doc((HALF, [1.0, 1.0])),
+    "segment": _maps_doc((HALF, [0.0, 0.0]), (HALF, [1.0, 0.0])),
+    "singular map": _maps_doc(([[0.5, 0.0], [0.0, 0.0]], [0.0, 0.0]), (HALF, [0.5, 1.0])),
+    "c = 0.999, not a similarity": _maps_doc(([[0.999, 0.0], [0.0, 0.5]], [0.0, 0.0]),
+                                             (HALF, [0.0, 1.0])),
+    "all A = 0": _maps_doc((ZERO, [0.0, 0.0]), (ZERO, [1.0, 0.0]), (ZERO, [0.0, 1.0])),
+    # its hull is the triangle (0, 0), (2e-9, 0), (0, 2e-9), of area 2e-18
+    "1e-9 triangle": _maps_doc((HALF, [0.0, 0.0]), (HALF, [1e-9, 0.0]), (HALF, [0.0, 1e-9])),
+}
+
+
+class TestAimThreeInputs:
+    @pytest.mark.parametrize("name", AIM_THREE_INPUTS)
+    def test_every_command_answers(self, tmp_path, capsys, name):
+        path = tmp_path / "in.json"
+        path.write_text(AIM_THREE_INPUTS[name])
+        ifs = fh.load_ifs_file(str(path)).ifs
+        x, y = np.mean([fh.map_fixed_point(m) for m in ifs.maps], axis=0).tolist()
+        grid = ["--input", str(path), "--grid", "256"]
+        for argv in (["hull", *grid], ["solve", *grid],
+                     ["render", *grid, "--points", "200"],
+                     ["query", *grid, f"--point={x!r},{y!r}", "--dist", "1e-3"]):
+            assert main(argv) == 0, argv
+            captured = capsys.readouterr()
+            text = (captured.out + captured.err).lower()
+            assert "nan" not in text and "inf" not in text, argv
+            if argv[0] == "hull":
+                report = captured.err
+        # the report's area and perimeter are the polygon's, to the printed digits
+        poly = fh.extract_polygon(fh.solve_width(ifs, 256, 1e-6))
+        area, area_err = report.split("area=", 1)[1].split("\n", 1)[0].split(" +- ")
+        perim = report.split("perimeter=", 1)[1].split(" +- ", 1)[0]
+        assert area == f"{fh.polygon_area(poly):.10g}"
+        assert perim == f"{fh.polygon_perimeter(poly):.10g}"
+        if name == "1e-9 triangle":
+            assert 0.0 < float(area) and abs(float(area) - 2e-18) <= float(area_err)
 
 
 class TestExact:

@@ -94,6 +94,15 @@ class TestSelfsimOperator:
         with pytest.raises(fh.ValidationError):
             fh.selfsim_operator(twindragon_ifs, w)
 
+    def test_requires_origin_base_at_every_scale(self, twindragon_ifs):
+        # the twindragon scaled by 2**-60 and rebased to (2**-61, 0), where
+        # the unscaled system's base would be (0.5, 0): refused as that is
+        s = 2.0**-60
+        ifs = fh.validate_ifs([(m.a, s * m.t) for m in twindragon_ifs.maps])
+        w = fh.rebase_width(fh.solve_width(ifs, 256, s * 1e-6), (s / 2.0, 0.0))
+        with pytest.raises(fh.ValidationError, match="around the origin"):
+            fh.selfsim_operator(ifs, w)
+
     def test_rejects_other_dimensions(self):
         ifs = fh.validate_ifs([(0.5 * np.eye(3), np.zeros(3))])
         grid = fh.DirectionGrid(128)
