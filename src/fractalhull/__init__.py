@@ -33,7 +33,6 @@ from .width import (
     circumradius,
     eval_width,
     hull_contains,
-    make_width_samples,
     rebase_width,
     selfsim_operator,
     solve_width,
@@ -47,8 +46,6 @@ from .hull import (
     polygon_area,
     polygon_json,
     polygon_perimeter,
-    polygon_width,
-    polygon_width_samples,
 )
 from .analytic import (
     ComplexBaseSystem,
@@ -86,9 +83,8 @@ __all__ = [
     "equal_maps_width", "eval_width", "exact_polygon", "extract_polygon",
     "hull_area", "hull_contains", "hull_perimeter", "irrational_polygon",
     "isodiametric_audit", "isodiametric_gap", "load_ifs_file",
-    "make_width_samples", "map_fixed_point", "near", "near1",
-    "operator_norm", "parse_ifs_document", "polygon_area", "polygon_json",
-    "polygon_perimeter", "polygon_width", "polygon_width_samples",
+    "map_fixed_point", "near", "near1", "operator_norm",
+    "parse_ifs_document", "polygon_area", "polygon_json", "polygon_perimeter",
     "rational_width", "rebase_width", "render_svg", "selfsim_operator",
     "solve_width", "symmetry_center", "validate_ifs", "width_csv",
 ]

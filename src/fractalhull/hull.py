@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import _check_finite, _readonly, _row_blocks
+from .ifs import _readonly
 from .width import TWO_PI, WidthSamples, eval_width
 
 _KINK_BUFFER_CELLS = 2
@@ -53,11 +53,6 @@ class HullPolygon:
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
-
-    @property
-    def degenerate(self) -> bool:
-        """True for segments and points (fewer than 3 vertices)."""
-        return len(self) < 3
 
 
 def _jump_threshold(w: WidthSamples) -> float:
@@ -146,14 +141,21 @@ def _thin_by_path(points: np.ndarray, tol: float) -> list[int]:
 
 
 def _monotone_chain(points: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; counterclockwise, repeats and turns with cross <= 0 dropped."""
+    """Andrew's monotone chain; counterclockwise, repeats and turns with cross <= 0 dropped.
+
+    The points are scaled by the power of two that brings the largest
+    |coordinate| into [0.5, 1), and the hull back: both steps are exact
+    (short of subnormals), so the cross products stay finite at any scale.
+    """
+    exp = int(np.frexp(np.abs(points).max(initial=0.0))[1])
+    points = np.ldexp(points, -exp)
     # rows sorted by x then y, exact repeats dropped
     pts = points[np.lexsort((points[:, 1], points[:, 0]))]
     fresh = np.ones(len(pts), dtype=bool)
     fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
     pts = pts[fresh]
     if pts.shape[0] <= 2:
-        return pts
+        return np.ldexp(pts, exp)
     rows = pts.tolist()
 
     def build(seq):
@@ -171,7 +173,7 @@ def _monotone_chain(points: np.ndarray) -> np.ndarray:
     lower = build(rows)
     upper = build(rows[::-1])
     hull = lower[:-1] + upper[:-1]
-    return np.array(hull) if len(hull) >= 2 else pts[:1]
+    return np.ldexp(np.array(hull) if len(hull) >= 2 else pts[:1], exp)
 
 
 def _support_shortfall(verts: np.ndarray, w: WidthSamples) -> float:
@@ -264,31 +266,8 @@ def polygon_area(p: HullPolygon) -> float:
 def polygon_perimeter(p: HullPolygon) -> float:
     """Closed-traversal boundary length; a segment of length L yields 2L."""
     v = p.vertices
-    return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
-
-
-def polygon_width(p: HullPolygon, angles) -> np.ndarray:
-    """Support values of the polygon around its base at the given finite
-    angles (a scalar or an array), in one blocked pass over the angles."""
-    angles = np.atleast_1d(_check_finite(angles, "angle"))
-    x, y = (p.vertices - p.base).T
-
-    def support(block, buf):
-        # x cos + y sin term by term, as hull_contains projects
-        proj, term = buf.reshape(2, len(block), len(x))
-        np.multiply(np.cos(block)[:, None], x, out=proj)
-        proj += np.multiply(np.sin(block)[:, None], y, out=term)
-        return proj.max(axis=1)
-
-    return _row_blocks(angles, 2 * len(x), support)
-
-
-def polygon_width_samples(p: HullPolygon, grid) -> WidthSamples:
-    """Exact width samples of a polygon (useful as a round-trip oracle)."""
-    values = polygon_width(p, grid.angles)
-    r = float(np.max(np.linalg.norm(p.vertices - p.base, axis=1))) if len(p) else 0.0
-    return WidthSamples(grid, _readonly(np.array(p.base)), _readonly(values),
-                        0.0, r * math.pi / grid.n)
+    edges = np.roll(v, -1, axis=0) - v
+    return float(np.sum(np.hypot(edges[:, 0], edges[:, 1])))
 
 
 def polygon_json(p: HullPolygon) -> str:

@@ -197,23 +197,6 @@ def _interp_periodic(values: np.ndarray, angles):
     return (1.0 - frac) * values[g0] + frac * values[g1]
 
 
-def make_width_samples(grid: DirectionGrid, base, values,
-                       iter_error: float, interp_slack: float) -> WidthSamples:
-    """Assemble width samples from raw arrays, checking basic invariants.
-
-    ``base`` must be a finite 2-vector, ``values`` ``grid.n`` finite
-    numbers and both error bounds finite and nonnegative.  The arrays are
-    copied, so the caller's stay writeable.
-    """
-    base = _readonly(_check_finite(base, "base point", (2,)).copy())
-    values = _readonly(_check_finite(values, "width samples", (grid.n,)).copy())
-    iter_error, interp_slack = _check_finite(
-        (iter_error, interp_slack), "error bounds", (2,)).tolist()
-    if iter_error < 0.0 or interp_slack < 0.0:
-        raise ValidationError("error bounds must be nonnegative")
-    return WidthSamples(grid, base, values, iter_error, interp_slack)
-
-
 class _OperatorPlan:
     """The value-independent part of the self-similarity operator on a grid.
 

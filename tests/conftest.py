@@ -43,11 +43,25 @@ def segment_ifs():
     return fh.complex_base_ifs(2 + 0j, 2)
 
 
+def width_samples(grid, base, values, iter_error=0.0, interp_slack=0.0):
+    """Width samples built directly from float arrays (read-only copies)."""
+    base, values = np.array(base, dtype=float), np.array(values, dtype=float)
+    base.flags.writeable = values.flags.writeable = False
+    return fh.WidthSamples(grid, base, values, float(iter_error), float(interp_slack))
+
+
+def polygon_support(poly, angles):
+    """Support of a polygon around its base at each angle, by brute force:
+    ``max_v (x_v - b_x) cos a + (y_v - b_y) sin a`` over its vertices."""
+    a = np.atleast_1d(np.asarray(angles, dtype=float))[:, None]
+    x, y = (poly.vertices - poly.base).T
+    return (x * np.cos(a) + y * np.sin(a)).max(axis=1)
+
+
 def disk_width(radius=1.0, n=2048, base=(0.0, 0.0)):
     grid = fh.DirectionGrid(n)
-    return fh.make_width_samples(grid, base, np.full(n, radius),
-                                 iter_error=1e-12,
-                                 interp_slack=radius * math.pi / n)
+    return width_samples(grid, base, np.full(n, radius),
+                         iter_error=1e-12, interp_slack=radius * math.pi / n)
 
 
 def distance_to_polygon(vertices, points):

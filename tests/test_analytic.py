@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import fractalhull as fh
-from conftest import distance_to_polygon
+from conftest import distance_to_polygon, polygon_support
 from fractalhull import cli
 from fractalhull.analytic import _series_terms
 
@@ -384,7 +384,7 @@ class TestExactPolygon:
 
     def test_segment_base_two(self):
         poly, tris = fh.exact_polygon(fh.complex_base_system(2 + 0j, 2))
-        assert poly.degenerate and len(poly) == 2
+        assert len(poly) == 2
         got = np.sort(poly.vertices, axis=0)
         assert np.allclose(got, [[0.0, 0.0], [1.0, 0.0]], atol=1e-12)
         assert len(tris) == 1
@@ -395,7 +395,7 @@ class TestExactPolygon:
         sys_ = fh.complex_base_system(z, 2)
         poly, tris = fh.exact_polygon(sys_)
         assert len(poly) == 6
-        sup = fh.polygon_width(poly, DENSE)
+        sup = polygon_support(poly, DENSE)
         assert np.max(np.abs(sup - fh.rational_width(sys_, DENSE))) <= 1e-9
 
     def test_edge_length_ledger(self, twindragon_sys):
@@ -455,7 +455,7 @@ class TestIrrationalPolygon:
         # points of the attractor: inside the hull, and within the left-out
         # segments' total length of it
         angles = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
-        sup = fh.polygon_width(poly, angles)
+        sup = polygon_support(poly, angles)
         ref = fh.centered_width(sys_, angles, 1e-14)
         assert np.all(sup <= ref + 1e-12 * scale)
         assert np.all(sup >= ref - tol)
@@ -471,7 +471,7 @@ class TestIrrationalPolygon:
         sys_ = fh.ComplexBaseSystem(z, 2)
         poly = fh.irrational_polygon(sys_, 1e-9)
         angles = np.linspace(0, 2 * math.pi, 1024, endpoint=False)
-        sup = fh.polygon_width(poly, angles)
+        sup = polygon_support(poly, angles)
         ref = fh.centered_width(sys_, angles, 1e-13)
         assert np.max(np.abs(sup - ref)) <= 1e-8
         assert np.max(sup - ref) <= 1e-12  # inner approximation
@@ -481,7 +481,7 @@ class TestIrrationalPolygon:
         tol = 1e-9
         poly = fh.irrational_polygon(forced, tol)
         exact, _ = fh.exact_polygon(twindragon_sys)
-        diff = fh.polygon_width(poly, DENSE) - fh.polygon_width(exact, DENSE)
+        diff = polygon_support(poly, DENSE) - polygon_support(exact, DENSE)
         assert np.max(np.abs(diff)) <= tol
 
 

@@ -4,7 +4,8 @@ A name in ``fractalhull.__all__`` counts as used when a Python file of the
 package, the demos or the benchmarks refers to it: as a bare name, as an
 attribute (``fh.name``) or in an import.  The package's ``__init__.py``
 only re-exports, and a ``def``/``class`` statement is the name's own
-definition, not a use, so neither counts.
+definition, not a use, so neither counts.  No name is exported for the
+tests alone: their helpers live in ``tests/conftest.py``.
 """
 
 import ast
@@ -14,13 +15,8 @@ import fractalhull as fh
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# exported for the tests alone, on purpose
-TEST_ONLY = {
-    # the validated constructor the tests build hand-made width samples with
-    "make_width_samples",
-    # the exact width of a polygon: the round-trip oracle of extraction
-    "polygon_width_samples",
-}
+# exported for the tests alone: none
+TEST_ONLY: set[str] = set()
 
 
 def referenced_names() -> set[str]:

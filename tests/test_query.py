@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalhull as fh
+from conftest import width_samples
 
 
 @pytest.fixture(scope="module")
@@ -525,7 +526,7 @@ def flat_context(values, slack=0.0):
     annulus edge without its margin decides some points wrongly."""
     ifs = fh.validate_ifs([(0.5 * np.eye(2), (0.5, 0.0)), (0.5 * np.eye(2), (-0.5, 0.0))])
     grid = fh.DirectionGrid(len(values))
-    w = fh.make_width_samples(grid, (0.0, 0.0), values, 0.0, slack)
+    w = width_samples(grid, (0.0, 0.0), values, 0.0, slack)
     ctx = fh.build_context(ifs, w)
     assert ctx.x0.tolist() == [0.0, 0.0]
     assert ctx.width.values.tolist() == list(values)

@@ -12,6 +12,7 @@ the grid (2**-6 Z)^2 within [-2, 2]^2, so at |k| <= 200 they do.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fractalhull as fh
@@ -104,10 +105,21 @@ def test_power_of_two_scaling_commutes(maps, k, n):
                 s * fh.equal_maps_width(a0, ts, (1.0, 0.5), 1e-9))
 
 
+@pytest.mark.parametrize("k", [520, 1000])
+def test_huge_twindragon_polygon_is_the_unit_polygon_scaled(k):
+    # products of coordinates overflow beyond about 2**511; the chain works
+    # on coordinates scaled into [-1, 1], so the polygon stays exact
+    s = 2.0**k
+    p = fh.extract_polygon(fh.solve_width(scaled(TWINDRAGON, 1.0), 1024, TOL))
+    ps = fh.extract_polygon(fh.solve_width(scaled(TWINDRAGON, s), 1024, s * TOL))
+    assert len(ps) == 8
+    assert same(ps.vertices, s * p.vertices)
+    assert same(ps.outer_slack, s * p.outer_slack)
+
+
 def test_huge_twindragon_extracts_a_certified_polygon():
-    # at 2**520 products of coordinates overflow, so the polygon is coarse,
-    # yet extraction returns one and exact word images lie within its
-    # outer_slack (measured at unit scale: dividing by s is exact)
+    # at 2**520 extraction returns a polygon, and exact word images lie
+    # within its outer_slack (measured at unit scale: dividing by s is exact)
     s = 2.0**520
     ifs = scaled(TWINDRAGON, s)
     poly = fh.extract_polygon(fh.solve_width(ifs, 1024, s * TOL))

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalhull as fh
-from conftest import disk_width, distance_to_polygon
+from conftest import disk_width, distance_to_polygon, width_samples
 
 TWO_PI = 2.0 * math.pi
 
 
 def random_samples(grid, rng, lo=-1.0, hi=2.0):
-    return fh.make_width_samples(grid, (0.0, 0.0),
-                                 rng.uniform(lo, hi, size=grid.n), 0.0, 0.0)
+    return width_samples(grid, (0.0, 0.0),
+                         rng.uniform(lo, hi, size=grid.n), 0.0, 0.0)
 
 
 class TestDirectionGrid:
@@ -32,32 +32,6 @@ class TestDirectionGrid:
         assert np.allclose(grid.directions[64], -grid.directions[0])
 
 
-class TestMakeWidthSamples:
-    @pytest.mark.parametrize("base,values,iter_error,interp_slack", [
-        ((0.0, 0.0, 0.0), None, 0.0, 0.0),
-        ((math.nan, 0.0), None, 0.0, 0.0),
-        ((0.0, 0.0), np.ones(63), 0.0, 0.0),
-        ((0.0, 0.0), np.full(64, math.inf), 0.0, 0.0),
-        ((0.0, 0.0), np.array(["1"] * 64), 0.0, 0.0),
-        ((0.0, 0.0), None, -1.0, 0.0),
-        ((0.0, 0.0), None, 0.0, -1.0),
-        ((0.0, 0.0), None, math.nan, 0.0),
-        ((0.0, 0.0), None, 0.0, math.inf),
-    ], ids=["base-3", "base-nan", "values-63", "values-inf", "values-strings",
-            "iter-negative", "slack-negative", "iter-nan", "slack-inf"])
-    def test_rejects_malformed(self, base, values, iter_error, interp_slack):
-        grid = fh.DirectionGrid(64)
-        values = np.ones(64) if values is None else values
-        with pytest.raises(fh.ValidationError):
-            fh.make_width_samples(grid, base, values, iter_error, interp_slack)
-
-    def test_caller_arrays_stay_writeable(self):
-        base, values = np.zeros(2), np.ones(64)
-        w = fh.make_width_samples(fh.DirectionGrid(64), base, values, 0.0, 0.0)
-        assert base.flags.writeable and values.flags.writeable
-        assert not w.base.flags.writeable and not w.values.flags.writeable
-
-
 class TestSelfsimOperator:
     def test_zero_matrices_fix_translation_support(self):
         # with all A_i = 0 the operator output is max_i t_i^T d, fixed thereafter
@@ -66,7 +40,7 @@ class TestSelfsimOperator:
             (np.zeros((2, 2)), (1.0, 0.0)),
         ])
         grid = fh.DirectionGrid(256)
-        w = fh.make_width_samples(grid, (0, 0), np.full(grid.n, 7.0), 0, 0)
+        w = width_samples(grid, (0, 0), np.full(grid.n, 7.0), 0, 0)
         out = fh.selfsim_operator(ifs, w)
         expected = np.maximum(0.0, np.cos(grid.angles))
         assert np.allclose(out.values, expected, atol=1e-15)
@@ -76,13 +50,13 @@ class TestSelfsimOperator:
     def test_scaling_of_constant(self):
         ifs = fh.validate_ifs([(0.5 * np.eye(2), (0.0, 0.0))])
         grid = fh.DirectionGrid(128)
-        w = fh.make_width_samples(grid, (0, 0), np.ones(grid.n), 0, 0)
+        w = width_samples(grid, (0, 0), np.ones(grid.n), 0, 0)
         out = fh.selfsim_operator(ifs, w)
         assert np.allclose(out.values, 0.5, atol=1e-15)
 
     def test_twindragon_one_step_from_zero(self, twindragon_ifs):
         grid = fh.DirectionGrid(256)
-        w = fh.make_width_samples(grid, (0, 0), np.zeros(grid.n), 0, 0)
+        w = width_samples(grid, (0, 0), np.zeros(grid.n), 0, 0)
         out = fh.selfsim_operator(twindragon_ifs, w)
         t1 = twindragon_ifs.maps[1].t
         expected = np.maximum(0.0, grid.directions @ t1)
@@ -90,7 +64,7 @@ class TestSelfsimOperator:
 
     def test_requires_origin_base(self, twindragon_ifs):
         grid = fh.DirectionGrid(128)
-        w = fh.make_width_samples(grid, (1.0, 0.0), np.ones(grid.n), 0, 0)
+        w = width_samples(grid, (1.0, 0.0), np.ones(grid.n), 0, 0)
         with pytest.raises(fh.ValidationError):
             fh.selfsim_operator(twindragon_ifs, w)
 
@@ -106,7 +80,7 @@ class TestSelfsimOperator:
     def test_rejects_other_dimensions(self):
         ifs = fh.validate_ifs([(0.5 * np.eye(3), np.zeros(3))])
         grid = fh.DirectionGrid(128)
-        w = fh.make_width_samples(grid, (0, 0), np.ones(grid.n), 0, 0)
+        w = width_samples(grid, (0, 0), np.ones(grid.n), 0, 0)
         with pytest.raises(fh.ValidationError):
             fh.selfsim_operator(ifs, w)
 
@@ -133,8 +107,8 @@ class TestSelfsimOperator:
         rng = np.random.default_rng(23)
         grid = fh.DirectionGrid(256)
         f = random_samples(grid, rng)
-        g = fh.make_width_samples(grid, (0, 0),
-                                  f.values + rng.uniform(0, 1, size=grid.n), 0, 0)
+        g = width_samples(grid, (0, 0),
+                          f.values + rng.uniform(0, 1, size=grid.n), 0, 0)
         lo = fh.selfsim_operator(twindragon_ifs, f).values
         hi = fh.selfsim_operator(twindragon_ifs, g).values
         assert np.all(lo <= hi + 1e-12)
@@ -233,7 +207,7 @@ class TestOperatorPlanProperties:
     def test_matches_per_map_formula_bitwise(self, ifs, half, seed):
         grid = fh.DirectionGrid(2 * half)
         values = np.random.default_rng(seed).uniform(-1.0, 2.0, grid.n)
-        w = fh.make_width_samples(grid, (0.0, 0.0), values, 0.0, 0.0)
+        w = width_samples(grid, (0.0, 0.0), values, 0.0, 0.0)
         got = fh.selfsim_operator(ifs, w).values
         assert np.array_equal(got, reference_operator(ifs, grid, values))
 
@@ -417,8 +391,8 @@ def nested_value_iteration(ifs, n, tol, finer=0):
     c = ifs.c
     if n >= 2048:
         m = n // 16 * 2
-        coarse = fh.make_width_samples(fh.DirectionGrid(m), (0.0, 0.0),
-                                       nested_value_iteration(ifs, m, tol, n)[0], 0.0, 0.0)
+        coarse = width_samples(fh.DirectionGrid(m), (0.0, 0.0),
+                               nested_value_iteration(ifs, m, tol, n)[0], 0.0, 0.0)
         values = fh.eval_width(coarse, grid.angles)
     else:
         values = np.full(n, max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c))
@@ -633,7 +607,7 @@ class TestRebaseEval:
     def test_point_set_rebase(self):
         # width of {0} seen from (1, 0) is -cos(angle)
         grid = fh.DirectionGrid(256)
-        w = fh.make_width_samples(grid, (0, 0), np.zeros(grid.n), 0, 0)
+        w = width_samples(grid, (0, 0), np.zeros(grid.n), 0, 0)
         w2 = fh.rebase_width(w, (1.0, 0.0))
         assert np.allclose(w2.values, -np.cos(grid.angles), atol=1e-15)
 
@@ -657,8 +631,8 @@ class TestRebaseEval:
     def test_eval_interpolation_error_within_slack(self):
         grid = fh.DirectionGrid(4096)
         values = np.maximum(0.0, np.cos(grid.angles))
-        w = fh.make_width_samples(grid, (0, 0), values, 0.0,
-                                  interp_slack=math.pi / grid.n)
+        w = width_samples(grid, (0, 0), values, 0.0,
+                          interp_slack=math.pi / grid.n)
         query = 0.1234
         assert abs(fh.eval_width(w, query) - math.cos(query)) <= w.interp_slack
 
@@ -807,7 +781,7 @@ class TestErrorBudget:
     def test_properties_compose_the_ledger(self):
         grid = fh.DirectionGrid(64)
         values = np.linspace(-1.0, 2.0, 64)
-        w = fh.make_width_samples(grid, (0.0, 0.0), values, 0.25, 0.125)
+        w = width_samples(grid, (0.0, 0.0), values, 0.25, 0.125)
         assert w.bound == 0.25
         assert w.slack == 0.25 + 0.125
         assert w.radius == 2.0 + 0.25
@@ -816,7 +790,7 @@ class TestErrorBudget:
     def test_radius_never_below_bound(self):
         # every width function has max h >= 0: negative samples are error
         grid = fh.DirectionGrid(64)
-        w = fh.make_width_samples(grid, (0.0, 0.0), np.full(64, -1.0), 0.25, 0.0)
+        w = width_samples(grid, (0.0, 0.0), np.full(64, -1.0), 0.25, 0.0)
         assert w.radius == 0.25
 
 
@@ -833,8 +807,8 @@ class TestSquareOracle:
         grid = fh.DirectionGrid(self.N)
         exact = (grid.directions @ self.VERTICES.T).max(axis=1)
         # sqrt(2), the largest distance from the base to the square, is R
-        return fh.make_width_samples(grid, (0.0, 0.0), exact - self.DELTA / 2,
-                                     self.DELTA, math.sqrt(2.0) * math.pi / self.N)
+        return width_samples(grid, (0.0, 0.0), exact - self.DELTA / 2,
+                             self.DELTA, math.sqrt(2.0) * math.pi / self.N)
 
     def test_contains_true_vertices(self, low):
         assert fh.hull_contains(low, self.VERTICES, 0.0).all()
