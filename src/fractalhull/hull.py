@@ -147,7 +147,7 @@ def _monotone_chain(points: np.ndarray) -> np.ndarray:
     |coordinate| into [0.5, 1), and the hull back: both steps are exact
     (short of subnormals), so the cross products stay finite at any scale.
     """
-    exp = int(np.frexp(np.abs(points).max(initial=0.0))[1])
+    exp = math.frexp(np.abs(points).max(initial=0.0))[1]
     points = np.ldexp(points, -exp)
     # rows sorted by x then y, exact repeats dropped
     pts = points[np.lexsort((points[:, 1], points[:, 0]))]

@@ -614,6 +614,6 @@ class TestExtractionHelpers:
         # the chain works on the points scaled by a power of two, which
         # rounds subnormals, so the oracle sees the same scaled points
         points = np.array(lattice + free, dtype=float).reshape(-1, 2)
-        exp = int(np.frexp(np.abs(points).max(initial=0.0))[1])
+        exp = math.frexp(np.abs(points).max(initial=0.0))[1]
         got = _monotone_chain(points)
         assert np.array_equal(got, np.ldexp(reference_chain(np.ldexp(points, -exp)), exp))
