@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -85,11 +84,12 @@ def complex_base_system(z: complex, n: int) -> ComplexBaseSystem:
 
 
 def _detect_rational_angle(phi: float) -> tuple[int, int] | None:
-    # two fractions with denominators <= 64 lie at least 1/4096 apart, so at
-    # most one is within the tolerance: the closest one
-    q = Fraction(phi / math.pi).limit_denominator(_MAX_DENOMINATOR)
-    l, k = q.numerator, q.denominator
-    return (l, k) if abs(phi - math.pi * l / k) <= _RATIONAL_ANGLE_TOL else None
+    for k in range(1, _MAX_DENOMINATOR + 1):
+        l = round(phi * k / math.pi)
+        if abs(phi - math.pi * l / k) <= _RATIONAL_ANGLE_TOL:
+            if math.gcd(abs(l), k) == 1:
+                return (int(l), k)
+    return None
 
 
 def equal_maps_width(a, ts, d, tol: float = 1e-12) -> float:

@@ -143,19 +143,21 @@ def _thin_by_path(points: np.ndarray, tol: float) -> list[int]:
 def _monotone_chain(points: np.ndarray) -> np.ndarray:
     """Andrew's monotone chain; counterclockwise, repeats and turns with cross <= 0 dropped.
 
-    The points are scaled by the power of two that brings the largest
-    |coordinate| into [0.5, 1), and the hull back: both steps are exact
-    (short of subnormals), so the cross products stay finite at any scale.
+    Cross products of coordinates within 2^+-500 stay finite and normal.
+    Points whose largest |coordinate| lies beyond are scaled by the power of
+    two that brings it into [0.5, 1), and the hull back: both steps are exact
+    (short of subnormals), so the chain keeps the same hull at any scale.
     """
     exp = math.frexp(np.abs(points).max(initial=0.0))[1]
-    points = np.ldexp(points, -exp)
+    if abs(exp) > 500:
+        return np.ldexp(_monotone_chain(np.ldexp(points, -exp)), exp)
     # rows sorted by x then y, exact repeats dropped
     pts = points[np.lexsort((points[:, 1], points[:, 0]))]
     fresh = np.ones(len(pts), dtype=bool)
     fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
     pts = pts[fresh]
     if pts.shape[0] <= 2:
-        return np.ldexp(pts, exp)
+        return pts
     rows = pts.tolist()
 
     def build(seq):
@@ -173,7 +175,7 @@ def _monotone_chain(points: np.ndarray) -> np.ndarray:
     lower = build(rows)
     upper = build(rows[::-1])
     hull = lower[:-1] + upper[:-1]
-    return np.ldexp(np.array(hull) if len(hull) >= 2 else pts[:1], exp)
+    return np.array(hull) if len(hull) >= 2 else pts[:1]
 
 
 def _support_shortfall(verts: np.ndarray, w: WidthSamples) -> float:
@@ -255,12 +257,21 @@ def extract_polygon(w: WidthSamples) -> HullPolygon:
 
 
 def polygon_area(p: HullPolygon) -> float:
-    """Shoelace area; zero for degenerate polygons."""
+    """Shoelace area; zero for degenerate polygons.
+
+    The products are taken on the vertices scaled by the power of two that
+    brings the largest |coordinate| into [0.5, 1), and the sum scaled back:
+    both steps are exact (short of subnormals), and an area beyond the float
+    range is inf.
+    """
     v = p.vertices
     if v.shape[0] < 3:
         return 0.0
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    exp = math.frexp(np.abs(v).max())[1]
+    x, y = np.ldexp(v, -exp).T
+    area = 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(area, 2 * exp))
 
 
 def polygon_perimeter(p: HullPolygon) -> float:

@@ -105,10 +105,11 @@ def test_power_of_two_scaling_commutes(maps, k, n):
                 s * fh.equal_maps_width(a0, ts, (1.0, 0.5), 1e-9))
 
 
-@pytest.mark.parametrize("k", [520, 1000])
-def test_huge_twindragon_polygon_is_the_unit_polygon_scaled(k):
-    # products of coordinates overflow beyond about 2**511; the chain works
-    # on coordinates scaled into [-1, 1], so the polygon stays exact
+@pytest.mark.parametrize("k", [-900, -540, 520, 1000])
+def test_far_scaled_twindragon_polygon_is_the_unit_polygon_scaled(k):
+    # products of coordinates overflow beyond about 2**511 and lose bits to
+    # subnormals below about 2**-511; there the chain works on coordinates
+    # scaled into [-1, 1], so the polygon stays exact
     s = 2.0**k
     p = fh.extract_polygon(fh.solve_width(scaled(TWINDRAGON, 1.0), 1024, TOL))
     ps = fh.extract_polygon(fh.solve_width(scaled(TWINDRAGON, s), 1024, s * TOL))
