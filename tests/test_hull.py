@@ -286,24 +286,19 @@ class TestPolygonMeasures:
         assert fh.polygon_area(p) == 0.0
         assert fh.polygon_perimeter(p) == pytest.approx(2.0)
 
-    def test_perimeter_of_edges_beyond_squares_range(self):
-        # edges of about 1e160, whose squares overflow: the triangle itself,
-        # and the hull of the maps 0.5 x + t, t in {0, (1e160, 0), (0, 1e160)}
+    def test_measures_of_coordinates_beyond_squares_range(self):
+        # edges of about 1e160, whose squares overflow, and the square
+        # [1e154, 2e154]^2 (area 1e308), whose shoelace products overflow;
+        # the hull of the maps 0.5 x + t, t in {0, (1e160, 0), (0, 1e160)},
+        # has a finite perimeter and an area (about 2e320) beyond float range
         p = polygon_from_vertices([[0.0, 0.0], [2e160, 0.0], [0.0, 2e160]])
         assert fh.polygon_perimeter(p) == pytest.approx(2e160 * (2.0 + SQRT2), rel=1e-15)
-        maps = [(0.5 * np.eye(2), t) for t in ((0.0, 0.0), (1e160, 0.0), (0.0, 1e160))]
-        poly = fh.extract_polygon(fh.solve_width(fh.validate_ifs(maps), 4096, 1e154))
-        assert fh.polygon_perimeter(poly) == pytest.approx(
-            2e160 * (2.0 + SQRT2), abs=TWO_PI * poly.outer_slack)
-
-    def test_area_of_coordinates_beyond_squares_range(self):
-        # products of coordinates overflow: the square [1e154, 2e154]^2 has
-        # the finite area 1e308, and the hull of the maps 0.5 x + t,
-        # t in {0, (1e160, 0), (0, 1e160)}, about 2e320, is beyond float range
         p = polygon_from_vertices(np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0]]) * 1e154)
         assert fh.polygon_area(p) == pytest.approx(1e308, rel=1e-14)
         maps = [(0.5 * np.eye(2), t) for t in ((0.0, 0.0), (1e160, 0.0), (0.0, 1e160))]
         poly = fh.extract_polygon(fh.solve_width(fh.validate_ifs(maps), 4096, 1e154))
+        assert fh.polygon_perimeter(poly) == pytest.approx(
+            2e160 * (2.0 + SQRT2), abs=TWO_PI * poly.outer_slack)
         assert fh.polygon_area(poly) == math.inf
 
     @pytest.mark.parametrize("vertices", [np.zeros((0, 2)), np.array([[0.3, -2.0]])],
