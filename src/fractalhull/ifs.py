@@ -73,10 +73,13 @@ def _row_blocks(rows, width: int, fn) -> np.ndarray:
     """The arrays ``fn(block, buf)`` returns for consecutive blocks of
     ``rows`` (an array or a range), concatenated.  A block has at most
     ``_BLOCK_ENTRIES // width`` rows (at least one); ``buf`` holds ``width``
-    float64 entries per row of it, in one scratch array of at most 8 MiB."""
+    float64 entries per row of it, in one scratch array of at most 8 MiB.
+    When one block holds every row, ``fn``'s array is returned as it is."""
     size = max(1, min(len(rows), _BLOCK_ENTRIES // width))
     buf = np.empty(size * width)
-    blocks = (rows[lo:lo + size] for lo in range(0, max(len(rows), 1), size))
+    if size >= len(rows):
+        return fn(rows, buf[:len(rows) * width])
+    blocks = (rows[lo:lo + size] for lo in range(0, len(rows), size))
     return np.concatenate([fn(block, buf[:len(block) * width]) for block in blocks])
 
 

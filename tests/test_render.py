@@ -1,7 +1,9 @@
 """The batched artifact writers against per-value reference writers.
 
-``render_svg`` and ``width_csv`` fill one %-template from one flat list of
-floats.  The references below format each value with its own call, as the
+``width_csv`` fills one %-template from one flat list of floats;
+``render_svg`` fills its header, path and marker templates that way and
+prints the cloud's coordinates with a numpy kernel (a template beyond
+2**33).  The references below format each value with its own call, as the
 writers did before, so any difference in a single byte shows.
 """
 
@@ -66,8 +68,22 @@ def reference_csv(w) -> str:
 NEAR_ZERO = [0.0, -0.0, 5e-7, -5e-7, 4.9999999999999996e-7, -4.9999999999999996e-7,
              math.nextafter(5e-7, 1.0), math.nextafter(-5e-7, -1.0),
              4e-7, -4e-7, 1e-300, -1e-300, 5e-324, -5e-324]
+
+
+def neighbours(v: float) -> list[float]:
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+# the cloud kernel's hard cases: x * 10**6 an exact tie ((2k + 1) 2**-7 is
+# (2k + 1) 7812.5e-6), floats around the ties (k + 0.5) 1e-6 at three
+# magnitudes, the kernel's limit 2**33 with the float below it, and a float
+# beyond it whose x * 10**6 (above 2**53) the kernel would misprint
+EDGES = [sign * v for sign in (1.0, -1.0) for v in (
+    [(2 * k + 1) / 128 for k in (0, 1, 5, 63)]
+    + [u for m in (1.0, 1e3, 1e6) for k in (0, 1) for u in neighbours(m + (k + 0.5) * 1e-6)]
+    + [2.0**33, math.nextafter(2.0**33, 0.0), 2.0**34 - 6 * 2.0**-18])]
 coordinate = st.one_of(
-    st.sampled_from(NEAR_ZERO),
+    st.sampled_from(NEAR_ZERO + EDGES),
     st.floats(-1e-5, 1e-5),
     st.floats(-1e12, 1e12),
 )
@@ -88,6 +104,11 @@ TRIANGLE = [[4.0, 4.0], [5.0, 4.0], [4.0, 5.0]]
 # the 3-map square shifted by (4, -5), as solved around the origin
 SHIFTED_SQUARE = [[8.0, -10.0], [9.0, -10.0], [8.0, -9.0]]
 CLOUD = [[-4e-7, 4e-7], [0.0, -0.0], [5e-7, -5e-7], [1e12, -1e12]]
+# every edge value below 2**33 against every other: written by the kernel;
+# the edge values from 2**33 on: written by the template
+KERNEL_EDGES = [[x, y] for x in NEAR_ZERO + EDGES for y in NEAR_ZERO + EDGES
+                if max(abs(x), abs(y)) < 2.0**33]
+TEMPLATE_EDGES = [[x, -x] for x in EDGES if abs(x) >= 2.0**33]
 
 
 class TestRenderSvg:
@@ -100,8 +121,21 @@ class TestRenderSvg:
     @example(vertices=np.array(TRIANGLE), base=(0.0, 0.0), cloud=np.array(CLOUD[:1]))
     @example(vertices=np.array(SHIFTED_SQUARE), base=(0.0, 0.0),
              cloud=np.array([[8.25, -9.75]]))
+    @example(vertices=np.array(TRIANGLE), base=(0.0, 0.0), cloud=np.array(KERNEL_EDGES))
+    @example(vertices=np.array(TRIANGLE), base=(0.0, 0.0), cloud=np.array(TEMPLATE_EDGES))
     def test_same_bytes_as_per_value_writer(self, vertices, base, cloud):
         poly = polygon(vertices, base)
+        assert fh.render_svg(poly, cloud) == reference_svg(poly, cloud)
+
+    def test_cloud_across_blocks(self):
+        # the kernel formats the cloud in blocks of at most _BLOCK_ENTRIES
+        # float64 entries, each row taking more than four
+        k = fh.ifs._BLOCK_ENTRIES // 4 + 3
+        rng = np.random.default_rng(7)
+        cloud = rng.uniform(-1.0, 1.0, (k, 2)) * 10.0 ** rng.uniform(-7.0, 9.0, (k, 2))
+        every = np.arange(0, k, 97)
+        cloud[every] = np.array(KERNEL_EDGES)[np.arange(len(every)) % len(KERNEL_EDGES)]
+        poly = polygon(TRIANGLE)
         assert fh.render_svg(poly, cloud) == reference_svg(poly, cloud)
 
     def test_negative_zero_is_written_unsigned(self):

@@ -6,7 +6,8 @@ extraction or the queries is absolute.  So scaling every translation by
 s = 2**k scales every width value, error term, vertex, slack and distance
 by exactly s, and leaves every answer as it was, bit for bit, as long as
 products of coordinates stay in the normal range.  Translations here lie on
-the grid (2**-6 Z)^2 within [-2, 2]^2, so at |k| <= 200 they do.
+the grid (2**-6 Z)^2 within [-2, 2]^2, and every nonzero matrix entry is at
+least 2**-100 in magnitude, so at |k| <= 200 they do.
 """
 
 import math
@@ -34,13 +35,17 @@ def rotation(angle):
 @st.composite
 def dyadic_maps(draw):
     """1-3 maps ``c R(a) diag(1, r) R(b)``, c <= 0.6 (so a query walk stays
-    shallow), with translations on the grid (2**-6 Z)^2 within [-2, 2]^2."""
+    shallow), with translations on the grid (2**-6 Z)^2 within [-2, 2]^2.
+    An entry below 2**-100 in magnitude (a tiny angle gives one) is set to
+    0: times a scaled coordinate it would leave the normal range, where
+    products round on an absolute grid and cannot scale exactly."""
     maps = []
     for _ in range(draw(st.integers(1, 3))):
         c = draw(st.floats(0.1, 0.6))
         r = draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0)))
         a = (c * rotation(draw(st.floats(0.0, 2 * math.pi))) @ np.diag([1.0, r])
              @ rotation(draw(st.floats(0.0, 2 * math.pi))))
+        a[np.abs(a) < 2.0**-100] = 0.0
         t = draw(st.tuples(st.integers(-128, 128), st.integers(-128, 128)))
         maps.append((a, np.array(t, dtype=float) / 64.0))
     return maps
