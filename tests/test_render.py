@@ -111,6 +111,18 @@ KERNEL_EDGES = [[x, y] for x in NEAR_ZERO + EDGES for y in NEAR_ZERO + EDGES
 TEMPLATE_EDGES = [[x, -x] for x in EDGES if abs(x) >= 2.0**33]
 
 
+def long_cloud():
+    """A kernel cloud over more than one block: the kernel formats it in
+    blocks of at most ``_BLOCK_ENTRIES`` float64 entries, a row taking more
+    than four; every 97th row is an edge pair."""
+    k = fh.ifs._BLOCK_ENTRIES // 4 + 3
+    rng = np.random.default_rng(7)
+    cloud = rng.uniform(-1.0, 1.0, (k, 2)) * 10.0 ** rng.uniform(-7.0, 9.0, (k, 2))
+    every = np.arange(0, k, 97)
+    cloud[every] = np.array(KERNEL_EDGES)[np.arange(len(every)) % len(KERNEL_EDGES)]
+    return cloud
+
+
 class TestRenderSvg:
     @settings(max_examples=300, deadline=None)
     @given(vertices=point_arrays(8), base=st.tuples(coordinate, coordinate),
@@ -123,19 +135,9 @@ class TestRenderSvg:
              cloud=np.array([[8.25, -9.75]]))
     @example(vertices=np.array(TRIANGLE), base=(0.0, 0.0), cloud=np.array(KERNEL_EDGES))
     @example(vertices=np.array(TRIANGLE), base=(0.0, 0.0), cloud=np.array(TEMPLATE_EDGES))
+    @example(vertices=np.array(TRIANGLE), base=(0.0, 0.0), cloud=long_cloud())
     def test_same_bytes_as_per_value_writer(self, vertices, base, cloud):
         poly = polygon(vertices, base)
-        assert fh.render_svg(poly, cloud) == reference_svg(poly, cloud)
-
-    def test_cloud_across_blocks(self):
-        # the kernel formats the cloud in blocks of at most _BLOCK_ENTRIES
-        # float64 entries, each row taking more than four
-        k = fh.ifs._BLOCK_ENTRIES // 4 + 3
-        rng = np.random.default_rng(7)
-        cloud = rng.uniform(-1.0, 1.0, (k, 2)) * 10.0 ** rng.uniform(-7.0, 9.0, (k, 2))
-        every = np.arange(0, k, 97)
-        cloud[every] = np.array(KERNEL_EDGES)[np.arange(len(every)) % len(KERNEL_EDGES)]
-        poly = polygon(TRIANGLE)
         assert fh.render_svg(poly, cloud) == reference_svg(poly, cloud)
 
     def test_negative_zero_is_written_unsigned(self):
