@@ -1,7 +1,10 @@
 """Mutation check of the certified error terms against the tier-1 tests.
 
-Each mutant weakens one certified term of ``fractalhull`` by textual
-edits, ``(file, old, new, label)``; edits sharing a label make one mutant.
+Each mutant weakens one certified term of ``fractalhull``, or a screen
+that must leave a certified result as it is (the solver's stopping-test
+screen), by textual edits, ``(file, old, new, label)``; edits sharing a
+label make one mutant.  A mutant whose solve runs to the iteration cap
+fails its test with ``ConvergenceError`` and counts as killed.
 Every ``old`` must occur exactly once in its file, else nothing runs and
 the exit code is 2.  Each mutant is applied to a copy of the tree in a
 temporary directory, where the tier-1 suite runs with ``-x``: a failing
@@ -46,6 +49,10 @@ EDITS = [
      "return float(w.values.max()) + w.bound", "circumradius without interp_slack"),
     (WIDTH, "budget = w.values + (w.bound + slack)",
      "budget = w.values + slack", "hull_contains without bound"),
+    (WIDTH, "x * c > tol * (1.0 - c) and x > _ROUNDING_FLOOR * reach",
+     "x * c > tol * (1.0 - c)", "stop screen without its rounding-floor condition"),
+    (WIDTH, "\n                    and not (finer and err <= (reach + err) * math.pi / finer)):",
+     "):", "stop screen without its finer condition"),
     (QUERY, "c0 = radius / math.sqrt(2.0) if", "c0 = radius / 2.0 if", "paper C0 = R/2"),
     (QUERY, "slack = w0.slack", "slack = w0.bound", "query slack without interp_slack"),
     (QUERY, "r_in = max((lo + slack) * (1.0 - 8.0 * _EPS) - _TINY, slack)",

@@ -26,7 +26,8 @@ _BURN_IN = 64
 _GATHER_ENTRIES = 2**16
 # complex-base digit counts above this are refused (one map per digit)
 _MAX_DIGITS = 2**12
-# a blocked array pass works in at most this many float64 entries (8 MiB)
+# a blocked array pass works in at most this many float64 entries (8 MiB),
+# unless its caller passes fewer
 _BLOCK_ENTRIES = 2**20
 # a chaos-game cloud holds at most this many coordinates (64 MiB)
 _MAX_CLOUD_ENTRIES = 2**23
@@ -69,13 +70,14 @@ def _check_finite(x, what: str, shape=None) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def _row_blocks(rows, width: int, fn) -> np.ndarray:
+def _row_blocks(rows, width: int, fn, entries: int = _BLOCK_ENTRIES) -> np.ndarray:
     """The arrays ``fn(block, buf)`` returns for consecutive blocks of
     ``rows`` (an array or a range), concatenated.  A block has at most
-    ``_BLOCK_ENTRIES // width`` rows (at least one); ``buf`` holds ``width``
-    float64 entries per row of it, in one scratch array of at most 8 MiB.
+    ``entries // width`` rows (at least one); ``buf`` holds ``width``
+    float64 entries per row of it, in one scratch array of at most
+    ``entries`` float64s (8 MiB by default) unless one row takes more.
     When one block holds every row, ``fn``'s array is returned as it is."""
-    size = max(1, min(len(rows), _BLOCK_ENTRIES // width))
+    size = max(1, min(len(rows), entries // width))
     buf = np.empty(size * width)
     if size >= len(rows):
         return fn(rows, buf[:len(rows) * width])

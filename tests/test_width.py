@@ -420,6 +420,21 @@ def other_systems_to_095(draw):
     return fh.validate_ifs([(scale * m.a, m.t) for m in ifs.maps])
 
 
+@st.composite
+def slow_similarity_systems(draw):
+    """2-4 similarities, one of them a reflection, the largest ratio c drawn
+    from [0.90, 0.97]: the sweep-bound systems of perfbench's hull-slow."""
+    c = draw(st.floats(0.90, 0.97))
+    ts = draw(st.lists(translations, min_size=2, max_size=4))
+    flip = draw(st.integers(0, len(ts) - 1))
+    maps = []
+    for i, t in enumerate(ts):
+        a = rotation_scaling(c if i == 0 else draw(st.floats(0.9, 1.0)) * c,
+                             draw(st.floats(0.0, TWO_PI)))
+        maps.append((a @ np.diag([1.0, -1.0]) if i == flip else a, t))
+    return fh.validate_ifs(maps)
+
+
 class TestNestedStart:
     @settings(max_examples=20, deadline=None)
     @given(ifs=other_systems(), n=st.sampled_from([2048, 4096, 8192]),
@@ -427,6 +442,17 @@ class TestNestedStart:
     def test_matches_nested_value_iteration_bitwise(self, ifs, n, tol):
         w = fh.solve_width(ifs, n, tol)
         values, iter_error, interp_slack, iterations = nested_value_iteration(ifs, n, tol)
+        assert np.array_equal(w.values, values)
+        assert (w.iter_error, w.interp_slack, w.iterations) == (
+            iter_error, interp_slack, iterations)
+
+    @settings(max_examples=12, deadline=None)
+    @given(ifs=slow_similarity_systems())
+    def test_slow_similarities_match_nested_value_iteration_bitwise(self, ifs):
+        # 80-270 sweeps per level, most of them spared the full stopping
+        # test: the stops are still those of testing every sweep
+        w = fh.solve_width(ifs, 4096, 1e-6)
+        values, iter_error, interp_slack, iterations = nested_value_iteration(ifs, 4096, 1e-6)
         assert np.array_equal(w.values, values)
         assert (w.iter_error, w.interp_slack, w.iterations) == (
             iter_error, interp_slack, iterations)
@@ -537,6 +563,30 @@ class TestSolveWidth:
         assert w.iterations <= 2
         assert w.iter_error > 0.0
         assert w.iter_error == fh.solve_width(ifs, 4096, 1e-6).iter_error
+
+    @pytest.mark.parametrize("maps", [
+        [(rotation_scaling(0.9, 1.0), (1.0, 0.0)),
+         (rotation_scaling(0.8, 0.3) @ np.diag([1.0, -1.0]), (-0.3, 0.8))],
+        [([[0.6, 0.1], [-0.2, 0.3]], (1.0, 0.5)), (rotation_scaling(0.4, 2.0), (-0.5, 0.2))],
+    ], ids=["rotation-reflection", "non-conformal"])
+    def test_rounding_floor_stop_is_the_per_sweep_test_stop(self, maps):
+        # tol 1e-300 lies below any step a sweep resolves, so only the
+        # rounding floor stops the sweeps; a sweep the screen spares the
+        # full test must not be one where testing every sweep would stop
+        ifs = fh.validate_ifs(maps)
+        n, c = 1024, ifs.c
+        w = fh.solve_width(ifs, n, 1e-300)
+        plan = fh.width._OperatorPlan(ifs, fh.DirectionGrid(n))
+        values = np.full(n, max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c))
+        for iterations in range(1, 10_000):
+            new = plan.apply(values)
+            delta = float(np.max(np.abs(new - values)))
+            values = new
+            if delta <= 4.0 * np.finfo(float).eps * float(np.max(np.abs(new))):
+                break
+        assert delta > 0.0
+        assert np.array_equal(w.values, values)
+        assert (w.iter_error, w.iterations) == (delta * c / (1.0 - c), iterations)
 
     def test_twindragon_matches_closed_form(self, twindragon_ifs, twindragon_sys):
         w = fh.solve_width(twindragon_ifs, 1024, 1e-6)
@@ -708,7 +758,7 @@ class TestRadiusAndContainment:
         # exactly on values + bound + slack along grid direction k, or a
         # few ulps off: on a disk only that direction decides them.
         # ``lead`` points at the center move the probes across the blocks
-        # of 256 points
+        # of 32 points
         w = disk_width(n=2048, base=base)
         budget = w.values + (w.bound + slack)
         points = [w.base + (t, 0.5 * t) for t in others]
@@ -730,7 +780,7 @@ class TestRadiusAndContainment:
 
     def test_criterion_6_call_memory(self, twindragon_width, twindragon_cloud):
         # 1e5 points x 4096 directions: one (points x directions) matrix
-        # would take 3.3 GB; blocks of 128 points work in 8 MiB
+        # would take 3.3 GB; blocks of 16 points work in 1 MiB
         tracemalloc.start()
         try:
             inside = fh.hull_contains(twindragon_width, twindragon_cloud, slack=1e-4)
