@@ -353,7 +353,7 @@ def _sweep(plan: _OperatorPlan, values: np.ndarray, c: float, tol: float,
     max(values, 0) + delta * c / (1 - c)``: the values are then as close to
     the fixed point as that grid can read them, so sweeping on is waste.
 
-    A screen spares most sweeps that test.  A full test keeps ``probe``,
+    A screen spares most sweeps the full test.  A full test keeps ``probe``,
     the index of the step's largest entry, and each later sweep first reads
     that entry alone, ``x = |new[probe] - values[probe]|``, a lower bound on
     its step.  A skipped sweep adds to ``top`` twice ``c**j * delta``, the
