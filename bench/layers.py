@@ -20,7 +20,10 @@ reflection: the sweep-bound systems of perfbench's hull-slow), each at
 grid sizes 1024, 4096 and 65536.  Two more rows time the
 twindragon's ``fractalhull render`` layers at 5 000 and 20 000 points (the
 CLI default): ``chaos_game_sample_s``, the chaos-game cloud (seed 1), and
-``render_svg_s``, the SVG of its exact polygon and that cloud.  The last
+``render_svg_s``, the SVG of its exact polygon and that cloud.  Two rows
+time ``chaos_game_sample_s`` alone: |z| = 2 at phi = 1 with 2048 digits at
+5 000 points (more maps than chains), and the twindragon's 10^6 points
+(the largest cloud ``fractalhull verify`` draws).  The last
 two time the query layers of the twindragon and of one random 3-map affine
 system at grid 4096: ``build_context_s``, and ``near1_s`` and ``near_s``,
 the mean time of one call over a fixed mix of 256 probes drawn as
@@ -138,12 +141,20 @@ CLOSED_FORMS = (
     ("|z|=2 phi=1", cmath.rect(2.0, 1.0), 1e-8),
     ("|z|=1.05 phi=2", cmath.rect(1.05, 2.0), 1e-6),
 )
+# (name, builder, points) of the rows that time the chaos game alone
+CHAOS = (
+    ("|z|=2 phi=1, 2048 digits", lambda fh: fh.complex_base_ifs(cmath.rect(2.0, 1.0), 2048),
+     5000),
+    ("twindragon", lambda fh: fh.complex_base_ifs(1 + 1j, 2), 1_000_000),
+)
 # contraction factors of the equal_maps_width rows
 SERIES_C = (0.999, 1.0 - 4e-5)
-# one row per (system, grid), one per render point count, one per query
-# system, one per closed form, one for hull_contains, one per series factor
+# one row per (system, grid), one per render point count, one per chaos
+# row, one per query system, one per closed form, one for hull_contains,
+# one per series factor
 ROWS = ([("solve", s, n) for s in range(len(SYSTEMS)) for n in GRIDS]
         + [("render", None, k) for k in POINTS]
+        + [("chaos", c, None) for c in range(len(CHAOS))]
         + [("query", q, QUERY_GRID) for q in range(len(QUERY_SYSTEMS))]
         + [("closed", c, None) for c in range(len(CLOSED_FORMS))]
         + [("contains", None, QUERY_GRID)]
@@ -222,6 +233,11 @@ def row_layers(fh, width_mod, index: int) -> tuple[dict, dict]:
         else:
             fn, key = (lambda: fh.irrational_polygon(system, tol)), "irrational_polygon_s"
         return {"system": name, "tol": tol, "vertices": len(fn())}, {key: (fn, 1)}
+    if kind == "chaos":
+        name, build, points = CHAOS[s]
+        ifs = build(fh)
+        return ({"system": name, "maps": len(ifs), "points": points},
+                {"chaos_game_sample_s": (lambda: fh.chaos_game_sample(ifs, points, 1), 1)})
     if kind == "render":
         ifs = fh.complex_base_ifs(1 + 1j, 2)
         poly, _ = fh.exact_polygon(fh.complex_base_system(1 + 1j, 2))

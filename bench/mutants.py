@@ -1,9 +1,10 @@
 """Mutation check of the certified error terms against the tier-1 tests.
 
-Each mutant weakens one certified term of ``fractalhull``, or a screen
+Each mutant weakens one certified term of ``fractalhull``, a screen
 that must leave a certified result as it is (the solver's stopping-test
-screen), by textual edits, ``(file, old, new, label)``; edits sharing a
-label make one mutant.  A mutant whose solve runs to the iteration cap
+screen), or the chaos game that draws the test suite's oracle clouds, by
+textual edits, ``(file, old, new, label)``; edits sharing a label make one
+mutant.  A mutant whose solve runs to the iteration cap
 fails its test with ``ConvergenceError`` and counts as killed.
 Every ``old`` must occur exactly once in its file, else nothing runs and
 the exit code is 2.  Each mutant is applied to a copy of the tree in a
@@ -39,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HYPOTHESIS_SEED = 0
 WIDTH, HULL = "src/fractalhull/width.py", "src/fractalhull/hull.py"
 QUERY, ANALYTIC = "src/fractalhull/query.py", "src/fractalhull/analytic.py"
+IFS = "src/fractalhull/ifs.py"
 
 EDITS = [
     (WIDTH, "interp_slack=w.radius * math.pi / n)",
@@ -68,6 +70,10 @@ EDITS = [
     (HULL, "merge_tol = 8.0 * w.slack", "merge_tol = 4.0 * w.slack", "merge_tol halved"),
     (ANALYTIC, "w = (sys.n - 1) / (2.0 * (sys.z - 1.0))",
      "w = sys.n / (2.0 * (sys.z - 1.0))", "zonogon centre off by one digit"),
+    (IFS, "while m > 1 and len(x) < chains:", "while False:",
+     "chaos game: every chain started at x*"),
+    (IFS, "idx = rng.integers(0, m, size=", "idx = 0 * rng.integers(0, m, size=",
+     "chaos game: every seeded step letter 0"),
 ]
 
 # left out of the copy: history, caches and generated output

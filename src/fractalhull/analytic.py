@@ -42,6 +42,7 @@ _RATIONAL_ANGLE_TOL = 1e-12
 _MAX_DENOMINATOR = 64
 # a truncated series sums at most this many terms
 _MAX_TERMS = 2**20
+_SERIES_ENTRIES = 2**20  # equal_maps_width's own blocks: its bits depend on them
 # an isodiametric audit evaluates at most this many (r, phi) gaps
 _MAX_AUDIT = 2**22
 
@@ -130,7 +131,7 @@ def equal_maps_width(a, ts, d, tol: float = 1e-12) -> float:
             power, done = power @ power, 2 * done
         return np.max(np.matmul(rows, ts.T, out=proj), axis=1).sum(keepdims=True)
 
-    return float(np.sum(_row_blocks(range(terms), m + len(ts), support)))
+    return float(np.sum(_row_blocks(range(terms), m + len(ts), support, _SERIES_ENTRIES)))
 
 
 def symmetry_center(sys: ComplexBaseSystem) -> np.ndarray:

@@ -5,7 +5,8 @@ contraction ``x -> A x + t`` with its spectral norm cached; an :class:`IFS`
 is a validated family of such maps sharing a dimension, built from
 ``(A, t)`` pairs.  The chaos game provides an independent sampling oracle
 for the attractor, used throughout the test suite to audit everything built
-on top; one sampler, vectorised over parallel chains, serves every
+on top; one sampler, vectorised over chains started spread out at distinct
+word images of a fixed point (so nothing is burnt in), serves every
 dimension.  Systems are read from the JSON input format of
 :func:`parse_ifs_document`.
 """
@@ -21,9 +22,6 @@ import numpy as np
 from .errors import NotContractingError, ValidationError
 
 _MAX_CHAINS = 1024
-_BURN_IN = 64
-# the chaos game gathers at most this many matrix entries (512 KiB) at once
-_GATHER_ENTRIES = 2**16
 # complex-base digit counts above this are refused (one map per digit)
 _MAX_DIGITS = 2**12
 # a blocked array pass works in at most this many float64 entries (8 MiB),
@@ -70,14 +68,14 @@ def _check_finite(x, what: str, shape=None) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def _row_blocks(rows, width: int, fn, entries: int = _BLOCK_ENTRIES) -> np.ndarray:
+def _row_blocks(rows, width: int, fn, entries: int | None = None) -> np.ndarray:
     """The arrays ``fn(block, buf)`` returns for consecutive blocks of
     ``rows`` (an array or a range), concatenated.  A block has at most
     ``entries // width`` rows (at least one); ``buf`` holds ``width``
     float64 entries per row of it, in one scratch array of at most
-    ``entries`` float64s (8 MiB by default) unless one row takes more.
-    When one block holds every row, ``fn``'s array is returned as it is."""
-    size = max(1, min(len(rows), entries // width))
+    ``entries`` float64s (``_BLOCK_ENTRIES`` when None) unless one row takes
+    more.  When one block holds every row, ``fn``'s array is returned as it is."""
+    size = max(1, min(len(rows), (entries or _BLOCK_ENTRIES) // width))
     buf = np.empty(size * width)
     if size >= len(rows):
         return fn(rows, buf[:len(rows) * width])
@@ -202,43 +200,44 @@ class PointCloud:
 
 
 def chaos_game_sample(ifs: IFS, count: int, seed: int) -> PointCloud:
-    """Random-iteration sampling of the attractor.
+    """Random-iteration sampling of the attractor, stratified by words.
 
-    Advances independent chains side by side, each started at the fixed
-    point of the first map (a point of the attractor) and moved by a
-    uniformly chosen map per step, and records every chain's points step by
-    step once a burn-in of 64 steps has passed.  ``min(1024, count // 64)``
-    chains (at least 1) keep the burn-in work no larger than the recorded
-    work.  Output is bit-for-bit reproducible for identical
-    ``(ifs, count, seed)``; count >= 1 and seed >= 0 are Python or numpy
-    integers or integral floats, and ``count * dim`` is at most
-    ``_MAX_CLOUD_ENTRIES`` = 2**23, checked before any allocation.
+    Advances ``min(1024, count // 2)`` chains (at least 1) side by side,
+    each moved by a uniformly chosen map per step, and records every point
+    from the chains' starts on.  Chain k starts at the k-th image ``f_w(x*)``
+    of the first map's fixed point x* under the words w of the least length
+    with m^length >= chains (x* itself for one map), listed newest
+    (outermost) letter fastest: distinct cylinders ``f_w(K)``, first letters
+    balanced to within one, and with more maps than chains the maps' order
+    is drawn with the seed.  Every point is a word image of x*, a point of
+    K up to rounding, and the starts are spread already: no burn-in.
+    Output is bit-for-bit reproducible for identical ``(ifs, count,
+    seed)``; count >= 1 and seed >= 0 are Python or numpy integers or
+    integral floats, and ``count * dim`` is at most ``_MAX_CLOUD_ENTRIES``
+    = 2**23, checked before any allocation.
     """
     count = _check_int(count, "count", 1)
     seed = _check_int(seed, "seed", 0)
     if count * ifs.dim > _MAX_CLOUD_ENTRIES:
         raise ValidationError(f"count x dimension must be at most {_MAX_CLOUD_ENTRIES}, "
                               f"got {count} x {ifs.dim}")
-    chains = max(1, min(_MAX_CHAINS, count // _BURN_IN))
-    steps = _BURN_IN + -(-count // chains)
+    m, dim = len(ifs.maps), ifs.dim
+    chains = max(1, min(_MAX_CHAINS, count // 2))
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(ifs.maps), size=(steps, chains))
-    a = np.stack([m.a for m in ifs.maps])
-    t = np.stack([m.t for m in ifs.maps])
-    x = np.tile(map_fixed_point(ifs.maps[0]), (chains, 1))
-    burn = np.empty((2, chains, ifs.dim))
-    pts = np.empty((steps - _BURN_IN, chains, ifs.dim))
-    # one gather of the maps per block of steps; each step writes straight
-    # into its output row, a burn-in step into the row x is not in
-    block = max(1, _GATHER_ENTRIES // (chains * ifs.dim * ifs.dim))
-    for lo in range(0, steps, block):
-        rows = idx[lo:lo + block]
-        for step, ai, ti in zip(range(lo, steps), a[rows], t[rows]):
-            out = pts[step - _BURN_IN] if step >= _BURN_IN else burn[step % 2]
-            np.einsum("cij,cj->ci", ai, x, out=out)
-            np.add(out, ti, out=out)
-            x = out
-    return PointCloud(_readonly(pts.reshape(-1, ifs.dim)[:count]))
+    a, t = np.stack([f.a for f in ifs.maps]), np.stack([f.t for f in ifs.maps])
+    idx = rng.integers(0, m, size=(-(-count // chains) - 1, chains))
+    order = rng.permutation(m) if m > chains else slice(None)
+    x = map_fixed_point(ifs.maps[0])[None]
+    while m > 1 and len(x) < chains:  # a letter more, only on the words needed
+        x = np.einsum("mij,kj->kmi", a[order], x[:-(-chains // m)]) + t[order]
+        x = x.reshape(-1, dim)
+    pts = np.empty((len(idx) + 1, chains, dim))
+    pts[0] = x[:chains]
+    ai, ti = np.empty((chains, dim, dim)), np.empty((chains, dim))
+    for prev, out, i in zip(pts, pts[1:], idx):
+        np.einsum("cij,cj->ci", np.take(a, i, axis=0, out=ai), prev, out=out)
+        np.add(out, np.take(t, i, axis=0, out=ti), out=out)
+    return PointCloud(_readonly(pts.reshape(-1, dim)[:count]))
 
 
 def _check_complex_base(z: complex, n: int) -> tuple[complex, int]:

@@ -118,6 +118,18 @@ class TestEqualMapsWidth:
         rest = 0.9999 * fh.equal_maps_width(0.9999 * q, ts, q.T @ d)
         assert got == pytest.approx(np.max(ts @ d) + rest, rel=1e-9)
 
+    @pytest.mark.parametrize("entries", [2**12, 2**17])
+    @pytest.mark.parametrize("c,want", [(0.999, 605.3332262095727),
+                                        (1.0 - 4e-5, 15136.113284719564)])
+    def test_same_float_when_the_shared_block_size_is_retuned(self, monkeypatch, entries,
+                                                              c, want):
+        # the series' rounding depends on where its blocks fall, so it keeps
+        # its own block size: retuning the shared one leaves its bits alone
+        monkeypatch.setattr(fh.ifs, "_BLOCK_ENTRIES", entries)
+        a = c * np.array([[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]])
+        ts = [(1.0, 0.0), (0.0, 1.0), (-0.5, 0.3)]
+        assert fh.equal_maps_width(a, ts, (1.0, 0.0)) == want
+
     def test_zero_matrix_gives_translation_support(self):
         ts = [(0.0, 0.0), (1.0, 0.5)]
         d = np.array([0.6, 0.8])

@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import json
 import math
 import tracemalloc
@@ -157,19 +159,38 @@ class TestMapFixedPoint:
             assert res <= 1e-10 * (1.0 + np.linalg.norm(x))
 
 
+def start_words(ifs, chains, rng):
+    """Chain k's start word, oldest letter first: the k-th word of the least
+    length L with m^L >= chains, newest letter fastest, over the maps in a
+    drawn order when they outnumber the chains (no letters for one map)."""
+    m = len(ifs.maps)
+    order = rng.permutation(m) if m > chains else range(m)
+    level = 0
+    while m > 1 and m ** level < chains:
+        level += 1
+    words = [[order[i] for i in w] for w in itertools.product(range(m), repeat=level)]
+    return words[:chains] if m > 1 else [[]] * chains
+
+
 def reference_chaos_game(ifs, count, seed):
-    """The chaos game one step at a time, gathering the maps per step."""
-    chains = max(1, min(1024, count // 64))
-    steps = 64 + -(-count // chains)
-    idx = np.random.default_rng(seed).integers(0, len(ifs.maps), size=(steps, chains))
-    a = np.stack([m.a for m in ifs.maps])
-    t = np.stack([m.t for m in ifs.maps])
-    x = np.tile(fh.map_fixed_point(ifs.maps[0]), (chains, 1))
-    pts = np.empty((steps - 64, chains, ifs.dim))
-    for step, i in enumerate(idx):
-        x = np.einsum("cij,cj->ci", a[i], x) + t[i]
-        if step >= 64:
-            pts[step - 64] = x
+    """The chaos game point by point: chain k's points, one map at a time,
+    from its start word's image of the first map's fixed point."""
+    def step(i, x):
+        return np.einsum("ij,j->i", ifs.maps[i].a, x) + ifs.maps[i].t
+
+    chains = max(1, min(1024, count // 2))
+    rows = -(-count // chains)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(ifs.maps), size=(rows - 1, chains))
+    words = start_words(ifs, chains, rng)
+    pts = np.empty((rows, chains, ifs.dim))
+    for k, word in enumerate(words):
+        x = fh.map_fixed_point(ifs.maps[0])
+        for i in word:
+            x = step(i, x)
+        pts[0, k] = x
+        for row in range(1, rows):
+            x = pts[row, k] = step(idx[row - 1, k], x)
     return pts.reshape(-1, ifs.dim)[:count]
 
 
@@ -203,9 +224,9 @@ class TestChaosGame:
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("count", [700, 1500, 70000])
     def test_chain_count_remainder(self, dim, count):
-        # the burn-in of 64 gives min(1024, count // 64) chains: 700 points
-        # fill 70 steps of 10 chains, 1500 leave a partial last step of 23
-        # chains, and 70000 a partial last step of the 1024-chain cap
+        # min(1024, count // 2) chains: 700 and 1500 points fill two rows of
+        # 350 and 750 chains, and 70000 leave a partial last row of 368 of
+        # the 1024-chain cap
         ifs = fh.validate_ifs([
             (0.5 * np.eye(dim), np.zeros(dim)),
             (0.5 * np.eye(dim), np.full(dim, 0.5)),
@@ -217,12 +238,54 @@ class TestChaosGame:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("count", [1, 700, 5000, 70000])
     def test_same_bits_as_per_step_reference(self, dim, count):
-        # 70000 points run 133 steps of 1024 chains: several gather blocks
+        # 5000 and 70000 points run 1024 chains from words of 7 letters, and
+        # leave a partial last row; 700 run 350 chains from words of 6
         rng = np.random.default_rng(dim)
         ifs = fh.validate_ifs([(0.4 * np.eye(dim) + 0.1 * rng.normal(size=(dim, dim)),
                                 rng.normal(size=dim)) for _ in range(3)])
         cloud = fh.chaos_game_sample(ifs, count, seed=6)
         assert cloud.points.tobytes() == reference_chaos_game(ifs, count, 6).tobytes()
+
+    @pytest.mark.parametrize("maps,count", [(1, 700), (40, 70), (40, 5000), (2048, 5000)])
+    def test_same_bits_as_reference_for_one_map_or_many(self, maps, count):
+        # one map: every chain starts at its fixed point; 40 maps at 70
+        # points and 2048 at 5000 outnumber the 35 and 1024 chains, so each
+        # chain starts at a map drawn with the seed
+        ifs = (fh.complex_base_ifs(cmath.rect(2.0, 1.0), maps) if maps > 1
+               else fh.validate_ifs([(0.5 * np.eye(2), (1.0, -2.0))]))
+        cloud = fh.chaos_game_sample(ifs, count, seed=8)
+        assert cloud.points.tobytes() == reference_chaos_game(ifs, count, 8).tobytes()
+
+    @pytest.mark.parametrize("dim,m,level", [(1, 2, 10), (2, 3, 6), (3, 5, 2), (2, 1024, 1)])
+    def test_first_row_is_every_word_image(self, dim, m, level):
+        # at count 2 m^L the m^L chains start at all the words of length L
+        rng = np.random.default_rng(m)
+        ifs = fh.validate_ifs([(0.3 * np.eye(dim) + 0.05 * rng.normal(size=(dim, dim)),
+                                rng.normal(size=dim)) for _ in range(m)])
+        words = m ** level
+        cloud = fh.chaos_game_sample(ifs, 2 * words, seed=1).points
+        images = []
+        for word in itertools.product(ifs.maps, repeat=level):
+            x = fh.map_fixed_point(ifs.maps[0])
+            for f in word:
+                x = np.einsum("ij,j->i", f.a, x) + f.t
+            images.append(x.tobytes())
+        assert sorted(p.tobytes() for p in cloud[:words]) == sorted(images)
+
+    @pytest.mark.parametrize("m,chains", [(2, 1024), (3, 1000), (5, 7), (7, 7), (12, 100)])
+    def test_first_letters_balanced(self, m, chains):
+        # x -> x/(2m) + i/m maps K into [i/m, (i + 1/2)/m): a start's first
+        # (outermost) letter is floor(m x + 1/4), whatever the rounding
+        ifs = fh.validate_ifs([([[0.5 / m]], [i / m]) for i in range(m)])
+        starts = fh.chaos_game_sample(ifs, 2 * chains, seed=3).points[:chains, 0]
+        letters = np.bincount(np.floor(m * starts + 0.25).astype(int), minlength=m)
+        assert letters.sum() == chains and letters.max() - letters.min() <= 1
+
+    @pytest.mark.parametrize("count", [2, 1000, 1024])
+    def test_seed_moves_every_cloud(self, twindragon_ifs, count):
+        a = fh.chaos_game_sample(twindragon_ifs, count, seed=0)
+        b = fh.chaos_game_sample(twindragon_ifs, count, seed=1)
+        assert not np.array_equal(a.points, b.points)
 
     def test_count_validation(self, twindragon_ifs):
         with pytest.raises(fh.ValidationError):
