@@ -51,21 +51,27 @@ class TestComplexBaseSystem:
 
 def loop_equal_maps_width(a, ts, d, tol):
     """The series of :func:`fractalhull.equal_maps_width` summed one term at
-    a time, ``|B^i d| h*(dir(B^i d))`` with unit directions, over the same
-    number of terms."""
-    a, ts, u = (np.asarray(x, dtype=float) for x in (a, ts, d))
-    u = u / np.linalg.norm(u)
+    a time, ``h*(B^i u)`` with ``u = d / |d|`` rounded as the library rounds
+    it, over the same number of terms. Every term and the sum are exact
+    (integers over one power of two), and the total is rounded once: a float
+    loop's own rounding, amplified where the terms cancel to near 0, would
+    otherwise exceed the tolerance the library is held to."""
+    a, ts, d = (np.asarray(x, dtype=float) for x in (a, ts, d))
+    u = d / np.linalg.norm(d)
     c, tmax = fh.operator_norm(a), float(np.max(np.linalg.norm(ts, axis=1)))
     terms = 1 if c * tmax <= tol * (1.0 - c) else _series_terms(tmax / c, 1.0 / c, tol)
-    total, scale = 0.0, 1.0
+
+    def scaled(x):
+        # x = ints / den exactly, den the largest power-of-two denominator
+        den = max(Fraction(v).denominator for v in x.flat)
+        return [[int(Fraction(v) * den) for v in row] for row in x], den
+
+    (b, bden), (t, tden), ([v], vden) = scaled(a.T), scaled(ts), scaled(u[None])
+    total = 0  # the first i terms times tden * vden * bden^(i - 1)
     for _ in range(terms):
-        total += scale * float(np.max(ts @ u))
-        v = a.T @ u
-        scale *= float(np.linalg.norm(v))
-        if scale == 0.0:
-            break
-        u = v / np.linalg.norm(v)
-    return total
+        total = total * bden + max(sum(p * q for p, q in zip(row, v)) for row in t)
+        v = [sum(p * q for p, q in zip(row, v)) for row in b]
+    return float(Fraction(total, tden * vden * bden ** (terms - 1)))
 
 
 @st.composite
