@@ -17,7 +17,10 @@ at phi = 1 (c = 0.5, off-grid rotation), |z| = 1.05 and |z| = 1.01 at
 phi = 2 (c = 0.95 and 0.99, slow contraction), one random 4-map affine
 system and one random 2-map similarity system (c = 0.96, a rotation and a
 reflection: the sweep-bound systems of perfbench's hull-slow), each at
-grid sizes 1024, 4096 and 65536.  Two more rows time the
+grid sizes 1024, 4096 and 65536.  Two rows time ``solve_width_s`` alone
+and report the solve's sweep count: perfbench hull-slow's slowest
+similarity (seed 1, input 6, c = 0.961) at 4096 angles, and ROADMAP item
+1's system (c = 0.9903) at 1024 angles.  Two more rows time the
 twindragon's ``fractalhull render`` layers at 5 000 and 20 000 points (the
 CLI default): ``chaos_game_sample_s``, the chaos-game cloud (seed 1), and
 ``render_svg_s``, the SVG of its exact polygon and that cloud.  Two rows
@@ -87,6 +90,9 @@ from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import inputs  # noqa: E402  (perfbench/inputs.py)
+
 GRIDS = (1024, 4096, 65536)
 POINTS = (5000, 20000)
 QUERY_GRID = 4096
@@ -147,12 +153,28 @@ CHAOS = (
      5000),
     ("twindragon", lambda fh: fh.complex_base_ifs(1 + 1j, 2), 1_000_000),
 )
+# ROADMAP item 1's two maps (c = 0.9903), about 2000 plain sweeps at 1024 angles
+ITEM_1 = (
+    ([[0.6110814953236943, 0.779269987756455], [0.779269987756455, -0.6110814953236943]],
+     (-1.303157231604361, 0.9053558666731177)),
+    ([[-0.6712496229095514, 0.7264604859787882], [0.45575492863718975, 0.3676974352021378]],
+     (0.02842224131579679, 0.5467129866124469)),
+)
+# (name, builder, grid) of the rows that time solve_width_s alone, with the
+# solve's sweep count: the slowest similarity of hull-slow (seed 1, input 6)
+SLOW = (
+    ("hull-slow seed 1 input 6, c=0.961",
+     lambda fh: fh.validate_ifs(inputs.system_maps(inputs.make("hull-slow", 1)["systems"][6])),
+     4096),
+    ("ROADMAP item 1, c=0.9903", lambda fh: fh.validate_ifs(ITEM_1), 1024),
+)
 # contraction factors of the equal_maps_width rows
 SERIES_C = (0.999, 1.0 - 4e-5)
-# one row per (system, grid), one per render point count, one per chaos
-# row, one per query system, one per closed form, one for hull_contains,
-# one per series factor
+# one row per (system, grid), one per slow solve, one per render point
+# count, one per chaos row, one per query system, one per closed form, one
+# for hull_contains, one per series factor
 ROWS = ([("solve", s, n) for s in range(len(SYSTEMS)) for n in GRIDS]
+        + [("slow", s, None) for s in range(len(SLOW))]
         + [("render", None, k) for k in POINTS]
         + [("chaos", c, None) for c in range(len(CHAOS))]
         + [("query", q, QUERY_GRID) for q in range(len(QUERY_SYSTEMS))]
@@ -233,6 +255,13 @@ def row_layers(fh, width_mod, index: int) -> tuple[dict, dict]:
         else:
             fn, key = (lambda: fh.irrational_polygon(system, tol)), "irrational_polygon_s"
         return {"system": name, "tol": tol, "vertices": len(fn())}, {key: (fn, 1)}
+    if kind == "slow":
+        name, build, n = SLOW[s]
+        ifs = build(fh)
+        w = fh.solve_width(ifs, n, TOL)
+        return ({"system": name, "grid": n, "c": ifs.c, "maps": len(ifs),
+                 "iterations": w.iterations},
+                {"solve_width_s": (lambda: fh.solve_width(ifs, n, TOL), 1)})
     if kind == "chaos":
         name, build, points = CHAOS[s]
         ifs = build(fh)

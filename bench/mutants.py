@@ -2,7 +2,8 @@
 
 Each mutant weakens one certified term of ``fractalhull``, a screen
 that must leave a certified result as it is (the solver's stopping-test
-screen), or the chaos game that draws the test suite's oracle clouds, by
+screen), a rule of the solver's extrapolation, or the chaos game that
+draws the test suite's oracle clouds, by
 textual edits, ``(file, old, new, label)``; edits sharing a label make one
 mutant.  A mutant whose solve runs to the iteration cap
 fails its test with ``ConvergenceError`` and counts as killed.
@@ -55,6 +56,12 @@ EDITS = [
      "x * c > tol * (1.0 - c)", "stop screen without its rounding-floor condition"),
     (WIDTH, "\n                    and not (finer and err <= (reach + err) * math.pi / finer)):",
      "):", "stop screen without its finer condition"),
+    (WIDTH, "values, delta = new, diff.item(j)", "values, delta = s, diff.item(j)",
+     "extrapolation: go on from s, not T(s)"),
+    (WIDTH, "if diff.item(j) <= last:", "if True:",
+     "extrapolation: every jump taken"),
+    (WIDTH, "bound, probe, top = delta, j, float(np.max(np.abs(new)))",
+     "bound, top = delta, top + delta", "extrapolation: no screen restart after a jump"),
     (QUERY, "c0 = radius / math.sqrt(2.0) if", "c0 = radius / 2.0 if", "paper C0 = R/2"),
     (QUERY, "slack = w0.slack", "slack = w0.bound", "query slack without interp_slack"),
     (QUERY, "r_in = max((lo + slack) * (1.0 - 8.0 * _EPS) - _TINY, slack)",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,11 +141,17 @@ def affine_map(a, t) -> AffineMap:
 
 @dataclass(frozen=True)
 class IFS:
-    """A validated finite family of contracting affine maps sharing a dimension."""
+    """A validated finite family of contracting affine maps sharing a dimension.
+
+    ``a`` and ``t`` stack the maps' linear parts, shape (m, dim, dim), and
+    translations, shape (m, dim), read-only: built once, for the sampler.
+    """
 
     maps: tuple[AffineMap, ...]
     dim: int
     c: float
+    a: np.ndarray = field(repr=False, compare=False)
+    t: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -181,7 +187,9 @@ def validate_ifs(maps) -> IFS:
             raise ValidationError(
                 f"map {i} has dimension {m.dim}, expected {dim}"
             )
-    return IFS(tuple(built), dim, max(m.c for m in built))
+    return IFS(tuple(built), dim, max(m.c for m in built),
+               _readonly(np.stack([m.a for m in built])),
+               _readonly(np.stack([m.t for m in built])))
 
 
 def map_fixed_point(m: AffineMap) -> np.ndarray:
@@ -224,7 +232,7 @@ def chaos_game_sample(ifs: IFS, count: int, seed: int) -> PointCloud:
     m, dim = len(ifs.maps), ifs.dim
     chains = max(1, min(_MAX_CHAINS, count // 2))
     rng = np.random.default_rng(seed)
-    a, t = np.stack([f.a for f in ifs.maps]), np.stack([f.t for f in ifs.maps])
+    a, t = ifs.a, ifs.t
     idx = rng.integers(0, m, size=(-(-count // chains) - 1, chains))
     order = rng.permutation(m) if m > chains else slice(None)
     x = map_fixed_point(ifs.maps[0])[None]

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fractalhull as fh
 from conftest import disk_width, distance_to_polygon, width_samples
@@ -411,6 +411,43 @@ def nested_value_iteration(ifs, n, tol, finer=0):
     return values, err, r_bound * math.pi / n, iterations
 
 
+def plain_fixed_point(ifs, n):
+    """The discrete fixed point as plain sweeps from the ball bound reach
+    it: swept until the step is within rounding of one sweep, ``delta <= 4
+    eps max|h|``.  Returns the values and their bound ``delta c / (1 - c)``."""
+    plan = fh.width._OperatorPlan(ifs, fh.DirectionGrid(n))
+    c = ifs.c
+    values = np.full(n, max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c))
+    for _ in range(100_000):
+        new = plan.apply(values)
+        delta = float(np.max(np.abs(new - values)))
+        values = new
+        if delta <= 4.0 * np.finfo(float).eps * float(np.max(np.abs(new))):
+            return values, delta * c / (1.0 - c)
+    raise AssertionError("plain sweeps did not reach the rounding floor")
+
+
+def assert_certified_solve(ifs, w, tol):
+    """A solve holds its certificate: its step meets the stop rule, one more
+    sweep moves its values by at most c times that step, and they lie within
+    ``iter_error`` of the discrete fixed point of plain sweeps."""
+    c, n = ifs.c, w.grid.n
+    eps = np.finfo(float).eps
+    top = float(np.max(np.abs(w.values)))
+    step = w.iter_error * (1.0 - c) / c  # the last step, up to its rounding
+    assert w.iter_error <= tol or step <= 4.0 * eps * top * (1.0 + 1e-9)
+    # the values are a sweep of their predecessor p, so exactly |T v - v| <=
+    # c |v - p|; each computed sweep rounds by ~2 eps (max|h| + max|t|)
+    scale = top + max(float(np.max(np.abs(m.t))) for m in ifs.maps)
+    again = fh.width._OperatorPlan(ifs, w.grid).apply(w.values)
+    assert np.max(np.abs(again - w.values)) <= c * step * (1.0 + 1e-9) + 8.0 * eps * scale
+    ref, ref_error = plain_fixed_point(ifs, n)
+    # the allowance of test_single_similarity_matches_fine_value_iteration
+    scale = float(np.max(np.abs(ref))) + max(float(np.max(np.abs(m.t))) for m in ifs.maps)
+    allowance = 8.0 * eps * scale / (1.0 - c) + n * np.finfo(float).smallest_subnormal
+    assert np.max(np.abs(w.values - ref)) <= w.iter_error + ref_error + allowance
+
+
 @st.composite
 def other_systems_to_095(draw):
     """other_systems() with every linear part scaled so that c is drawn
@@ -420,11 +457,17 @@ def other_systems_to_095(draw):
     return fh.validate_ifs([(scale * m.a, m.t) for m in ifs.maps])
 
 
+# the solver extrapolates the sweeps of a system with c**20 >= 1/4, that is
+# c >= 0.93303; these ranges keep clear of the gate's rounding
+BELOW_GATE, ABOVE_GATE = (0.90, 0.933), (0.934, 0.97)
+
+
 @st.composite
-def slow_similarity_systems(draw):
+def slow_similarity_systems(draw, c_range):
     """2-4 similarities, one of them a reflection, the largest ratio c drawn
-    from [0.90, 0.97]: the sweep-bound systems of perfbench's hull-slow."""
-    c = draw(st.floats(0.90, 0.97))
+    from ``c_range``, within [0.90, 0.97]: the sweep-bound systems of
+    perfbench's hull-slow."""
+    c = draw(st.floats(*c_range))
     ts = draw(st.lists(translations, min_size=2, max_size=4))
     flip = draw(st.integers(0, len(ts) - 1))
     maps = []
@@ -447,15 +490,23 @@ class TestNestedStart:
             iter_error, interp_slack, iterations)
 
     @settings(max_examples=12, deadline=None)
-    @given(ifs=slow_similarity_systems())
+    @given(ifs=slow_similarity_systems(BELOW_GATE))
     def test_slow_similarities_match_nested_value_iteration_bitwise(self, ifs):
-        # 80-270 sweeps per level, most of them spared the full stopping
-        # test: the stops are still those of testing every sweep
+        # 80-170 sweeps per level, most of them spared the full stopping
+        # test: the stops are still those of testing every sweep, and below
+        # the gate nothing is extrapolated
         w = fh.solve_width(ifs, 4096, 1e-6)
         values, iter_error, interp_slack, iterations = nested_value_iteration(ifs, 4096, 1e-6)
         assert np.array_equal(w.values, values)
         assert (w.iter_error, w.interp_slack, w.iterations) == (
             iter_error, interp_slack, iterations)
+
+    @settings(max_examples=12, deadline=None)
+    @given(ifs=slow_similarity_systems(ABOVE_GATE))
+    def test_slow_similarities_above_the_gate_stay_certified(self, ifs):
+        # extrapolated sweeps take other values than plain ones, so the
+        # check is against the fixed point, not bit for bit
+        assert_certified_solve(ifs, fh.solve_width(ifs, 4096, 1e-6), 1e-6)
 
     def test_nests_down_to_the_constant_start(self):
         # 16384 starts from 2048, which starts from 256
@@ -493,6 +544,140 @@ class TestNestedStart:
         assert (coarse.iter_error, coarse.iterations) == (fine.iter_error, fine.iterations)
         shifts = [fine.grid.directions @ np.array(t) for t in ts]
         assert np.array_equal(fine.values, np.max(shifts, axis=0))
+
+
+# ROADMAP item 1's system: c = 0.9903, ~3000 plain sweeps at 64 angles
+ITEM_1 = fh.validate_ifs([
+    ([[0.6110814953236943, 0.779269987756455], [0.779269987756455, -0.6110814953236943]],
+     (-1.303157231604361, 0.9053558666731177)),
+    ([[-0.6712496229095514, 0.7264604859787882], [0.45575492863718975, 0.3676974352021378]],
+     (0.02842224131579679, 0.5467129866124469)),
+])
+
+
+@st.composite
+def slowly_contracting_systems(draw):
+    """2-4 maps, the largest norm c drawn from [0.95, 0.995], each a
+    similarity, a reflection or a non-conformal map: every one extrapolated."""
+    c = draw(st.floats(0.95, 0.995))
+    maps = []
+    for i, t in enumerate(draw(st.lists(translations, min_size=2, max_size=4))):
+        a = rotation_scaling(c if i == 0 else draw(st.floats(0.8, 1.0)) * c,
+                             draw(st.floats(0.0, TWO_PI)))
+        # the second factor keeps the norm: singular values ci and ci * s
+        a = a @ np.diag([1.0, draw(st.sampled_from([1.0, -1.0, 0.5, -0.8]))])
+        maps.append((a, t))
+    return fh.validate_ifs(maps)
+
+
+class SweepRecorder:
+    """An operator plan that checks, sweep by sweep, the rules of an
+    extrapolating ``_sweep``.
+
+    A plain sweep starts from the previous sweep's output.  After every 20
+    plain sweeps a check sweep may start from an extrapolated point s; the
+    next sweep starts from the check's output T(s) if ``|T(s) - s|`` is no
+    larger than the last plain step, else from the last plain output.
+    Plain sweeps and accepted check sweeps are tested: the sweeps stop at
+    the first that meets the stop rule, and not before.
+    """
+
+    def __init__(self, ifs, n, tol, finer=0):
+        self.plan = fh.width._OperatorPlan(ifs, fh.DirectionGrid(n))
+        self.c, self.tol, self.finer = ifs.c, tol, finer
+        self.prev = self.before = None  # the last two outputs
+        self.plain = self.checks = self.refused = self.calls = 0
+        self.last_plain = self.pending = self.step = None
+        self.stopped = False
+
+    def meets_stop_rule(self, step, out):
+        c, finer = self.c, self.finer
+        err = step * c / (1.0 - c)
+        return (step * c <= self.tol * (1.0 - c)
+                or step <= 4.0 * np.finfo(float).eps * float(np.max(np.abs(out)))
+                or bool(finer) and err <= (max(float(out.max()), 0.0) + err) * math.pi / finer)
+
+    def apply(self, values):
+        assert not self.stopped, "swept on past a sweep that meets the stop rule"
+        out = self.plan.apply(values)
+        step = float(np.max(np.abs(out - values)))
+        check = False
+        if self.pending is not None:  # the sweep after a check sweep
+            assert np.array_equal(values, self.prev if self.pending else self.before)
+            self.pending = None
+        elif self.prev is not None and not np.array_equal(values, self.prev):
+            assert self.plain > 0 and self.plain % 20 == 0, self.plain
+            check, self.plain = True, 0
+            self.pending = step <= self.last_plain
+            self.checks += 1
+            self.refused += not self.pending
+        if not check:
+            self.plain += 1
+            self.last_plain = step
+        self.stopped = (not check or self.pending) and self.meets_stop_rule(step, out)
+        self.step = step
+        self.calls += 1
+        # the solver may overwrite the arrays it holds, so keep copies
+        self.before, self.prev = self.prev, out.copy()
+        return out
+
+    def finish(self, result):
+        values, delta, iterations = result
+        assert self.stopped
+        assert np.array_equal(values, self.prev)
+        assert (delta, iterations) == (self.step, self.calls)
+
+
+class TestExtrapolation:
+    @settings(max_examples=10, deadline=None)
+    @given(ifs=slowly_contracting_systems(), half=st.integers(32, 2048),
+           tol=st.sampled_from([1e-6, 1e-9, 1e-11]))
+    @example(ifs=ITEM_1, half=32, tol=1e-11)
+    def test_slow_systems_stay_certified(self, ifs, half, tol):
+        assert_certified_solve(ifs, fh.solve_width(ifs, 2 * half, tol), tol)
+
+    @pytest.mark.parametrize("start,tol,finer", [
+        ("ball", 1e-6, 0), ("ball", 1e-6, 4096), ("zero", 1e-300, 0), ("zero", 1e-9, 2048),
+    ])
+    @pytest.mark.parametrize("ifs", [
+        ITEM_1,
+        fh.validate_ifs([(rotation_scaling(0.96, 1.0), (1.0, 0.0)),
+                         (rotation_scaling(0.93, 2.5) @ np.diag([1.0, -1.0]), (-0.3, 0.8)),
+                         (rotation_scaling(0.95, -0.7), (0.2, -0.9))]),
+        fh.validate_ifs([(0.999 * np.eye(2), (1.0, 0.5))]),
+    ], ids=["item-1", "similarities", "point-0.999"])
+    def test_jumps_and_stops_follow_the_rules(self, ifs, start, tol, finer):
+        # from the ball bound, as the solver starts, and from 0, below the
+        # fixed point: the stops read the step, not the start.  From 0 the
+        # point's first jump lands ~1000 times farther out than the plain
+        # sweeps had come, beyond what the stop screen's bound had followed
+        n = 256
+        r0 = max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - ifs.c)
+        recorder = SweepRecorder(ifs, n, tol, finer)
+        values = np.full(n, r0 if start == "ball" else 0.0)
+        recorder.finish(fh.width._sweep(recorder, values, ifs.c, tol, finer))
+        assert recorder.checks > 0
+
+    def test_the_rules_see_refused_and_taken_jumps(self):
+        # the rows above include jumps of both kinds, so each rule is read
+        recorder = SweepRecorder(ITEM_1, 256, 1e-300)
+        recorder.finish(fh.width._sweep(recorder, np.zeros(256), ITEM_1.c, 1e-300))
+        assert 0 < recorder.refused < recorder.checks
+
+    def test_extrapolation_cancels_four_modes(self):
+        # x_{j+1} = M x_j + b, M diagonal with four eigenvalues: the errors of
+        # the six iterates lie in four modes, which the weights cancel
+        lam = np.repeat([0.97, -0.9, 0.6, 0.2], 50)
+        b = np.random.default_rng(1).uniform(-1.0, 1.0, lam.size)
+        fixed = b / (1.0 - lam)
+        kept = [np.zeros(lam.size)]
+        for _ in range(5):
+            kept.append(lam * kept[-1] + b)
+        error = np.max(np.abs(kept[-1] - fixed))
+        last = float(np.max(np.abs(kept[-1] - kept[-2])))
+        s, step = fh.width._extrapolate(kept)
+        assert step == last
+        assert np.max(np.abs(s - fixed)) <= 1e-6 * error
 
 
 class TestSizeCaps:
