@@ -2,13 +2,16 @@
 
 Each mutant weakens one certified term of ``fractalhull``, a screen
 that must leave a certified result as it is (the solver's stopping-test
-screen), a rule of the solver's extrapolation, or the chaos game that
-draws the test suite's oracle clouds, by
+screen), a rule of the solver's extrapolation, the solver's guards at the
+ends of the float range (its starts taken at unit scale, its overflow
+error), or the chaos game that draws the test suite's oracle clouds, by
 textual edits, ``(file, old, new, label)``; edits sharing a label make one
 mutant.  A mutant whose solve runs to the iteration cap
 fails its test with ``ConvergenceError`` and counts as killed.
 Every ``old`` must occur exactly once in its file, else nothing runs and
-the exit code is 2.  Each mutant is applied to a copy of the tree in a
+the exit code is 2 (``tests/test_mutants.py`` checks this in tier-1, and
+is left out of the runs here: a mutated copy fails it by design).  Each
+mutant is applied to a copy of the tree in a
 temporary directory, where the tier-1 suite runs with ``-x``: a failing
 test kills the mutant, a passing suite lets it survive.  The unmutated
 copy runs first and must pass (exit code 1 otherwise).  The kill table
@@ -44,24 +47,35 @@ QUERY, ANALYTIC = "src/fractalhull/query.py", "src/fractalhull/analytic.py"
 IFS = "src/fractalhull/ifs.py"
 
 EDITS = [
-    (WIDTH, "interp_slack=w.radius * math.pi / n)",
-     "interp_slack=w.radius * math.pi / n / 2.0)", "interp_slack halved"),
-    (WIDTH, "delta * c / (1.0 - c), 0.0, iterations)",
-     "delta * c, 0.0, iterations)", "iter_error without 1/(1-c)"),
+    (WIDTH, "iter_error, radius * math.pi / n, iterations)",
+     "iter_error, radius * math.pi / n / 2.0, iterations)", "interp_slack halved"),
+    (WIDTH, "err = step * c / (1.0 - c)", "err = step * c", "iter_error without 1/(1-c)"),
     (WIDTH, "return float(w.values.max()) + w.bound + w.interp_slack",
      "return float(w.values.max()) + w.bound", "circumradius without interp_slack"),
     (WIDTH, "budget = w.values + (w.bound + slack)",
      "budget = w.values + slack", "hull_contains without bound"),
-    (WIDTH, "x * c > tol * (1.0 - c) and x > _ROUNDING_FLOOR * reach",
-     "x * c > tol * (1.0 - c)", "stop screen without its rounding-floor condition"),
-    (WIDTH, "\n                    and not (finer and err <= (reach + err) * math.pi / finer)):",
-     "):", "stop screen without its finer condition"),
-    (WIDTH, "values, delta = new, diff.item(j)", "values, delta = s, diff.item(j)",
+    # the screen reads _stops without new: these drop a condition from that form
+    (WIDTH, "or step <= _ROUNDING_FLOOR * top and (",
+     "or new is not None and step <= _ROUNDING_FLOOR * top and (",
+     "stop screen without its rounding-floor condition"),
+    (WIDTH, "or finer and err <= (top + err) * math.pi / finer and (",
+     "or new is not None and finer and err <= (top + err) * math.pi / finer and (",
+     "stop screen without its finer condition"),
+    (WIDTH, "values, probe, bound = new, j, step",
+     "values, probe, bound = start if check else new, j, step",
      "extrapolation: go on from s, not T(s)"),
-    (WIDTH, "if diff.item(j) <= last:", "if True:",
-     "extrapolation: every jump taken"),
-    (WIDTH, "bound, probe, top = delta, j, float(np.max(np.abs(new)))",
-     "bound, top = delta, top + delta", "extrapolation: no screen restart after a jump"),
+    (WIDTH, "if check and not step <= last:", "if False:", "extrapolation: every jump taken"),
+    (WIDTH, "top = _finite(float(np.max(np.abs(new))) if check else top + step)",
+     "top = _finite(top + step)", "extrapolation: no screen restart after a jump"),
+    (WIDTH, "values, probe, bound = new, j, step",
+     "values, probe, bound = new, probe if check else j, step",
+     "extrapolation: no screen restart after a jump"),
+    (WIDTH, "r0 = float(_scaled(lambda t: max(map(np.linalg.norm, t)), ifs.t, exp))",
+     "r0 = float(max(map(np.linalg.norm, ifs.t)))", "ball bound at the input's scale"),
+    (WIDTH, "return _scaled(lambda x: np.fft.irfft(np.fft.rfft(x) / (1.0 - lam), n), b, exp)",
+     "return np.fft.irfft(np.fft.rfft(b) / (1.0 - lam), n)",
+     "circulant start at the input's scale"),
+    (WIDTH, "if not math.isfinite(top):", "if False:", "overflowing widths not raised"),
     (QUERY, "c0 = radius / math.sqrt(2.0) if", "c0 = radius / 2.0 if", "paper C0 = R/2"),
     (QUERY, "slack = w0.slack", "slack = w0.bound", "query slack without interp_slack"),
     (QUERY, "r_in = max((lo + slack) * (1.0 - 8.0 * _EPS) - _TINY, slack)",
@@ -123,7 +137,8 @@ def run_tier1(tree: Path, edits) -> tuple[str, str, float]:
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             f"--hypothesis-seed={HYPOTHESIS_SEED}", f"--basetemp={Path(tmp) / 'pytest'}"],
+             "--ignore=tests/test_mutants.py", f"--hypothesis-seed={HYPOTHESIS_SEED}",
+             f"--basetemp={Path(tmp) / 'pytest'}"],
             cwd=copy, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - start
     failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", proc.stdout, re.MULTILINE)

@@ -49,16 +49,18 @@ Tsitsiklis, IEEE Trans. Automatic Control 36(8), 1991); the coarse plan is
 freed before the finer one is built, so two plans never coexist.  The
 start is only a start: the sweeps on the requested grid and their stopping
 rule certify the result either way, and ``iterations`` counts those sweeps
-alone.
+alone.  The FFT and the norms of R0 are taken at unit scale (:func:`_scaled`).
 
-The stopping test (:func:`_sweep`) is one pass over the step
-``new - values``; one entry of the step screens it.  The entry where the
-last tested step was largest bounds the step from below, and while it
-alone rules out every stop condition the sweep skips the pass.  A skipped
-test would have failed, so the stops, the sweep counts and every value
-are those of testing every sweep.  Slowly contracting systems skip most
-tests: four similarity systems with c from 0.9 to 0.97 ran the full test
-on 4-16 of their 99-262 sweeps at 4096 angles.
+The stop rule (:func:`_stops`) holds the rate ``c`` and the stop
+conditions, and returns the ``iter_error`` it certifies.  A full test
+(:func:`_sweep`) is one pass over the step ``new - values``; one entry of
+the step screens it.  The entry where the last tested step was largest
+bounds the step from below, and while the rule, read with it, rules out
+every stop the sweep skips the pass.  A skipped test would have failed,
+so the stops, the sweep counts and every value are those of testing every
+sweep.  Slowly contracting systems skip most tests: four similarity
+systems with c from 0.9 to 0.97 ran the full test on 4-16 of their 99-262
+sweeps at 4096 angles.
 
 The extrapolation (:func:`_sweep`).  Near c = 1 the error left after many
 sweeps is a few slow modes of modulus about c, rotating from sweep to
@@ -67,14 +69,13 @@ sweep, which plain sweeps shrink by only c each.  When ``c**20 >= 1/4``
 extrapolation ``s`` (Sidi, *Vector Extrapolation Methods with
 Applications*, SIAM 2017; with the later iterate of each step weighted,
 as in Anderson mixing, J. ACM 12, 1965): the affine combination of the
-iterates whose steps cancel best.  One check sweep takes ``s`` to ``T(s)``,
-and the sweeps go on from ``T(s)`` only if its step is no larger than
-the last plain step; otherwise from where they were.  The stop rule, the
-screen and ``iter_error`` stay as they are: any start is certified by
-the step of the sweep that leaves it, so the values returned are still
-a sweep of their predecessor, within ``step * c / (1 - c)`` of the fixed
-point.  ``iterations`` counts the check sweeps.  A faster system never
-extrapolates and keeps its sweeps and bits.  Hull-slow's c = 0.944 and
+iterates whose steps cancel best.  One check sweep takes ``s`` to ``T(s)``
+and runs the same full test, and the sweeps go on from ``T(s)`` only if
+its step is no larger than the last plain step.  Any start is certified
+by the step of the sweep that leaves it, so the stop rule certifies the
+values as it does without the extrapolation.  ``iterations`` counts the
+check sweeps.  A faster system never extrapolates and keeps its sweeps
+and bits.  Hull-slow's c = 0.944 and
 0.961 similarities went from 168-173 and 248-262 sweeps to 81-105 and
 67-127 at 4096 angles (seeds 1-10), and ROADMAP item 1's c = 0.9903 system
 from 2989 to 593 at 64 angles.
@@ -93,7 +94,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, FractalHullError, ValidationError
 from .ifs import IFS, _check_finite, _check_int, _readonly, _row_blocks
 
 TWO_PI = 2.0 * math.pi
@@ -276,11 +277,11 @@ class _OperatorPlan:
                            np.multiply(frac, norms, out=frac), shift)
         self._groups = list(groups.values())
 
-    def circulant_fixed_point(self) -> np.ndarray:
+    def circulant_fixed_point(self, exp: int) -> np.ndarray:
         """Fixed point of ``v = S v + b`` for a plan of one entry: ``b`` its
         shift and ``S`` the circulant whose every row is its first row,
         weights ``a0, a1`` on cells ``k, k + 1``, ``k`` the image cell of
-        ``d_0``.
+        ``d_0``, taken at unit scale (``exp`` as in :func:`_scaled`).
 
         ``S`` has the eigenvalues ``(a0 + a1 e^{2 pi i j/n}) e^{2 pi i j k/n}``
         on the Fourier modes, all of modulus at most ``|A^T d_0| < 1``, so
@@ -294,7 +295,7 @@ class _OperatorPlan:
         phase = 2j * math.pi / n
         # reduce j * k mod n in integers so the phase stays exact for large n
         lam = (a0[0] + a1[0] * np.exp(phase * modes)) * np.exp(phase * (modes * k % n))
-        return np.fft.irfft(np.fft.rfft(b) / (1.0 - lam), n)
+        return _scaled(lambda x: np.fft.irfft(np.fft.rfft(x) / (1.0 - lam), n), b, exp)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         # buf[j] is values[j % n] for j <= 2n, and nxt[j] is buf[j + 1]
@@ -310,6 +311,17 @@ class _OperatorPlan:
             else:
                 np.maximum(best, term, out=best)
         return best
+
+
+def _scaled(f, x: np.ndarray, exp: int):
+    """``f(x)``, for an ``f`` that commutes with scaling by powers of two:
+    when ``|exp| > 500``, taken on ``x`` scaled by ``2**-exp`` and scaled
+    back.  Both steps are exact and products at unit scale stay finite and
+    normal, so the result is ``f`` at unit scale times ``2**exp`` (or inf)."""
+    if abs(exp) <= 500:
+        return f(x)
+    with np.errstate(over="ignore"):  # _sweep reports an overflowing start
+        return np.ldexp(f(np.ldexp(x, -exp)), exp)
 
 
 def _progression(g0: np.ndarray):
@@ -365,20 +377,32 @@ def selfsim_operator(ifs: IFS, w: WidthSamples) -> WidthSamples:
     return replace(w, values=_readonly(out))
 
 
-def _stops(new: np.ndarray, delta: float, top: float, c: float, tol: float,
-           finer: int) -> bool:
-    """The stopping test of :func:`_sweep` for a sweep to ``new`` by a step
-    of ``delta``, with ``top`` an upper bound on ``max|new|`` that screens
-    the passes over ``new``."""
-    if delta * c <= tol * (1.0 - c) or (
-            delta <= _ROUNDING_FLOOR * top
-            and delta <= _ROUNDING_FLOOR * float(np.max(np.abs(new)))):
-        return True
-    # top bounds max(new, 0) too, so it screens the pass over new
-    err = delta * c / (1.0 - c)
-    return bool(finer) and (
-        err <= (top + err) * math.pi / finer
-        and err <= (max(float(new.max()), 0.0) + err) * math.pi / finer)
+def _stops(step: float, top: float, c: float, tol: float, finer: int,
+           new: np.ndarray | None = None) -> float | None:
+    """The certified error ``step * c / (1 - c)`` of a sweep to ``new`` by
+    ``step`` if the sweeps stop there, else ``None``; ``top`` bounds
+    ``max|new|``.  They stop once the error is within ``tol``, once the step
+    is within rounding of one sweep (``step <= 4 eps max|new|``), or, with
+    ``finer``, once the error is within the interpolation slack ``R pi /
+    finer`` of ``finer`` angles, ``R = max(new, 0) + error`` (that grid
+    reads no closer).  Without ``new``, ``top`` stands in for both maxima and
+    ``None`` rules out every stop of a step of at least ``step``; with
+    ``new`` the maxima confirm a stop ``top`` allows: passes run only then."""
+    err = step * c / (1.0 - c)
+    if (step * c <= tol * (1.0 - c)
+            or step <= _ROUNDING_FLOOR * top and (
+                new is None or step <= _ROUNDING_FLOOR * float(np.max(np.abs(new))))
+            or finer and err <= (top + err) * math.pi / finer and (
+                new is None or err <= (max(float(new.max()), 0.0) + err) * math.pi / finer)):
+        return err
+    return None
+
+
+def _finite(top: float) -> float:
+    """``top``, a bound on the widths, if it is finite; else raise."""
+    if not math.isfinite(top):
+        raise FractalHullError("the widths overflow the float range")
+    return top
 
 
 def _affine_weights(gram: list) -> list | None:
@@ -445,108 +469,83 @@ def _extrapolate(kept: list):
 
 def _sweep(plan: _OperatorPlan, values: np.ndarray, c: float, tol: float,
            finer: int = 0):
-    """Sweep ``values`` toward the plan's fixed point; return the last
-    values, the last step ``delta`` and the number of sweeps, check sweeps
-    included.
+    """Sweep ``values`` toward the plan's fixed point until :func:`_stops`
+    stops them; return the last values, the ``iter_error`` it certified
+    and the number of sweeps, check sweeps included.
 
-    The sweeps stop once ``delta * c / (1 - c) <= tol``, or once the step is
-    within rounding of one sweep, ``delta <= 4 eps max|h|``.  With ``finer``
-    they also stop once ``delta * c / (1 - c)`` is within the interpolation
-    slack ``R * pi / finer`` of a grid of ``finer`` angles, with ``R =
-    max(values, 0) + delta * c / (1 - c)``: the values are then as close to
-    the fixed point as that grid can read them, so sweeping on is waste.
+    A screen spares most sweeps the full test.  A full test keeps
+    ``probe``, the index of the step's largest entry, and each later sweep
+    first reads that entry alone, ``x = |new[probe] - values[probe]|``, a
+    lower bound on its step.  A skipped sweep adds to ``top`` twice ``c**j``
+    times the last tested step, the contraction's bound on the step ``j``
+    sweeps later (the factor 2 covers rounding), so ``top`` still bounds
+    ``max|values|``.  When ``_stops`` with ``x`` and ``top`` rules out every
+    stop, the sweep goes on untested; any other sweep runs the full test.
 
-    A screen spares most sweeps the full test.  A full test keeps ``probe``,
-    the index of the step's largest entry, and each later sweep first reads
-    that entry alone, ``x = |new[probe] - values[probe]|``, a lower bound on
-    its step.  A skipped sweep adds to ``top`` twice ``c**j * delta``, the
-    contraction's bound on the step ``j`` sweeps after the last full test
-    (the factor 2 covers rounding), so ``top`` still bounds ``max|values|``.
-    When ``x`` meets no stop condition, with ``top`` in place of the
-    maxima, the step meets none either, and the sweep goes on untested.
-    Any other sweep, the first among them, runs the full test, so the
-    stops, ``delta`` and the sweep count are those of testing every sweep.
-    The screen reads the same ``c`` as the stop rule and must follow it if
-    the rule's rate changes.
-
-    When ``c**_WINDOW >= 1/4``, every ``_WINDOW`` sweeps the last
-    ``_KEPT`` iterates give a reduced-rank extrapolation ``s`` (see
-    :func:`_extrapolate`), and one check sweep takes ``s`` to ``T(s)``.
-    The sweeps go on from ``T(s)`` only if its step ``|T(s) - s|`` is no
-    larger than the last plain step, and then the check sweep runs the
-    full test with ``probe`` and ``top`` taken afresh from it; otherwise
-    they go on from the last plain sweep.  Check sweeps count in the
-    number of sweeps.  Either way the values returned are a sweep of
-    their predecessor and ``delta`` is that sweep's step, so the stop rule
-    certifies them as it does without the extrapolation.
+    When ``c**_WINDOW >= 1/4``, every ``_WINDOW`` sweeps the last ``_KEPT``
+    iterates give a reduced-rank extrapolation ``s`` (:func:`_extrapolate`)
+    and a check sweep takes ``s`` to ``T(s)``.  Its full test differs in
+    three ways: its step is ``|T(s) - s|``; it is refused, and the sweeps go
+    on from the last plain sweep, when that step is larger than the last
+    plain step; and ``top`` restarts from ``max|T(s)|``, as the screen's
+    bound followed the plain sweeps.  A non-finite start or tested step
+    raises :class:`FractalHullError`: the widths overflow the float range.
     """
-    delta = math.inf
     iterations = 0
-    # top bounds max|values| (each sweep moves it by at most delta), so the
-    # rounding floor costs a pass over the values only once delta is near it
-    top = float(np.max(np.abs(values)))
+    # top bounds max|values| (each sweep moves it by at most its step), so
+    # the rounding floor costs a pass over the values only once it is near
+    top = _finite(float(np.max(np.abs(values))))
     probe = -1
-    # a window that plain sweeps already shrink the error 4-fold is left alone
-    window = _WINDOW if c ** _WINDOW >= 0.25 else 0
+    # a window that plain sweeps already shrink the error 4-fold never closes
+    window = _WINDOW if c ** _WINDOW >= 0.25 else math.inf
     since, kept = 0, []
     while iterations < _ITERATION_CAP:
-        if len(kept) == _KEPT:  # the window's last sweep did not stop
-            s, last = _extrapolate(kept)
+        check = len(kept) == _KEPT  # the window's last sweep did not stop
+        if check:
+            start, last = _extrapolate(kept)
             since, kept = 0, []
-            if s is not None:
-                new = plan.apply(s)
-                iterations += 1
-                diff = new - s
-                np.abs(diff, out=diff)
-                j = int(diff.argmax())
-                if diff.item(j) <= last:  # a nan step is refused too
-                    values, delta = new, diff.item(j)
-                    # the screen restarts from this full test: top bounded
-                    # the plain sweeps, not T(s)
-                    bound, probe, top = delta, j, float(np.max(np.abs(new)))
-                    if _stops(new, delta, top, c, tol, finer):
-                        break
+            if start is None:
                 continue
-        new = plan.apply(values)
+        else:
+            start = values
+        new = plan.apply(start)
         iterations += 1
-        if window:
+        if not check:
             since += 1
             if since > window - _KEPT:
                 kept.append(new)
-        if probe >= 0:
-            x = abs(new.item(probe) - values.item(probe))
-            bound *= c
-            reach = top + 2.0 * bound
-            err = x * c / (1.0 - c)
-            if (x * c > tol * (1.0 - c) and x > _ROUNDING_FLOOR * reach
-                    and not (finer and err <= (reach + err) * math.pi / finer)):
-                values, top = new, reach
-                continue
-        diff = new - values
+            if probe >= 0:
+                bound *= c
+                reach = top + 2.0 * bound
+                if _stops(abs(new.item(probe) - values.item(probe)), reach, c, tol,
+                          finer) is None:
+                    values, top = new, reach
+                    continue
+        diff = new - start
         np.abs(diff, out=diff)
-        probe = int(diff.argmax())
-        delta = bound = float(diff[probe])
-        values = new
-        top += delta
-        if _stops(new, delta, top, c, tol, finer):
-            break
-    else:
-        raise ConvergenceError(
-            f"width iteration did not converge within {_ITERATION_CAP} steps"
-        )
-    return values, delta, iterations
+        j = int(diff.argmax())
+        step = diff.item(j)
+        if check and not step <= last:  # a nan step is refused too
+            continue
+        top = _finite(float(np.max(np.abs(new))) if check else top + step)
+        values, probe, bound = new, j, step
+        error = _stops(step, top, c, tol, finer, new)
+        if error is not None:
+            return values, error, iterations
+    raise ConvergenceError(f"width iteration did not converge within {_ITERATION_CAP} steps")
 
 
 def _solve(ifs: IFS, n: int, tol: float, finer: int = 0):
     """Solve on ``n`` angles from the start the module docstring states;
     return what :func:`_sweep` returns (``finer`` is passed on to it)."""
     grid = _shared_grid(n)
+    exp = math.frexp(max(map(abs, ifs.t.ravel().tolist())))[1]  # of max|t entries|
     if _shares_similarity(ifs):
         plan = _OperatorPlan(ifs, grid)
-        return _sweep(plan, plan.circulant_fixed_point(), ifs.c, tol, finer)
+        return _sweep(plan, plan.circulant_fixed_point(exp), ifs.c, tol, finer)
     if n < _NESTED_MIN:
-        r0 = max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - ifs.c)
-        start = np.full(n, r0)
+        r0 = float(_scaled(lambda t: max(map(np.linalg.norm, t)), ifs.t, exp))
+        start = np.full(n, r0 / (1.0 - ifs.c))
     else:
         start = _interp_periodic(_solve(ifs, n // 16 * 2, tol, n)[0], grid.angles)
     return _sweep(_OperatorPlan(ifs, grid), start, ifs.c, tol, finer)
@@ -573,25 +572,25 @@ def solve_width(ifs: IFS, n_grid: int = 4096, tol: float = 1e-6) -> WidthSamples
     Returns
     -------
     WidthSamples
-        Samples around base 0 with ``iter_error = step * c / (1 - c)``
-        (above ``tol`` when the rounding floor stopped the sweeps) and
-        ``interp_slack = radius * pi / n_grid``;
+        Samples around base 0 with the ``iter_error = step * c / (1 - c)``
+        the stop rule certified (above ``tol`` when the rounding floor
+        stopped the sweeps) and ``interp_slack = radius * pi / n_grid``;
         ``iterations`` counts the sweeps on the ``n_grid`` angles only,
         the extrapolation's check sweeps among them, not those of a
         coarse start.
 
     The start vector follows the rule in the module docstring; the sweeps
     on ``n_grid`` angles and their stopping rule alone certify the result.
+    Widths beyond the float range raise :class:`FractalHullError`.
     """
     if ifs.dim != 2:
         raise ValidationError("the width solver is two-dimensional only")
     _check_tol(tol)
     n = _check_grid(n_grid)
-    values, delta, iterations = _solve(ifs, n, tol)
-    c = ifs.c
-    w = WidthSamples(_shared_grid(n), _readonly(np.zeros(2)), _readonly(values),
-                     delta * c / (1.0 - c), 0.0, iterations)
-    return replace(w, interp_slack=w.radius * math.pi / n)
+    values, iter_error, iterations = _solve(ifs, n, tol)
+    radius = max(float(values.max()), 0.0) + iter_error  # WidthSamples.radius
+    return WidthSamples(_shared_grid(n), _readonly(np.zeros(2)), _readonly(values),
+                        iter_error, radius * math.pi / n, iterations)
 
 
 def rebase_width(w: WidthSamples, new_base) -> WidthSamples:

@@ -571,3 +571,10 @@ class TestErrors:
         path.write_text(json.dumps(
             {"maps": [{"A": [[1.0, 0.0], [0.0, 1.0]], "t": [0.0, 0.0]}]}))
         assert main(["hull", "--input", str(path)]) == 1
+
+    def test_widths_beyond_the_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"maps": [{"A": [[0.5, 0.0], [0.0, 0.25]], "t": [1e308, 0.0]}]}))
+        assert main(["hull", "--input", str(path)]) == 1
+        assert "overflow the float range" in capsys.readouterr().err

@@ -123,6 +123,46 @@ def test_far_scaled_twindragon_polygon_is_the_unit_polygon_scaled(k):
     assert same(ps.outer_slack, s * p.outer_slack)
 
 
+# two maps that share no similarity: solved from the ball bound R0, whose
+# norms square the translations, and on 4096 angles from a nested start
+AFFINE = [(rotation(1.0) @ np.diag([0.6, -0.3]), (1.0, 0.25)),
+          ([[0.5, -0.25], [0.125, 0.375]], (-0.5, 0.75))]
+
+
+@pytest.mark.parametrize("maps,k", [(AFFINE, -900), (AFFINE, -540), (AFFINE, 520),
+                                    (AFFINE, 1000), (TWINDRAGON, 1016)],
+                         ids=["affine--900", "affine--540", "affine-520", "affine-1000",
+                              "twindragon-1016"])
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_far_scaled_solve_is_the_unit_solve_scaled(maps, k, n):
+    # squares of the translations overflow beyond about 2**511 and lose
+    # bits to subnormals below about 2**-511, and the circulant start's FFT
+    # sums n widths (2**1026 at 2**1016 and 1024 angles): the ball bound and
+    # the FFT are taken at unit scale, so the solve is the unit solve scaled
+    s = 2.0**k
+    w, ws = fh.solve_width(scaled(maps, 1.0), n, TOL), fh.solve_width(scaled(maps, s), n, s * TOL)
+    assert same(ws.values, s * w.values)
+    assert same(ws.iter_error, s * w.iter_error)
+    assert ws.iterations == w.iterations
+    p, ps = fh.extract_polygon(w), fh.extract_polygon(ws)
+    assert same(ps.vertices, s * p.vertices)
+    assert same(ps.outer_slack, s * p.outer_slack)
+
+
+@pytest.mark.parametrize("a", [0.5 * np.eye(2), np.diag([0.5, 0.25])],
+                         ids=["shared-similarity", "non-similarity"])
+def test_widths_beyond_the_float_range_raise_before_any_sweep(a, monkeypatch):
+    # the point attractor 2e308 (1, 0) has widths beyond the float range:
+    # the start overflows, and the solve says so before it sweeps
+    sweeps = []
+    apply = fh.width._OperatorPlan.apply
+    monkeypatch.setattr(fh.width._OperatorPlan, "apply",
+                        lambda plan, values: sweeps.append(1) or apply(plan, values))
+    with pytest.raises(fh.FractalHullError, match="overflow the float range"):
+        fh.solve_width(fh.validate_ifs([(a, (1e308, 0.0))]), 256, TOL)
+    assert not sweeps
+
+
 def test_huge_twindragon_extracts_a_certified_polygon():
     # at 2**520 extraction returns a polygon, and exact word images lie
     # within its outer_slack (measured at unit scale: dividing by s is exact)

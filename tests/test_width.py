@@ -289,14 +289,23 @@ class TestOperatorPlanProperties:
             assert shift.tobytes() == (grid.directions @ m.t).tobytes()
 
 
+def ball_bound(ifs):
+    """The solver's constant start ``R0 = max_i |t_i| / (1 - c)``, with the
+    norms, which square the translations, taken on them scaled by the power
+    of two that brings the largest ``|entry|`` into [0.5, 1): exact, and
+    neither overflowing nor losing bits to subnormals at any scale."""
+    exp = math.frexp(float(np.max(np.abs(ifs.t))))[1]
+    norms = [float(np.linalg.norm(t)) for t in np.ldexp(ifs.t, -exp)]
+    return math.ldexp(max(norms), exp) / (1.0 - ifs.c)
+
+
 def value_iteration(ifs, n, tol):
     """The sweep loop started from the constant ball bound R0, as the solver
     ran every system before the circulant start: values, iter_error,
     interp_slack, iterations."""
     plan = fh.width._OperatorPlan(ifs, fh.DirectionGrid(n))
     c = ifs.c
-    r0 = max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c)
-    values = np.full(n, r0)
+    values = np.full(n, ball_bound(ifs))
     iterations = 0
     while True:
         new = plan.apply(values)
@@ -395,7 +404,7 @@ def nested_value_iteration(ifs, n, tol, finer=0):
                                nested_value_iteration(ifs, m, tol, n)[0], 0.0, 0.0)
         values = fh.eval_width(coarse, grid.angles)
     else:
-        values = np.full(n, max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c))
+        values = np.full(n, ball_bound(ifs))
     plan = fh.width._OperatorPlan(ifs, grid)
     iterations = 0
     while True:
@@ -417,7 +426,7 @@ def plain_fixed_point(ifs, n):
     eps max|h|``.  Returns the values and their bound ``delta c / (1 - c)``."""
     plan = fh.width._OperatorPlan(ifs, fh.DirectionGrid(n))
     c = ifs.c
-    values = np.full(n, max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c))
+    values = np.full(n, ball_bound(ifs))
     for _ in range(100_000):
         new = plan.apply(values)
         delta = float(np.max(np.abs(new - values)))
@@ -622,10 +631,11 @@ class SweepRecorder:
         return out
 
     def finish(self, result):
-        values, delta, iterations = result
+        values, iter_error, iterations = result
         assert self.stopped
         assert np.array_equal(values, self.prev)
-        assert (delta, iterations) == (self.step, self.calls)
+        c = self.c
+        assert (iter_error, iterations) == (self.step * c / (1.0 - c), self.calls)
 
 
 class TestExtrapolation:
@@ -652,9 +662,8 @@ class TestExtrapolation:
         # point's first jump lands ~1000 times farther out than the plain
         # sweeps had come, beyond what the stop screen's bound had followed
         n = 256
-        r0 = max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - ifs.c)
         recorder = SweepRecorder(ifs, n, tol, finer)
-        values = np.full(n, r0 if start == "ball" else 0.0)
+        values = np.full(n, ball_bound(ifs) if start == "ball" else 0.0)
         recorder.finish(fh.width._sweep(recorder, values, ifs.c, tol, finer))
         assert recorder.checks > 0
 
@@ -762,7 +771,7 @@ class TestSolveWidth:
         n, c = 1024, ifs.c
         w = fh.solve_width(ifs, n, 1e-300)
         plan = fh.width._OperatorPlan(ifs, fh.DirectionGrid(n))
-        values = np.full(n, max(float(np.linalg.norm(m.t)) for m in ifs.maps) / (1.0 - c))
+        values = np.full(n, ball_bound(ifs))
         for iterations in range(1, 10_000):
             new = plan.apply(values)
             delta = float(np.max(np.abs(new - values)))
