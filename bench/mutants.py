@@ -3,11 +3,12 @@
 Each mutant weakens one certified term of ``fractalhull``, a screen
 that must leave a certified result as it is (the solver's stopping-test
 screen), a rule of the solver's extrapolation, the solver's guards at the
-ends of the float range (its starts taken at unit scale, its overflow
-error), or the chaos game that draws the test suite's oracle clouds, by
-textual edits, ``(file, old, new, label)``; edits sharing a label make one
-mutant.  A mutant whose solve runs to the iteration cap
-fails its test with ``ConvergenceError`` and counts as killed.
+ends of the float range (its starts and the extrapolation's Gram matrix
+taken at unit scale, its overflow error), or the chaos game that draws
+the test suite's oracle clouds, by textual edits, ``(file, old, new,
+label)``; edits sharing a label make one mutant.  A mutant whose solve
+runs to the iteration cap fails its test with ``ConvergenceError`` and
+counts as killed.
 Every ``old`` must occur exactly once in its file, else nothing runs and
 the exit code is 2 (``tests/test_mutants.py`` checks this in tier-1, and
 is left out of the runs here: a mutated copy fails it by design).  Each
@@ -75,6 +76,7 @@ EDITS = [
     (WIDTH, "return _scaled(lambda x: np.fft.irfft(np.fft.rfft(x) / (1.0 - lam), n), b, exp)",
      "return np.fft.irfft(np.fft.rfft(b) / (1.0 - lam), n)",
      "circulant start at the input's scale"),
+    (WIDTH, "far = abs(exp) > 500", "far = False", "extrapolation Gram at the input's scale"),
     (WIDTH, "if not math.isfinite(top):", "if False:", "overflowing widths not raised"),
     (QUERY, "c0 = radius / math.sqrt(2.0) if", "c0 = radius / 2.0 if", "paper C0 = R/2"),
     (QUERY, "slack = w0.slack", "slack = w0.bound", "query slack without interp_slack"),

@@ -99,7 +99,7 @@ def equal_maps_width(a, ts, d, tol: float = 1e-12) -> float:
     Evaluates ``sum_{i>=0} h*(B^i d)`` with ``B = A^T`` and ``h*(e) =
     max_j t_j^T e``, truncated once the tail ``c^J max|t| / (1 - c)`` drops
     below ``tol``: the result is within ``tol`` plus a rounding allowance
-    of a few ``eps J max|t| / (1 - c)`` (eps the float64 machine epsilon).
+    of ``4 eps J max|t| / (1 - c)`` (eps the float64 machine epsilon).
     Works in any dimension: ``a`` is a finite square matrix, ``ts`` finite
     rows of its dimension and ``d`` a finite nonzero vector of it."""
     a = _check_square(a)

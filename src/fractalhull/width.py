@@ -75,10 +75,8 @@ its step is no larger than the last plain step.  Any start is certified
 by the step of the sweep that leaves it, so the stop rule certifies the
 values as it does without the extrapolation.  ``iterations`` counts the
 check sweeps.  A faster system never extrapolates and keeps its sweeps
-and bits.  Hull-slow's c = 0.944 and
-0.961 similarities went from 168-173 and 248-262 sweeps to 81-105 and
-67-127 at 4096 angles (seeds 1-10), and ROADMAP item 1's c = 0.9903 system
-from 2989 to 593 at 64 angles.
+and bits.  The weights are taken at unit scale, so an extrapolating solve
+of translations scaled by a power of two is the unit solve scaled.
 
 Sizes are capped before anything is allocated: a grid holds at most
 2**20 angles (an operator plan holds 32 bytes per angle per distinct
@@ -87,7 +85,6 @@ linear part, 24 when its cells are a slice).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -263,18 +260,21 @@ class _OperatorPlan:
     def __init__(self, ifs: IFS, grid: DirectionGrid):
         dirs = grid.directions
         groups: dict[bytes, tuple] = {}
-        for m in ifs.maps:
-            shift = dirs @ m.t
-            key = m.a.tobytes()
-            if key in groups:
-                np.maximum(groups[key][3], shift, out=groups[key][3])
-                continue
-            v = dirs @ m.a  # row g holds (A^T d_g)^T
-            g0, frac = _grid_cell(grid.n, np.arctan2(v[:, 1], v[:, 0]))
-            # norms == 0 makes the h-term vanish, leaving t^T d: the correct limit
-            norms = np.hypot(v[:, 0], v[:, 1])
-            groups[key] = (_progression(g0), (1.0 - frac) * norms,
-                           np.multiply(frac, norms, out=frac), shift)
+        # a shift t^T d beyond the float range makes the start overflow,
+        # which _sweep reports
+        with np.errstate(over="ignore"):
+            for m in ifs.maps:
+                shift = dirs @ m.t
+                key = m.a.tobytes()
+                if key in groups:
+                    np.maximum(groups[key][3], shift, out=groups[key][3])
+                    continue
+                v = dirs @ m.a  # row g holds (A^T d_g)^T
+                g0, frac = _grid_cell(grid.n, np.arctan2(v[:, 1], v[:, 0]))
+                # norms == 0 makes the h-term vanish, leaving t^T d: the correct limit
+                norms = np.hypot(v[:, 0], v[:, 1])
+                groups[key] = (_progression(g0), (1.0 - frac) * norms,
+                               np.multiply(frac, norms, out=frac), shift)
         self._groups = list(groups.values())
 
     def circulant_fixed_point(self, exp: int) -> np.ndarray:
@@ -320,7 +320,9 @@ def _scaled(f, x: np.ndarray, exp: int):
     normal, so the result is ``f`` at unit scale times ``2**exp`` (or inf)."""
     if abs(exp) <= 500:
         return f(x)
-    with np.errstate(over="ignore"):  # _sweep reports an overflowing start
+    # _sweep reports an overflowing start (inf - inf in an FFT of overflowed
+    # shifts gives nan)
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.ldexp(f(np.ldexp(x, -exp)), exp)
 
 
@@ -405,39 +407,6 @@ def _finite(top: float) -> float:
     return top
 
 
-def _affine_weights(gram: list) -> list | None:
-    """The weights ``gamma`` that minimise ``|sum_j gamma_j d_j|`` subject to
-    ``sum_j gamma_j = 1``, from the Gram matrix of the ``d_j`` (a list of
-    rows, which the elimination overwrites): ``G^-1 1`` normalised to sum
-    1, or ``None`` if it is not defined.
-
-    Symmetric Gaussian elimination on Python floats.  When a few slow
-    modes make the steps dependent up to rounding, ``G`` is singular up to
-    rounding too; a relative ridge of 1e-12 on the diagonal, above the
-    rounding of its dot products, keeps the pivots positive.
-    """
-    k = len(gram)
-    y = [1.0] * k
-    for i in range(k):
-        gram[i][i] *= 1.0 + 1e-12
-    for i in range(k):
-        top = gram[i]
-        if not top[i] > 0.0:
-            return None
-        for r in range(i + 1, k):
-            row = gram[r]
-            f = row[i] / top[i]
-            for j in range(i + 1, k):
-                row[j] -= f * top[j]
-            y[r] -= f * y[i]
-    for i in reversed(range(k)):
-        y[i] = (y[i] - sum(gram[i][j] * y[j] for j in range(i + 1, k))) / gram[i][i]
-    total = sum(y)
-    if not (math.isfinite(total) and total):
-        return None
-    return [v / total for v in y]
-
-
 def _extrapolate(kept: list):
     """Reduced-rank extrapolation of consecutive sweeps ``kept = [x_0 ..
     x_k]``; return the point ``s = sum_j gamma_j x_{j+1}``, whose weights
@@ -445,25 +414,46 @@ def _extrapolate(kept: list):
     gamma_j = 1``, and the last step ``max|x_k - x_{k-1}|``.  ``s`` is
     ``None`` when the weights are not defined.
 
-    The steps overwrite ``x_0 .. x_{k-1}`` in place, so the extrapolation
-    allocates only ``s``; ``x_k`` is left as it is.
+    The weights are ``G^-1 1`` normalised to sum 1, ``G`` the Gram matrix
+    of the steps, from one LAPACK solve.  When a few slow modes make the
+    steps dependent up to rounding, ``G`` is singular up to rounding too; a
+    relative ridge of 1e-12 on its diagonal, above the rounding of its dot
+    products, keeps it positive definite.  The weights do not depend on
+    scale, so beyond 2**+-500 (the last step's exponent, as in
+    :func:`_scaled`) ``G`` is taken on the steps scaled by a power of two.
+
+    The steps overwrite ``x_0 .. x_{k-1}`` in place, and are scaled (and
+    back, exactly) and weighted there, so the extrapolation allocates only
+    ``s``; ``x_k`` is left as it is.
     """
     steps = kept[:-1]
+    k = len(steps)
     for j, x in enumerate(steps):
         np.subtract(kept[j + 1], x, out=x)
     last = max(float(steps[-1].max()), -float(steps[-1].min()))
-    gram = [[0.0] * len(steps) for _ in steps]
+    exp = math.frexp(last)[1]
+    far = abs(exp) > 500
+    for x in steps if far else ():
+        np.ldexp(x, -exp, out=x)
+    gram = np.empty((k, k))
     for i, a in enumerate(steps):
-        for j in range(i, len(steps)):
-            gram[i][j] = gram[j][i] = float(np.dot(a, steps[j]))
-    gamma = _affine_weights(gram)
-    if gamma is None:
+        for j in range(i, k):
+            gram[i, j] = gram[j, i] = np.dot(a, steps[j])
+        gram[i, i] *= 1.0 + 1e-12
+    for x in steps if far else ():
+        np.ldexp(x, exp, out=x)
+    try:
+        y = np.linalg.solve(gram, np.ones(k))
+    except np.linalg.LinAlgError:
+        return None, last
+    total = float(y.sum())
+    if not (math.isfinite(total) and total):
         return None, last
     # s = x_k - sum_i (sum_{j<i} gamma_j) d_i: the weights multiply steps,
     # not values, so s carries no rounding of the values' size
     s = kept[-1].copy()
-    for g, step in zip(itertools.accumulate(gamma), steps[1:]):
-        s -= g * step
+    for g, step in zip(np.cumsum(y / total).tolist(), steps[1:]):
+        s -= np.multiply(step, g, out=step)
     return s, last
 
 

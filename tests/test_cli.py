@@ -578,3 +578,13 @@ class TestErrors:
             {"maps": [{"A": [[0.5, 0.0], [0.0, 0.25]], "t": [1e308, 0.0]}]}))
         assert main(["hull", "--input", str(path)]) == 1
         assert "overflow the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a", [[[0.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.0, 0.5]]],
+                             ids=["zero", "shared-similarity"])
+    def test_shifts_beyond_the_float_range(self, tmp_path, capsys, a):
+        # t^T d overflows at d = (1, 1) / sqrt(2) as the operator is built:
+        # the same error, and no warning (an error under the test filter)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"maps": [{"A": a, "t": [1.5e308, 1.5e308]}]}))
+        assert main(["hull", "--input", str(path)]) == 1
+        assert "overflow the float range" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fractalhull as fh
 from conftest import distance_to_polygon
+from test_width import ITEM_1
 
 TOL = 1e-6
 # the square [0, 2]^2: a shared similarity, solved from the circulant start
@@ -127,18 +128,23 @@ def test_far_scaled_twindragon_polygon_is_the_unit_polygon_scaled(k):
 # norms square the translations, and on 4096 angles from a nested start
 AFFINE = [(rotation(1.0) @ np.diag([0.6, -0.3]), (1.0, 0.25)),
           ([[0.5, -0.25], [0.125, 0.375]], (-0.5, 0.75))]
+# c = 0.9903: extrapolated every 20 sweeps, from dot products of the steps
+SLOW = [(m.a, m.t) for m in ITEM_1.maps]
+FAR = [-900, -540, 520, 1000]
 
 
-@pytest.mark.parametrize("maps,k", [(AFFINE, -900), (AFFINE, -540), (AFFINE, 520),
-                                    (AFFINE, 1000), (TWINDRAGON, 1016)],
-                         ids=["affine--900", "affine--540", "affine-520", "affine-1000",
-                              "twindragon-1016"])
+@pytest.mark.parametrize("maps,k", [(AFFINE, k) for k in FAR] + [(TWINDRAGON, 1016)]
+                         + [(SLOW, k) for k in FAR],
+                         ids=[f"affine-{k}" for k in FAR] + ["twindragon-1016"]
+                         + [f"item-1-{k}" for k in FAR])
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_far_scaled_solve_is_the_unit_solve_scaled(maps, k, n):
     # squares of the translations overflow beyond about 2**511 and lose
-    # bits to subnormals below about 2**-511, and the circulant start's FFT
-    # sums n widths (2**1026 at 2**1016 and 1024 angles): the ball bound and
-    # the FFT are taken at unit scale, so the solve is the unit solve scaled
+    # bits to subnormals below about 2**-511, the circulant start's FFT
+    # sums n widths (2**1026 at 2**1016 and 1024 angles), and the
+    # extrapolation's Gram matrix sums n products of steps: the ball bound,
+    # the FFT and the Gram matrix are taken at unit scale, so the solve is
+    # the unit solve scaled
     s = 2.0**k
     w, ws = fh.solve_width(scaled(maps, 1.0), n, TOL), fh.solve_width(scaled(maps, s), n, s * TOL)
     assert same(ws.values, s * w.values)
@@ -149,17 +155,21 @@ def test_far_scaled_solve_is_the_unit_solve_scaled(maps, k, n):
     assert same(ps.outer_slack, s * p.outer_slack)
 
 
-@pytest.mark.parametrize("a", [0.5 * np.eye(2), np.diag([0.5, 0.25])],
-                         ids=["shared-similarity", "non-similarity"])
-def test_widths_beyond_the_float_range_raise_before_any_sweep(a, monkeypatch):
-    # the point attractor 2e308 (1, 0) has widths beyond the float range:
-    # the start overflows, and the solve says so before it sweeps
+@pytest.mark.parametrize("a,t", [
+    (0.5 * np.eye(2), (1e308, 0.0)), (np.diag([0.5, 0.25]), (1e308, 0.0)),
+    (0.5 * np.eye(2), (1.5e308, 1.5e308)), (np.zeros((2, 2)), (1.5e308, 1.5e308)),
+], ids=["shared-similarity", "non-similarity", "shared-similarity-shifts", "zero-shifts"])
+def test_widths_beyond_the_float_range_raise_before_any_sweep(a, t, monkeypatch):
+    # the point attractors 2e308 (1, 0), 3e308 (1, 1) and 1.5e308 (1, 1)
+    # have widths beyond the float range: the start overflows (for the last
+    # two, from shifts t^T d that overflow as the plan is built), and the
+    # solve says so before it sweeps
     sweeps = []
     apply = fh.width._OperatorPlan.apply
     monkeypatch.setattr(fh.width._OperatorPlan, "apply",
                         lambda plan, values: sweeps.append(1) or apply(plan, values))
     with pytest.raises(fh.FractalHullError, match="overflow the float range"):
-        fh.solve_width(fh.validate_ifs([(a, (1e308, 0.0))]), 256, TOL)
+        fh.solve_width(fh.validate_ifs([(a, t)]), 256, TOL)
     assert not sweeps
 
 

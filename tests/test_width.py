@@ -688,6 +688,26 @@ class TestExtrapolation:
         assert step == last
         assert np.max(np.abs(s - fixed)) <= 1e-6 * error
 
+    def test_equal_iterates_give_no_weights(self):
+        # every step is 0, so the Gram matrix and its ridge are 0
+        assert fh.width._extrapolate([np.ones(64) for _ in range(6)]) == (None, 0.0)
+
+    @pytest.mark.parametrize("ratio", [1.0, -0.5, 2.0])
+    def test_dependent_steps_raise_nothing(self, ratio):
+        # steps d, r d, r^2 d ..., exactly (d on a dyadic grid, r a power of
+        # two or 1): a Gram matrix of rank 1, which only the ridge keeps
+        # from being singular
+        d = np.random.default_rng(2).integers(-64, 65, 64) / 64.0
+        kept = [np.zeros(64)]
+        for j in range(5):
+            kept.append(kept[-1] + ratio**j * d)
+        last = float(np.max(np.abs(kept[-1] - kept[-2])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, step = fh.width._extrapolate(kept)
+        assert step == last
+        assert s is None or np.all(np.isfinite(s))
+
 
 class TestSizeCaps:
     # 2**20 + 2 is even, so the cap is the only rule it breaks; tracemalloc
